@@ -17,18 +17,14 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from scipy.special import chdtrc
 
 from . import correlations, montecarlo, pairs
 from .config import ConfigError, ExperimentConfig, load_config
-from .cvnoise import (
-    NoiseModel,
-    noise_vs_power_fit,
-    quadrature_variance_avg,
-    squeezing_through_loss,
-)
-from .opo import mode_comb, output_spectrum
-from .spectrum import BoundaryPeakError, Spectrum, filter_metrics, make_frequency_grid
-from .vapor import fadof_transmission, hot_cell_transmission
+from .cvnoise import noise_vs_power_fit, quadrature_variance_avg, squeezing_through_loss
+from .opo import mode_comb, modes_within_grid, output_spectrum
+from .spectrum import BoundaryPeakError, Spectrum, filter_metrics, make_frequency_grid, write_csv
+from .vapor import fadof_transmission
 
 
 def _json_default(obj):
@@ -51,8 +47,29 @@ def _hash_header(cfg: ExperimentConfig) -> list[str]:
     return [f"config_hash: {cfg.config_hash}"]
 
 
-def cmd_spectrum(cfg: ExperimentConfig, out: Path, seed: int, threads: int) -> list[str]:
+def _grid_modes(cfg: ExperimentConfig) -> int:
+    """Modes per side whose averaging windows fit the [spectrum] grid."""
+    offset = cfg.opo.degenerate_frequency_hz - cfg.filter.table.reference_frequency_hz
+    try:
+        return modes_within_grid(cfg.opo, cfg.grid_half_span_hz, offset)
+    except ValueError as exc:
+        raise ConfigError(
+            f"[filter] center_offset_GHz vs [spectrum] half_span_GHz: {exc}"
+        ) from exc
+
+
+def _delta_comb_flags(cfg: ExperimentConfig) -> list[str]:
+    if correlations.delta_comb_applies(cfg.opo):
+        return []
+    return [
+        f"the comb keeps fewer than {correlations.DELTA_COMB_MIN_MODES} modes per side; "
+        "the delta-comb model does not apply"
+    ]
+
+
+def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> list[str]:
     """Filter, mirrored-filter, product, source, and filtered-source spectra."""
+    comb = mode_comb(cfg.opo, max_modes=_grid_modes(cfg))
     ref = cfg.filter.table.reference_frequency_hz
     grid = make_frequency_grid(ref, cfg.grid_half_span_hz, cfg.grid_step_hz)
     fadof = fadof_transmission(cfg.filter, grid)
@@ -63,7 +80,6 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path, seed: int, threads: int) -> l
     mirror_vals = mirrored.value[::-1]
     product = Spectrum(grid, fadof.value * mirror_vals, kind="transmission")
 
-    comb = mode_comb(cfg.opo, max_modes=int((cfg.grid_half_span_hz - abs(center - ref)) / cfg.opo.fsr_hz) - 1)
     source = output_spectrum(comb, cfg.opo, grid)
     filtered = Spectrum(grid, source.value * fadof.value, kind="density")
 
@@ -105,23 +121,8 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path, seed: int, threads: int) -> l
     return dirty
 
 
-def _histogram_case(cfg: ExperimentConfig, mode: str, comb_n_side: int):
-    label = "on" if mode == "single" else "off"
-    n_modes = comb_n_side if mode == "comb" else None
-    hist = correlations.detected_histogram(
-        cfg.opo, cfg.detector, mode=mode, n_modes=n_modes
-    )
-    return label, hist
-
-
-def cmd_g2(cfg: ExperimentConfig, out: Path, seed: int, threads: int, mode: str) -> list[str]:
+def cmd_g2(cfg: ExperimentConfig, out: Path, mode: str) -> list[str]:
     """Analytic detected-coincidence histograms, filter on and/or off."""
-    comb = mode_comb(cfg.opo)
-    cases = []
-    if mode in ("on", "both"):
-        cases.append(_histogram_case(cfg, "single", comb.n_max))
-    if mode in ("off", "both"):
-        cases.append(_histogram_case(cfg, "comb", comb.n_max))
     hdr = _hash_header(cfg)
     payload: dict = {
         "config_hash": cfg.config_hash,
@@ -129,7 +130,10 @@ def cmd_g2(cfg: ExperimentConfig, out: Path, seed: int, threads: int, mode: str)
         "bin_ns": cfg.detector.bin_s * 1e9,
         "roundtrip_ns": cfg.opo.roundtrip_s * 1e9,
     }
-    for label, hist in cases:
+    for label, hist_mode in (("on", "single"), ("off", "comb")):
+        if mode not in (label, "both"):
+            continue
+        hist = correlations.detected_histogram(cfg.opo, cfg.detector, mode=hist_mode)
         hist.to_csv(out / f"g2_{label}_histogram.csv", header_lines=hdr)
         fwhm = correlations.histogram_envelope_fwhm(hist) * 1e9
         contrast = correlations.tooth_modulation(hist)
@@ -137,18 +141,16 @@ def cmd_g2(cfg: ExperimentConfig, out: Path, seed: int, threads: int, mode: str)
         payload[f"{label}_tooth_modulation"] = contrast
         print(f"filter {label}: envelope FWHM {fwhm:.2f} ns, tooth modulation {contrast:.3g}")
     _write_json(out / "g2_metrics.json", payload)
-    return []
+    return [] if mode == "on" else _delta_comb_flags(cfg)
 
 
 def _chi_square(mc_hist, an_hist, min_expected: float = 5.0) -> dict:
-    from scipy.stats import chi2 as chi2_dist
-
     expected = an_hist.counts
     observed = mc_hist.counts
     usable = expected >= min_expected
     dof = int(usable.sum())
     stat = float(np.sum((observed[usable] - expected[usable]) ** 2 / expected[usable]))
-    p = float(chi2_dist.sf(stat, dof)) if dof else float("nan")
+    p = float(chdtrc(dof, stat)) if dof else float("nan")
     return {
         "chi_square": stat,
         "bins_used": dof,
@@ -158,26 +160,24 @@ def _chi_square(mc_hist, an_hist, min_expected: float = 5.0) -> dict:
     }
 
 
-def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int, threads: int) -> list[str]:
+def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
     """Monte Carlo streams, their histograms, model cross-check, purity."""
+    grid_modes = _grid_modes(cfg)
     det = replace(cfg.detector, acquisition_s=cfg.mc_duration_s)
-    comb = mode_comb(cfg.opo)
     children = np.random.SeedSequence(seed).generate_state(4)
-    dirty: list[str] = []
+    dirty = _delta_comb_flags(cfg)
     hdr = _hash_header(cfg)
 
     report: dict = {"config_hash": cfg.config_hash, "seed": seed, "rng": montecarlo.RNG_ALGORITHM}
     for label, gen_mode, child in (("on", "single", children[0]), ("off", "comb", children[1])):
         stream = montecarlo.generate_pair_events(
-            cfg.opo, det, gen_mode, cfg.mc_duration_s, int(child), n_modes=comb.n_max
+            cfg.opo, det, gen_mode, cfg.mc_duration_s, int(child)
         )
         montecarlo.write_stream(stream, out, prefix=f"timestamps_{label}",
                                 extra_meta={"config_hash": cfg.config_hash})
         mc_hist = montecarlo.mc_histogram(stream, det)
         mc_hist.to_csv(out / f"mc_{label}_histogram.csv", header_lines=hdr)
-        an_hist = correlations.detected_histogram(
-            cfg.opo, det, mode=gen_mode, n_modes=comb.n_max if gen_mode == "comb" else None
-        )
+        an_hist = correlations.detected_histogram(cfg.opo, det, mode=gen_mode)
         check = _chi_square(mc_hist, an_hist)
         report[label] = check
         if not check["p_value"] > 0.001:
@@ -189,13 +189,8 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int, threads: int) -> l
     ref = cfg.filter.table.reference_frequency_hz
     grid = make_frequency_grid(ref, cfg.grid_half_span_hz, cfg.grid_step_hz)
     fadof = fadof_transmission(cfg.filter, grid)
-    center = cfg.opo.degenerate_frequency_hz
-    max_modes = int(
-        (cfg.grid_half_span_hz - abs(center - ref)
-         - pairs.MODE_WINDOW_LINEWIDTHS * cfg.opo.mode_fwhm_hz) / cfg.opo.fsr_hz
-    )
     pmap = pairs.pair_transmission_map(
-        fadof, mode_comb(cfg.opo, max_modes=max_modes), cfg.opo
+        fadof, mode_comb(cfg.opo, max_modes=grid_modes), cfg.opo
     )
     resonant = pairs.resonant_degenerate_fraction(pmap)
     leakage = cfg.out_of_band_leakage
@@ -246,7 +241,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int, threads: int) -> l
     return dirty
 
 
-def cmd_optimize(cfg: ExperimentConfig, out: Path, seed: int, threads: int) -> list[str]:
+def cmd_optimize(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
     """Figure-of-merit surface over the (B, temperature) scan grid."""
     result = pairs.optimize_filter(
         cfg.filter,
@@ -263,6 +258,7 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path, seed: int, threads: int) -> l
         "best_b_mT": result.best_b_t * 1e3,
         "best_temperature_K": result.best_temperature_k,
         "best_fom": result.best_fom,
+        "best_peak_offset_ghz": result.best_peak_offset_hz / 1e9,
         "invalid_points": result.meta["n_invalid"],
         "modes_per_side": result.meta["max_modes"],
     }
@@ -276,7 +272,7 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path, seed: int, threads: int) -> l
     ]
 
 
-def cmd_noise(cfg: ExperimentConfig, out: Path, seed: int, threads: int) -> list[str]:
+def cmd_noise(cfg: ExperimentConfig, out: Path) -> list[str]:
     """Attenuation sweep of the quadrature noise plus the loss table."""
     t_nd = np.linspace(1.0 / cfg.noise_tnd_points, 1.0, cfg.noise_tnd_points)
     variances = np.array([
@@ -284,12 +280,10 @@ def cmd_noise(cfg: ExperimentConfig, out: Path, seed: int, threads: int) -> list
         for t in t_nd
     ])
     power_proxy = (t_nd * abs(cfg.noise.mean_field)) ** 2
-    lines = ["t_nd,power_proxy,variance"]
-    for t, p, v in zip(t_nd, power_proxy, variances):
-        lines.append(f"{t:.6f},{p:.9e},{v:.9e}")
-    with open(out / "noise_sweep.csv", "w") as fh:
-        fh.write(f"# config_hash: {cfg.config_hash}\n")
-        fh.write("\n".join(lines) + "\n")
+    write_csv(out / "noise_sweep.csv", _hash_header(cfg), {
+        "t_nd": (t_nd, "%.6f"), "power_proxy": (power_proxy, "%.9e"),
+        "variance": (variances, "%.9e"),
+    })
 
     fit = noise_vs_power_fit(power_proxy, variances)
     table = [
@@ -354,17 +348,16 @@ def main(argv=None) -> int:
     out = Path(args.out) if args.out else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else cfg.seed
+    # commands are looked up when called, so rebinding a cmd_* takes effect
+    commands = {
+        "spectrum": lambda: cmd_spectrum(cfg, out),
+        "g2": lambda: cmd_g2(cfg, out, args.mode),
+        "simulate": lambda: cmd_simulate(cfg, out, seed),
+        "optimize": lambda: cmd_optimize(cfg, out, args.threads),
+        "noise": lambda: cmd_noise(cfg, out),
+    }
     try:
-        if args.command == "spectrum":
-            dirty = cmd_spectrum(cfg, out, seed, args.threads)
-        elif args.command == "g2":
-            dirty = cmd_g2(cfg, out, seed, args.threads, args.mode)
-        elif args.command == "simulate":
-            dirty = cmd_simulate(cfg, out, seed, args.threads)
-        elif args.command == "optimize":
-            dirty = cmd_optimize(cfg, out, seed, args.threads)
-        else:
-            dirty = cmd_noise(cfg, out, seed, args.threads)
+        dirty = commands[args.command]()
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

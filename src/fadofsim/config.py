@@ -19,7 +19,7 @@ import numpy as np
 from .correlations import DetectorConfig
 from .cvnoise import NoiseModel
 from .lines import AtomicLineTable
-from .opo import OpoConfig
+from .opo import DEFAULT_OPERATING_OFFSET_HZ, OpoConfig
 from .vapor import FilterConfig, HotCellConfig
 
 
@@ -29,6 +29,12 @@ class ConfigError(ValueError):
 
 def _fail(section: str, key: str, message: str):
     raise ConfigError(f"[{section}] {key}: {message}")
+
+
+_BOOLEANS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
 
 
 class _Section:
@@ -44,54 +50,31 @@ class _Section:
             return self.parser.get(self.name, key).strip()
         return None
 
-    def float(self, key: str, default: float, scale: float = 1.0) -> float:
+    def _typed(self, key: str, default, convert, kind: str):
         raw = self._raw(key)
         if raw is None:
-            value = default * scale
+            value = default
         else:
             try:
-                value = float(raw) * scale
-            except ValueError:
-                _fail(self.name, key, f"not a number: {raw!r}")
+                value = convert(raw)
+            except (ValueError, KeyError):
+                _fail(self.name, key, f"not {kind}: {raw!r}")
         self.resolved[f"{self.name}.{key}"] = repr(value)
         return value
+
+    def float(self, key: str, default: float, scale: float = 1.0) -> float:
+        return self._typed(key, default * scale, lambda raw: float(raw) * scale, "a number")
 
     def int(self, key: str, default: int) -> int:
-        raw = self._raw(key)
-        if raw is None:
-            value = default
-        else:
-            try:
-                value = int(raw)
-            except ValueError:
-                _fail(self.name, key, f"not an integer: {raw!r}")
-        self.resolved[f"{self.name}.{key}"] = repr(value)
-        return value
+        return self._typed(key, default, int, "an integer")
 
     def complex(self, key: str, default: complex) -> complex:
-        raw = self._raw(key)
-        if raw is None:
-            value = complex(default)
-        else:
-            try:
-                value = complex(raw.replace(" ", ""))
-            except ValueError:
-                _fail(self.name, key, f"not a complex number: {raw!r}")
-        self.resolved[f"{self.name}.{key}"] = repr(value)
-        return value
+        return self._typed(
+            key, complex(default), lambda raw: complex(raw.replace(" ", "")), "a complex number"
+        )
 
     def bool(self, key: str, default: bool) -> bool:
-        raw = self._raw(key)
-        if raw is None:
-            value = default
-        elif raw.lower() in ("1", "true", "yes", "on"):
-            value = True
-        elif raw.lower() in ("0", "false", "no", "off"):
-            value = False
-        else:
-            _fail(self.name, key, f"not a boolean: {raw!r}")
-        self.resolved[f"{self.name}.{key}"] = repr(value)
-        return value
+        return self._typed(key, default, lambda raw: _BOOLEANS[raw.lower()], "a boolean")
 
     def string(self, key: str, default: str) -> str:
         raw = self._raw(key)
@@ -194,7 +177,10 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
         table = AtomicLineTable.from_file(table_path)
     else:
         table = AtomicLineTable.rubidium_d1()
+    # operating point (pair degeneracy frequency); unset selects the default
     center_off = sec.float("center_offset_GHz", np.nan, 1e9)
+    if np.isnan(center_off):
+        center_off = DEFAULT_OPERATING_OFFSET_HZ
     try:
         flt = FilterConfig(
             b_field_t=sec.float("magnetic_field_mT", 4.5, 1e-3),
@@ -202,9 +188,6 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
             cell_length_m=sec.float("cell_length_mm", 300.0, 1e-3),
             extinction=sec.float("extinction", 1.8e-6),
             buffer_fwhm_hz=sec.float("buffer_fwhm_MHz", 0.0, 1e6),
-            center_frequency_hz=(
-                None if np.isnan(center_off) else table.reference_frequency_hz + center_off
-            ),
             table=table,
         )
     except ValueError as exc:
@@ -230,7 +213,7 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
             roundtrip_s=sec.float("roundtrip_ns", 1.99, 1e-9),
             fsr_hz=sec.float("fsr_MHz", 501.0, 1e6),
             envelope_fwhm_hz=sec.float("envelope_fwhm_GHz", 150.0, 1e9),
-            degenerate_frequency_hz=flt.center_frequency_hz,
+            degenerate_frequency_hz=table.reference_frequency_hz + center_off,
             pair_rate_hz=sec.float("pair_rate_hz", 1e4),
         )
     except ValueError as exc:

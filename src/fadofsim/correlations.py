@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opo import OpoConfig
+from .opo import OpoConfig, mode_comb
+from .spectrum import write_csv
+
+# The delta-comb approximation of the multimode correlation holds only
+# when the comb keeps at least this many modes per side.
+DELTA_COMB_MIN_MODES = 50
 
 
 @dataclass
@@ -81,21 +86,21 @@ class CombTeeth:
     """Delta-comb approximation of the multimode correlation.
 
     One tooth per round trip at delay n*tau with weight equal to the
-    envelope there; weights are later normalized by consumers.  ``valid``
-    is False when the mode count is too small for the delta-comb picture.
+    envelope there; weights are later normalized by consumers.  The
+    picture applies only where ``delta_comb_applies`` holds.
     """
 
     delays_s: np.ndarray
     weights: np.ndarray
-    valid: bool
-    meta: dict = field(default_factory=dict)
 
 
-def g2_multi_comb(
-    cfg: OpoConfig,
-    n_modes: int,
-    weight_cutoff: float = 1e-6,
-) -> CombTeeth:
+def delta_comb_applies(cfg: OpoConfig) -> bool:
+    """Whether the phase-matching envelope keeps DELTA_COMB_MIN_MODES
+    modes per side, as the delta-comb approximation needs."""
+    return mode_comb(cfg, max_modes=DELTA_COMB_MIN_MODES).n_max >= DELTA_COMB_MIN_MODES
+
+
+def g2_multi_comb(cfg: OpoConfig, weight_cutoff: float = 1e-6) -> CombTeeth:
     """Teeth (n*tau, envelope(n*tau)) truncated where the envelope falls
     below ``weight_cutoff`` of the peak."""
     if not 0 < weight_cutoff < 1:
@@ -103,12 +108,7 @@ def g2_multi_comb(
     n_cut = int(np.floor(np.log(1.0 / weight_cutoff) / (cfg.roundtrip_s * cfg.gamma_sum)))
     n = np.arange(-n_cut, n_cut + 1)
     delays = n * cfg.roundtrip_s
-    return CombTeeth(
-        delays_s=delays,
-        weights=g2_single(delays, cfg),
-        valid=bool(n_modes >= 50),
-        meta={"n_modes": n_modes, "weight_cutoff": weight_cutoff},
-    )
+    return CombTeeth(delays_s=delays, weights=g2_single(delays, cfg))
 
 
 @dataclass
@@ -130,12 +130,10 @@ class Histogram:
         return (self.bin_index + 0.5) * self.bin_s
 
     def to_csv(self, path, header_lines=()) -> None:
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("bin_index,delay_ns,expected_counts\n")
-            for i, d, c in zip(self.bin_index, self.delay_s, self.counts):
-                fh.write(f"{i},{d * 1e9:.6f},{c:.10e}\n")
+        write_csv(path, header_lines, {
+            "bin_index": (self.bin_index, "%d"), "delay_ns": (self.delay_s * 1e9, "%.6f"),
+            "expected_counts": (self.counts, "%.10e"),
+        })
 
 
 def _tent(x):
@@ -155,7 +153,6 @@ def detected_histogram(
     det: DetectorConfig,
     mode: str,
     n_side_bins: int = 64,
-    n_modes: int | None = None,
     comb_weight_cutoff: float = 1e-6,
 ) -> Histogram:
     """Expected coincidence histogram around the channel-offset bin.
@@ -181,9 +178,7 @@ def detected_histogram(
             q(y_hi, gamma) - q(y_hi - tb, gamma) - q(y_lo, gamma) + q(y_lo - tb, gamma)
         ) / tb
     elif mode == "comb":
-        if n_modes is None:
-            raise ValueError("comb mode requires the retained mode count")
-        teeth = g2_multi_comb(opo, n_modes, comb_weight_cutoff)
+        teeth = g2_multi_comb(opo, comb_weight_cutoff)
         norm = teeth.weights / teeth.weights.sum()
         pos = (t0 + teeth.delays_s) / tb
         true_frac = (norm[None, :] * _tent(pos[None, :] - bins[:, None])).sum(axis=1)

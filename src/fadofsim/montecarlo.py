@@ -41,7 +41,6 @@ def generate_pair_events(
     mode: str,
     duration_s: float,
     seed: int,
-    n_modes: int | None = None,
     pair_survival: float = 1.0,
 ) -> EventStream:
     """Simulate one acquisition.
@@ -71,9 +70,7 @@ def generate_pair_events(
         sign = rng.integers(0, 2, n_pairs) * 2 - 1
         separation = magnitude * sign
     elif mode == "comb":
-        if n_modes is None:
-            raise ValueError("comb mode requires the retained mode count")
-        teeth = g2_multi_comb(opo, n_modes)
+        teeth = g2_multi_comb(opo)
         p = teeth.weights / teeth.weights.sum()
         separation = rng.choice(teeth.delays_s, size=n_pairs, p=p)
     else:

@@ -14,7 +14,15 @@ import numpy as np
 
 from .lines import AtomicLineTable
 from .spectrum import Spectrum
-from .vapor import DEFAULT_OPERATING_OFFSET_HZ
+
+# The reference operating point: the degenerate frequency sits on the
+# calculated transmission peak of the default filter, given relative to
+# the line-center reference.
+DEFAULT_OPERATING_OFFSET_HZ = -3.9259e9
+# Half width, in mode linewidths, of the window over which a mode's
+# filter transmission is averaged; a mode is usable only when its whole
+# window lies on the frequency grid.
+MODE_WINDOW_LINEWIDTHS = 50.0
 
 # argument where sinc^2(x) = 1/2, i.e. sin(x)/x = 1/sqrt(2)
 _SINC_SQ_HALF = 1.3915573810029747
@@ -96,30 +104,42 @@ def mode_comb(
     """
     if not 0 < weight_cutoff < 1:
         raise ValueError("weight cutoff must lie in (0, 1)")
-    if np.isinf(cfg.envelope_fwhm_hz):
-        if max_modes is None:
-            raise ValueError("an infinite envelope requires an explicit mode cap")
-        n_max = int(max_modes)
-    else:
-        beta = 2.0 * _SINC_SQ_HALF * cfg.fsr_hz / cfg.envelope_fwhm_hz
-        n = 1
-        while _sinc_sq(beta * n) >= weight_cutoff:
-            n += 1
-            if max_modes is not None and n > max_modes:
-                break
-        n_max = n - 1
-        if max_modes is not None:
-            n_max = min(n_max, int(max_modes))
+    cap = np.inf if max_modes is None else max_modes
+    if cap < 0:
+        raise ValueError("mode cap cannot be negative")
+    # weight(n) = sinc^2(beta n); beta is zero for an infinite envelope
+    beta = 2.0 * _SINC_SQ_HALF * cfg.fsr_hz / cfg.envelope_fwhm_hz
+    if beta == 0 and max_modes is None:
+        raise ValueError("an infinite envelope requires an explicit mode cap")
+    n_max = 0
+    while n_max < cap and _sinc_sq(beta * (n_max + 1)) >= weight_cutoff:
+        n_max += 1
     idx = np.arange(-n_max, n_max + 1)
-    if np.isinf(cfg.envelope_fwhm_hz):
-        weights = np.ones(idx.shape)
-    else:
-        weights = _sinc_sq(2.0 * _SINC_SQ_HALF * cfg.fsr_hz / cfg.envelope_fwhm_hz * idx)
     return ModeComb(
         indices=idx,
         frequencies_hz=cfg.degenerate_frequency_hz + idx * cfg.fsr_hz,
-        weights=weights,
+        weights=_sinc_sq(beta * idx),
     )
+
+
+def modes_within_grid(cfg: OpoConfig, half_span_hz: float, offset_hz: float) -> int:
+    """Largest mode index whose averaging window lies on a frequency grid.
+
+    The grid spans +-``half_span_hz`` about a center ``offset_hz`` away
+    from the degenerate frequency.  Mode n is kept when
+    |offset| + n*FSR + MODE_WINDOW_LINEWIDTHS*linewidth <= half span;
+    a grid that cannot hold even the degenerate mode's window raises
+    ValueError.
+    """
+    window = MODE_WINDOW_LINEWIDTHS * cfg.mode_fwhm_hz
+    n = int(np.floor((half_span_hz - abs(offset_hz) - window) / cfg.fsr_hz))
+    if n < 0:
+        raise ValueError(
+            f"the degenerate mode at {offset_hz / 1e9:+.4g} GHz from the grid center "
+            f"does not fit, with its +-{window / 1e6:.4g} MHz window, inside the "
+            f"grid half span of {half_span_hz / 1e9:.4g} GHz"
+        )
+    return n
 
 
 def _sinc_sq(x):
@@ -130,11 +150,9 @@ def output_spectrum(comb: ModeComb, cfg: OpoConfig, freq_hz) -> Spectrum:
     """Emission power spectral density: weighted unit-area mode Lorentzians.
 
     Modes outside the grid are skipped (their density there is
-    negligible); the result flags under-resolution when the grid step
-    exceeds a quarter linewidth.
+    negligible).
     """
     freq = np.asarray(freq_hz, dtype=float)
-    step = freq[1] - freq[0]
     hwhm = 0.5 * cfg.mode_fwhm_hz
     psd = np.zeros(freq.shape)
     lo, hi = freq[0], freq[-1]
@@ -142,12 +160,4 @@ def output_spectrum(comb: ModeComb, cfg: OpoConfig, freq_hz) -> Spectrum:
         if f0 < lo or f0 > hi:
             continue
         psd += w * (hwhm / np.pi) / ((freq - f0) ** 2 + hwhm**2)
-    return Spectrum(
-        frequency_hz=freq,
-        value=psd,
-        kind="psd",
-        meta={
-            "model": "opo_output",
-            "under_resolved": bool(step > cfg.mode_fwhm_hz / 4.0),
-        },
-    )
+    return Spectrum(frequency_hz=freq, value=psd, kind="psd", meta={"model": "opo_output"})

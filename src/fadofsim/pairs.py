@@ -11,15 +11,19 @@ pair leakage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .opo import ModeComb, OpoConfig, mode_comb
-from .spectrum import BoundaryPeakError, Spectrum, filter_metrics, make_frequency_grid
+from .opo import MODE_WINDOW_LINEWIDTHS, ModeComb, OpoConfig, mode_comb, modes_within_grid
+from .spectrum import BoundaryPeakError, Spectrum, filter_metrics, make_frequency_grid, write_csv
 from .vapor import FilterConfig, fadof_transmission
 
-MODE_WINDOW_LINEWIDTHS = 50.0
+# Largest distance of the filter peak from the line reference that the
+# optimizer accepts; the comb is truncated so that it stays on the grid
+# wherever within this bound the peak sits.
+MAX_PEAK_OFFSET_HZ = 6e9
 
 
 class ModeOutsideGridError(ValueError):
@@ -167,22 +171,39 @@ class OptimizationResult:
     eta0: np.ndarray
     sum_nondegenerate: np.ndarray
     peak_offset_hz: np.ndarray
-    best_b_t: float
-    best_temperature_k: float
-    best_fom: float
     meta: dict = field(default_factory=dict)
 
+    @property
+    def best_index(self) -> tuple[int, int]:
+        """(B, temperature) index of the largest figure of merit; ties
+        resolve to the first point in scan order."""
+        i, j = np.unravel_index(np.nanargmax(self.fom), self.fom.shape)
+        return int(i), int(j)
+
+    @property
+    def best_b_t(self) -> float:
+        return float(self.b_values_t[self.best_index[0]])
+
+    @property
+    def best_temperature_k(self) -> float:
+        return float(self.temperatures_k[self.best_index[1]])
+
+    @property
+    def best_fom(self) -> float:
+        return float(self.fom[self.best_index])
+
+    @property
+    def best_peak_offset_hz(self) -> float:
+        """Filter-peak offset from the reference at the best point, where
+        the source's degenerate frequency must be tuned."""
+        return float(self.peak_offset_hz[self.best_index])
+
     def to_csv(self, path, header_lines=()) -> None:
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("B_T,temperature_K,fom,eta0,sum_nondegenerate\n")
-            for i, b in enumerate(self.b_values_t):
-                for j, t in enumerate(self.temperatures_k):
-                    fh.write(
-                        f"{b:.6e},{t:.3f},{self.fom[i, j]:.8e},"
-                        f"{self.eta0[i, j]:.8e},{self.sum_nondegenerate[i, j]:.8e}\n"
-                    )
+        b, t = np.meshgrid(self.b_values_t, self.temperatures_k, indexing="ij")
+        write_csv(path, header_lines, {
+            "B_T": (b, "%.6e"), "temperature_K": (t, "%.3f"), "fom": (self.fom, "%.8e"),
+            "eta0": (self.eta0, "%.8e"), "sum_nondegenerate": (self.sum_nondegenerate, "%.8e"),
+        })
 
 
 def optimize_filter(
@@ -201,21 +222,19 @@ def optimize_filter(
     on the filter's own transmission peak (the source is tuned to the
     filter in operation), and FOM = w0*eta0^2 / sum_{n!=0} w_n*eta_n*eta_-n.
     The comb is truncated to the modes whose averaging windows fit the
-    grid, so every point sees the same mode set.  Points whose spectrum
-    has no usable peak are flagged invalid (NaN) and excluded from the
-    maximum; ties resolve to the first point in scan order (B outer,
-    temperature inner).
+    grid for any peak within MAX_PEAK_OFFSET_HZ of the reference, so
+    every point sees the same mode set.  Points whose spectrum has no
+    usable peak, or whose peak lies beyond that bound, are flagged
+    invalid (NaN) and excluded from the maximum; ties resolve to the
+    first point in scan order (B outer, temperature inner).  The points
+    run on a pool of ``threads`` worker threads.
     """
-    from dataclasses import replace
-
     b_values_t = np.asarray(b_values_t, dtype=float)
     temperatures_k = np.asarray(temperatures_k, dtype=float)
     grid = make_frequency_grid(
         base.table.reference_frequency_hz, grid_half_span_hz, grid_step_hz
     )
-    # worst-case peak offset budget when truncating the comb to the grid
-    margin = 6e9 + MODE_WINDOW_LINEWIDTHS * opo.mode_fwhm_hz
-    max_modes = int((grid_half_span_hz - margin) / opo.fsr_hz)
+    max_modes = modes_within_grid(opo, grid_half_span_hz, MAX_PEAK_OFFSET_HZ)
     shape = (b_values_t.size, temperatures_k.size)
     fom = np.full(shape, np.nan)
     eta0 = np.full(shape, np.nan)
@@ -229,7 +248,7 @@ def optimize_filter(
         except BoundaryPeakError:
             return None
         peak = metrics.peak_frequency_hz
-        if abs(peak - base.table.reference_frequency_hz) > 6e9:
+        if abs(peak - base.table.reference_frequency_hz) > MAX_PEAK_OFFSET_HZ:
             # peak escaped the central margin; comb would leave the grid
             return None
         comb = mode_comb(
@@ -246,22 +265,13 @@ def optimize_filter(
     points = [
         (i, j) for i in range(b_values_t.size) for j in range(temperatures_k.size)
     ]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda ij: evaluate(
-                        float(b_values_t[ij[0]]), float(temperatures_k[ij[1]])
-                    ),
-                    points,
-                )
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(
+            pool.map(
+                lambda ij: evaluate(float(b_values_t[ij[0]]), float(temperatures_k[ij[1]])),
+                points,
             )
-    else:
-        results = [
-            evaluate(float(b_values_t[i]), float(temperatures_k[j])) for i, j in points
-        ]
+        )
     n_invalid = 0
     for (i, j), res in zip(points, results):
         if res is None:
@@ -270,8 +280,6 @@ def optimize_filter(
         peak_off[i, j], eta0[i, j], nondeg[i, j], fom[i, j] = res
     if np.all(np.isnan(fom)):
         raise ValueError("no valid points in the optimization range")
-    flat_best = np.nanargmax(fom)
-    bi, tj = np.unravel_index(flat_best, shape)
     return OptimizationResult(
         b_values_t=b_values_t,
         temperatures_k=temperatures_k,
@@ -279,8 +287,5 @@ def optimize_filter(
         eta0=eta0,
         sum_nondegenerate=nondeg,
         peak_offset_hz=peak_off,
-        best_b_t=float(b_values_t[bi]),
-        best_temperature_k=float(temperatures_k[tj]),
-        best_fom=float(fom[bi, tj]),
         meta={"n_invalid": n_invalid, "max_modes": max_modes},
     )

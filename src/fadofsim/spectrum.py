@@ -1,4 +1,4 @@
-"""Frequency-grid spectra, figure-of-merit extraction, and CSV export."""
+"""Frequency-grid spectra, figure-of-merit extraction, and the CSV writer."""
 
 from __future__ import annotations
 
@@ -42,12 +42,30 @@ class Spectrum:
         return float(self.frequency_hz[1] - self.frequency_hz[0])
 
     def to_csv(self, path, value_column: str = "transmission", header_lines=()) -> None:
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write(f"frequency_Hz,{value_column}\n")
-            for f, v in zip(self.frequency_hz, self.value):
-                fh.write(f"{f:.6f},{v:.12e}\n")
+        write_csv(path, header_lines, {
+            "frequency_Hz": (self.frequency_hz, "%.6f"), value_column: (self.value, "%.12e"),
+        })
+
+
+_CSV_CHUNK_ROWS = 4096
+
+
+def write_csv(path, header_lines, columns: dict) -> None:
+    """Write ``# `` header lines, the column-name line, then the data rows.
+
+    ``columns`` maps each column name to ``(values, fmt)``: equally long
+    arrays (raveled in C order) and a %-format for one value.  Rows are
+    formatted from Python scalars in chunks, which keeps memory flat on
+    large grids.
+    """
+    values = [np.ravel(v) for v, _ in columns.values()]
+    row_fmt = ",".join(fmt for _, fmt in columns.values()) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(f"# {line}\n" for line in header_lines)
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, values[0].size, _CSV_CHUNK_ROWS):
+            rows = zip(*(v[start : start + _CSV_CHUNK_ROWS].tolist() for v in values))
+            fh.writelines(row_fmt % row for row in rows)
 
 
 def make_frequency_grid(center_hz: float, half_span_hz: float, step_hz: float) -> np.ndarray:

@@ -25,13 +25,10 @@ from .susceptibility import complex_susceptibility
 # Defaults reproducing the reference operating point.  The cell length is
 # a calibration product: 0.30 m maximizes the natural-abundance peak
 # transmission/width agreement (see README for the calibration scan).
-# The operating-point offset is the calculated transmission-peak position
-# relative to the line-center reference at these defaults.
 DEFAULT_B_FIELD_T = 4.5e-3
 DEFAULT_CELL_TEMPERATURE_K = 365.0
 DEFAULT_CELL_LENGTH_M = 0.30
 DEFAULT_EXTINCTION = 1.8e-6
-DEFAULT_OPERATING_OFFSET_HZ = -3.9259e9
 
 
 def _default_table() -> AtomicLineTable:
@@ -44,7 +41,6 @@ class FilterConfig:
     temperature_k: float = DEFAULT_CELL_TEMPERATURE_K
     cell_length_m: float = DEFAULT_CELL_LENGTH_M
     extinction: float = DEFAULT_EXTINCTION
-    center_frequency_hz: float | None = None
     buffer_fwhm_hz: float = 0.0
     density_m3: float | None = None
     abundances: dict[str, float] | None = None
@@ -57,10 +53,6 @@ class FilterConfig:
             raise ValueError("extinction must lie in [0, 1)")
         if self.temperature_k <= 0:
             raise ValueError("temperature must be positive")
-        if self.center_frequency_hz is None:
-            self.center_frequency_hz = (
-                self.table.reference_frequency_hz + DEFAULT_OPERATING_OFFSET_HZ
-            )
 
 
 @dataclass

@@ -82,7 +82,7 @@ def test_criterion_02_comb_teeth_and_filtered_smoothness():
 
     det = DetectorConfig(bin_s=1e-9, offset_s=50e-9, r1_hz=1e4, r2_hz=1e4)
     on = detected_histogram(opo, det, "single", n_side_bins=256)
-    off = detected_histogram(opo, det, "comb", n_side_bins=256, n_modes=327)
+    off = detected_histogram(opo, det, "comb", n_side_bins=256)
     mod_on = tooth_modulation(on)
     mod_off = tooth_modulation(off)
 
@@ -125,7 +125,7 @@ def test_criterion_03_dirichlet_kernel_vs_delta_comb():
     start = time.perf_counter()
     opo = OpoConfig()
     n_modes = 200
-    teeth = g2_multi_comb(opo, n_modes, weight_cutoff=1e-6)
+    teeth = g2_multi_comb(opo, weight_cutoff=1e-6)
     tau = opo.roundtrip_s
 
     worst = 0.0
@@ -155,11 +155,10 @@ def test_criterion_04_monte_carlo_matches_analytic():
     p_values = {}
     n_pairs = 0
     for mode, n_side in (("single", 128), ("comb", 300)):
-        n_modes = 327 if mode == "comb" else None
-        stream = generate_pair_events(opo, det, mode, duration_s=5.0, seed=seed, n_modes=n_modes)
+        stream = generate_pair_events(opo, det, mode, duration_s=5.0, seed=seed)
         n_pairs = stream.meta["n_pairs_generated"]
         observed = mc_histogram(stream, det, n_side_bins=n_side)
-        expected = detected_histogram(opo, det, mode, n_side_bins=n_side, n_modes=n_modes)
+        expected = detected_histogram(opo, det, mode, n_side_bins=n_side)
         keep = expected.counts >= 10.0
         stat = np.sum(
             (observed.counts[keep] - expected.counts[keep]) ** 2 / expected.counts[keep]

@@ -6,6 +6,7 @@ import subprocess
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from fadofsim.cli import main
 from fadofsim.config import load_config
@@ -30,8 +31,9 @@ def test_spectrum_outputs(tmp_path, capsys):
         "filter_metrics.json",
     ):
         assert (tmp_path / name).exists()
-    first = (tmp_path / "fadof_spectrum.csv").read_text().splitlines()[0]
-    assert first == f"# config_hash: {HASH}"
+    lines = (tmp_path / "fadof_spectrum.csv").read_text().splitlines()
+    assert lines[0] == f"# config_hash: {HASH}"
+    assert lines[2] == "377087407311000.000000,9.820658918042e-05"
 
     metrics = json.loads((tmp_path / "filter_metrics.json").read_text())
     assert metrics["config_hash"] == HASH
@@ -73,6 +75,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
     assert main(["--out", str(tmp_path), "--threads", "0", "noise"]) == 2
     assert "--threads" in capsys.readouterr().err
+
+    # an operating point whose degenerate-mode window leaves the grid
+    off_grid = tmp_path / "c.cfg"
+    off_grid.write_text("[filter]\ncenter_offset_GHz = 19.9\n")
+    for command in ("spectrum", "simulate"):
+        assert main(["--config", str(off_grid), "--out", str(tmp_path / command), command]) == 2
+        err = capsys.readouterr().err
+        assert "center_offset_GHz" in err
+        assert "grid half span of 20 GHz" in err
+        assert "Traceback" not in err
 
 
 def test_g2_mode_selection(tmp_path):
@@ -127,6 +139,9 @@ def test_simulate_outputs_and_cross_checks(tmp_path, quick_cfg_text, capsys):
     report = json.loads((out / "chi_square_report.json").read_text())
     assert report["on"]["p_value"] > 0.001
     assert report["off"]["p_value"] > 0.001
+    for label in ("on", "off"):
+        block = report[label]
+        assert block["p_value"] == chi2.sf(block["chi_square"], block["bins_used"])
     purity = json.loads((out / "purity.json").read_text())
     assert purity["resonant_degenerate_fraction"] == pytest.approx(0.969, abs=0.002)
     assert purity["overall_degenerate_fraction"] == pytest.approx(
@@ -138,6 +153,21 @@ def test_simulate_outputs_and_cross_checks(tmp_path, quick_cfg_text, capsys):
     raw = np.fromfile(out / "timestamps_on_ch1.bin", dtype="<u8")
     assert raw.size > 1000
     assert np.all(np.diff(raw.astype(np.int64)) >= 0)
+
+
+def test_delta_comb_validity_flag_thresholds(tmp_path, capsys):
+    # 20 GHz keeps 43 modes per side, 23 GHz keeps the 50 the delta comb needs
+    for envelope_ghz, expected_rc in ((20, 1), (23, 0)):
+        cfg = tmp_path / f"env{envelope_ghz}.cfg"
+        cfg.write_text(f"[opo]\nenvelope_fwhm_GHz = {envelope_ghz}\n"
+                       "[montecarlo]\nduration_s = 0.25\n")
+        for command in (["g2", "--mode", "off"], ["simulate"]):
+            out = tmp_path / f"{envelope_ghz}_{command[0]}"
+            assert main(["--config", str(cfg), "--out", str(out), *command]) == expected_rc
+            err = capsys.readouterr().err
+            assert ("delta-comb" in err) == (expected_rc == 1)
+        # the filtered single-mode model does not rest on the comb
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "on"), "g2", "--mode", "on"]) == 0
 
 
 def test_simulate_seed_control(tmp_path, quick_cfg_text):
@@ -171,8 +201,10 @@ def test_optimize_scan(tmp_path):
     assert result["invalid_points"] == 0
     assert result["best_b_mT"] in (4.3, 4.7)
     assert result["best_fom"] > 100.0
+    assert result["best_peak_offset_ghz"] == pytest.approx(-3.936, abs=0.01)
     rows = (out / "fom_surface.csv").read_text().splitlines()
     assert rows[1] == "B_T,temperature_K,fom,eta0,sum_nondegenerate"
+    assert rows[2] == "4.300000e-03,365.000,4.03199751e+02,6.88880118e-01,1.17697448e-03"
     assert len(rows) == 2 + 2
 
     # a second run with worker threads reproduces the result exactly
@@ -189,6 +221,7 @@ def test_noise_budget(tmp_path):
     rows = (out / "noise_sweep.csv").read_text().splitlines()
     assert rows[0] == f"# config_hash: {HASH}"
     assert rows[1] == "t_nd,power_proxy,variance"
+    assert rows[2] == "0.047619,2.267573696e-03,1.000054262e+00"
     assert len(rows) == 2 + 21
     fit = json.loads((out / "noise_fit.json").read_text())
     assert fit["shot_noise"] == pytest.approx(1.0, rel=1e-6)

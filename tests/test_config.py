@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fadofsim.config import ConfigError, load_config
+from fadofsim.opo import OpoConfig
 
 from test_lines import MINIMAL_TABLE
 
@@ -23,7 +24,7 @@ def test_defaults_without_file():
     assert cfg.opo.gamma2 == pytest.approx(2 * np.pi * 2.1e6)
     assert cfg.opo.fsr_hz == 501e6
     assert cfg.opo.pair_rate_hz == 1e4
-    assert cfg.opo.degenerate_frequency_hz == cfg.filter.center_frequency_hz
+    assert cfg.opo.degenerate_frequency_hz == OpoConfig().degenerate_frequency_hz
     assert cfg.detector.bin_s == pytest.approx(1e-9)
     assert cfg.detector.offset_s == pytest.approx(50e-9)
     assert cfg.detector.r1_hz == 1.5e4
@@ -71,8 +72,8 @@ def test_center_offset_override(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("[filter]\ncenter_offset_GHz = -2.5\n")
     cfg = load_config(path)
-    assert cfg.filter.center_frequency_hz == pytest.approx(ref - 2.5e9)
-    assert load_config(None).filter.center_frequency_hz == pytest.approx(ref - 3.9259e9)
+    assert cfg.opo.degenerate_frequency_hz == pytest.approx(ref - 2.5e9)
+    assert load_config(None).opo.degenerate_frequency_hz == pytest.approx(ref - 3.9259e9)
 
 
 def test_line_data_relative_to_config(tmp_path):

@@ -69,10 +69,9 @@ def test_g2_multi_exact_validates_mode_count():
 
 
 def test_comb_teeth_weights_and_truncation():
-    teeth = g2_multi_comb(OPO, 327)
+    teeth = g2_multi_comb(OPO)
     n_cut = (teeth.delays_s.size - 1) // 2
     assert n_cut == 131
-    assert teeth.valid is True
     i0 = n_cut
     assert teeth.weights[i0] == 1.0
     assert np.array_equal(teeth.weights, teeth.weights[::-1])
@@ -82,21 +81,16 @@ def test_comb_teeth_weights_and_truncation():
 
 
 def test_comb_teeth_weight_sum_matches_geometric_series():
-    teeth = g2_multi_comb(OPO, 327)
+    teeth = g2_multi_comb(OPO)
     x = TAU * OPO.gamma_sum
     assert teeth.weights.sum() == pytest.approx(1.0 / np.tanh(0.5 * x), rel=1e-3)
 
 
-def test_comb_teeth_validity_flag_thresholds():
-    assert g2_multi_comb(OPO, 50).valid is True
-    assert g2_multi_comb(OPO, 49).valid is False
-
-
 def test_comb_teeth_cutoff_validation():
     with pytest.raises(ValueError, match="cutoff"):
-        g2_multi_comb(OPO, 327, weight_cutoff=0.0)
+        g2_multi_comb(OPO, weight_cutoff=0.0)
     with pytest.raises(ValueError, match="cutoff"):
-        g2_multi_comb(OPO, 327, weight_cutoff=1.0)
+        g2_multi_comb(OPO, weight_cutoff=1.0)
 
 
 def test_detector_config_offset_split():
@@ -136,7 +130,7 @@ def test_histogram_normalization_single():
 
 def test_histogram_normalization_comb():
     det = DetectorConfig(r1_hz=0.0, r2_hz=0.0)
-    hist = detected_histogram(OPO, det, "comb", n_side_bins=600, n_modes=327)
+    hist = detected_histogram(OPO, det, "comb", n_side_bins=600)
     total = hist.counts.sum()
     expected = OPO.pair_rate_hz * det.acquisition_s
     # tents fully inside the window partition unity
@@ -148,7 +142,7 @@ def test_histogram_single_tooth_splits_between_bins():
     # offset of 0.3 bins splits the coincidences 70/30 between two bins
     det = DetectorConfig(offset_s=50.3e-9, r1_hz=0.0, r2_hz=0.0)
     hist = detected_histogram(
-        OPO, det, "comb", n_side_bins=4, n_modes=327, comb_weight_cutoff=0.95
+        OPO, det, "comb", n_side_bins=4, comb_weight_cutoff=0.95
     )
     nonzero = hist.counts > 0
     assert list(hist.bin_index[nonzero]) == [50, 51]
@@ -181,7 +175,7 @@ def test_histogram_mirror_symmetry_on_bin_boundary():
     det = DetectorConfig(offset_s=50e-9, r1_hz=0.0, r2_hz=0.0)
     hs = detected_histogram(OPO, det, "single", n_side_bins=40)
     assert np.allclose(hs.counts, hs.counts[::-1], rtol=1e-12)
-    hc = detected_histogram(OPO, det, "comb", n_side_bins=40, n_modes=327)
+    hc = detected_histogram(OPO, det, "comb", n_side_bins=40)
     assert np.allclose(hc.counts, hc.counts[::-1], rtol=1e-12)
 
 
@@ -190,7 +184,7 @@ def test_histogram_commensurate_round_trip_leaves_gaps():
     # odd bins hold nothing but accidentals
     opo = OpoConfig(roundtrip_s=2e-9, fsr_hz=500e6)
     det = DetectorConfig(offset_s=50e-9, r1_hz=0.0, r2_hz=0.0)
-    hist = detected_histogram(opo, det, "comb", n_side_bins=8, n_modes=327)
+    hist = detected_histogram(opo, det, "comb", n_side_bins=8)
     odd = hist.counts[hist.bin_index % 2 == 1]
     even = hist.counts[hist.bin_index % 2 == 0]
     assert odd.max() < 1e-6
@@ -201,8 +195,6 @@ def test_histogram_mode_validation():
     det = DetectorConfig()
     with pytest.raises(ValueError, match="unknown histogram mode"):
         detected_histogram(OPO, det, "both")
-    with pytest.raises(ValueError, match="mode count"):
-        detected_histogram(OPO, det, "comb")
 
 
 def test_histogram_delay_property_and_csv(tmp_path):
@@ -214,6 +206,7 @@ def test_histogram_delay_property_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# model: test"
     assert lines[1] == "bin_index,delay_ns,expected_counts"
+    assert lines[2] == "46,46.500000,2.1371936717e+02"
     assert len(lines) == 2 + hist.counts.size
 
 
@@ -229,7 +222,7 @@ def test_envelope_fwhm_from_comb_flanks_is_coarse():
     # teeth drifting across bins wobble the flank fit at the ten
     # percent level; the estimate still tracks the envelope
     det = DetectorConfig(r1_hz=1.5e4, r2_hz=1.2e4)
-    hist = detected_histogram(OPO, det, "comb", n_side_bins=300, n_modes=327)
+    hist = detected_histogram(OPO, det, "comb", n_side_bins=300)
     fwhm = histogram_envelope_fwhm(hist)
     assert fwhm == pytest.approx(g2_single_fwhm(OPO), rel=0.15)
 
@@ -265,7 +258,7 @@ def test_tooth_modulation_separates_detection_modes():
     det = DetectorConfig(r1_hz=1.5e4, r2_hz=1.2e4)
     smooth = detected_histogram(OPO, det, "single", n_side_bins=64)
     assert tooth_modulation(smooth) < 0.01
-    comb = detected_histogram(OPO, det, "comb", n_side_bins=64, n_modes=327)
+    comb = detected_histogram(OPO, det, "comb", n_side_bins=64)
     assert tooth_modulation(comb) > 1.0
 
 
@@ -273,7 +266,7 @@ def test_tooth_beat_washes_out_away_from_center():
     # teeth at 1.99 ns on a 1 ns clock drift half a bin every fifty
     # round trips, so the even/odd contrast fades away from the center
     det = DetectorConfig(offset_s=50e-9, r1_hz=0.0, r2_hz=0.0)
-    hist = detected_histogram(OPO, det, "comb", n_side_bins=256, n_modes=327)
+    hist = detected_histogram(OPO, det, "comb", n_side_bins=256)
     vals = hist.counts
     i_pk = int(np.argmax(vals))
 

@@ -44,7 +44,7 @@ def test_written_files_byte_identical_across_runs(tmp_path):
     det = DetectorConfig(r1_hz=2e3, r2_hz=2e3)
 
     def digest(directory):
-        stream = generate_pair_events(opo, det, "comb", duration_s=1.0, seed=9, n_modes=327)
+        stream = generate_pair_events(opo, det, "comb", duration_s=1.0, seed=9)
         write_stream(stream, directory)
         out = {}
         for name in ("timestamps_ch1.bin", "timestamps_ch2.bin"):
@@ -121,9 +121,9 @@ def test_mc_histogram_matches_analytic_single():
 def test_mc_histogram_matches_analytic_comb():
     opo = OpoConfig(pair_rate_hz=1e4)
     det = DetectorConfig(offset_s=50e-9, r1_hz=5e4, r2_hz=5e4, acquisition_s=10.0)
-    stream = generate_pair_events(opo, det, "comb", duration_s=10.0, seed=43, n_modes=327)
+    stream = generate_pair_events(opo, det, "comb", duration_s=10.0, seed=43)
     observed = mc_histogram(stream, det, n_side_bins=300)
-    expected = detected_histogram(opo, det, "comb", n_side_bins=300, n_modes=327)
+    expected = detected_histogram(opo, det, "comb", n_side_bins=300)
     keep = expected.counts >= 10.0
     assert keep.all()
     stat = np.sum((observed.counts[keep] - expected.counts[keep]) ** 2 / expected.counts[keep])
@@ -208,8 +208,6 @@ def test_generation_validation():
         generate_pair_events(opo, det, "single", duration_s=0.0, seed=1)
     with pytest.raises(ValueError, match="singles rates"):
         generate_pair_events(opo, DetectorConfig(r1_hz=5e3, r2_hz=1.2e4), "single", 1.0, 1)
-    with pytest.raises(ValueError, match="mode count"):
-        generate_pair_events(opo, det, "comb", duration_s=1.0, seed=1)
     with pytest.raises(ValueError, match="unknown generation mode"):
         generate_pair_events(opo, det, "pairs", duration_s=1.0, seed=1)
 
@@ -217,7 +215,7 @@ def test_generation_validation():
 def test_write_read_round_trip(tmp_path):
     opo = OpoConfig(pair_rate_hz=1e3)
     det = DetectorConfig(r1_hz=2e3, r2_hz=2e3)
-    stream = generate_pair_events(opo, det, "comb", duration_s=2.0, seed=48, n_modes=327)
+    stream = generate_pair_events(opo, det, "comb", duration_s=2.0, seed=48)
     sidecar = write_stream(stream, tmp_path, extra_meta={"note": "round trip"})
     assert sidecar["format"] == "u64-le picoseconds"
     assert sidecar["rng"] == "PCG64"

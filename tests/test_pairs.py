@@ -1,10 +1,14 @@
 """Per-mode pair transmission, purity bookkeeping, and filter optimization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fadofsim.opo import OpoConfig, mode_comb
+from fadofsim.config import load_config
+from fadofsim.opo import OpoConfig, mode_comb, modes_within_grid
 from fadofsim.pairs import (
+    MAX_PEAK_OFFSET_HZ,
     ModeOutsideGridError,
     PairTransmissionMap,
     extinction_leakage_estimate,
@@ -101,6 +105,26 @@ def test_mode_window_must_fit_grid():
         pair_transmission_map(spec, comb, OPO)
     assert err.value.index == -2
 
+    # the truncation rule keeps 31 modes per side on the default
+    # spectrum/simulate grid and 27 on the optimize grid, whose peak may
+    # sit anywhere within MAX_PEAK_OFFSET_HZ of the reference
+    cfg = load_config(None)
+    ref = cfg.filter.table.reference_frequency_hz
+    operating = cfg.opo.degenerate_frequency_hz - ref
+    assert modes_within_grid(OPO, cfg.grid_half_span_hz, operating) == 31
+    assert modes_within_grid(OPO, cfg.optimize_half_span_hz, MAX_PEAK_OFFSET_HZ) == 27
+    # at any offset every retained window lies on the grid, one more mode does not
+    grid = make_frequency_grid(ref, cfg.grid_half_span_hz, cfg.grid_step_hz)
+    spec = Spectrum(frequency_hz=grid, value=np.ones(grid.size))
+    for offset in np.linspace(-19.5e9, 19.5e9, 53):
+        opo = replace(OPO, degenerate_frequency_hz=ref + offset)
+        n = modes_within_grid(opo, cfg.grid_half_span_hz, offset)
+        pair_transmission_map(spec, mode_comb(opo, max_modes=n), opo)
+        with pytest.raises(ModeOutsideGridError):
+            pair_transmission_map(spec, mode_comb(opo, max_modes=n + 1), opo)
+    with pytest.raises(ValueError, match="half span"):
+        modes_within_grid(OPO, cfg.grid_half_span_hz, 19.9e9)
+
 
 def test_spectral_purity_values_and_validation():
     assert spectral_purity(2.0, 100.0) == pytest.approx(0.98, abs=0)
@@ -160,6 +184,7 @@ def test_optimize_single_point_matches_defaults():
     assert res.best_fom > 100.0
     assert res.eta0[0, 0] == pytest.approx(0.699, rel=1e-2)
     assert res.peak_offset_hz[0, 0] == pytest.approx(-3.926e9, abs=4e6)
+    assert res.best_peak_offset_hz == res.peak_offset_hz[0, 0]
     assert res.meta["n_invalid"] == 0
 
 
@@ -222,4 +247,5 @@ def test_optimize_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# scan: test"
     assert lines[1] == "B_T,temperature_K,fom,eta0,sum_nondegenerate"
+    assert lines[2] == "4.000000e-03,365.000,5.04357545e+02,6.60268571e-01,8.64376056e-04"
     assert len(lines) == 2 + 2

@@ -132,6 +132,7 @@ def test_to_csv_round_trip(tmp_path):
     assert text[0] == "# config sha256: deadbeef"
     assert text[1] == "# model: test"
     assert text[2] == "frequency_Hz,transmission"
+    assert text[3] == "-2000000000.000000,0.000000000000e+00"
     data = np.loadtxt(path, delimiter=",", skiprows=3)
     assert np.allclose(data[:, 0], s.frequency_hz, rtol=0, atol=1e-6)
     assert np.allclose(data[:, 1], s.value, rtol=1e-10)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fadofsim.opo import OpoConfig
 from fadofsim.spectrum import filter_metrics, make_frequency_grid
 from fadofsim.vapor import (
     FilterConfig,
@@ -17,10 +18,10 @@ REF_HZ = FilterConfig().table.reference_frequency_hz
 
 
 def test_default_center_is_reference_plus_operating_offset():
-    cfg = FilterConfig()
-    assert cfg.center_frequency_hz == REF_HZ - 3.9259e9
-    custom = FilterConfig(center_frequency_hz=REF_HZ)
-    assert custom.center_frequency_hz == REF_HZ
+    cfg = OpoConfig()
+    assert cfg.degenerate_frequency_hz == REF_HZ - 3.9259e9
+    custom = OpoConfig(degenerate_frequency_hz=REF_HZ)
+    assert custom.degenerate_frequency_hz == REF_HZ
 
 
 def test_zero_field_transmission_is_exactly_extinction():
@@ -69,7 +70,7 @@ def test_transmission_monotone_in_extinction():
 def test_default_filter_calibration_pins():
     # regression pins for the default operating point on the standard grid
     cfg = FilterConfig()
-    grid = make_frequency_grid(cfg.center_frequency_hz, 20e9, 2e6)
+    grid = make_frequency_grid(OpoConfig().degenerate_frequency_hz, 20e9, 2e6)
     m = filter_metrics(fadof_transmission(cfg, grid))
     assert abs(m.peak_frequency_hz - (REF_HZ - 3.9259e9)) <= 2 * 2e6
     assert m.peak_transmission == pytest.approx(0.7088764709065762, rel=1e-6)
@@ -90,7 +91,7 @@ def test_filter_floor_reaches_extinction_far_out():
 
 def test_hot_cell_opaque_over_filter_passband():
     cfg = FilterConfig()
-    grid = make_frequency_grid(cfg.center_frequency_hz, 20e9, 2e6)
+    grid = make_frequency_grid(OpoConfig().degenerate_frequency_hz, 20e9, 2e6)
     m = filter_metrics(fadof_transmission(cfg, grid))
     hot = HotCellConfig()
     passband = make_frequency_grid(m.peak_frequency_hz, 0.5 * m.fwhm_hz, 5e6)
