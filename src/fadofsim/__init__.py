@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .correlations import (
     DetectorConfig,
     Histogram,
@@ -17,7 +19,6 @@ from .cvnoise import (
     excess_noise,
     noise_vs_power_fit,
     photon_flux,
-    power_for_flux,
     quadrature_variance_avg,
     squeezing_through_loss,
 )
@@ -41,46 +42,8 @@ from .vapor import (
     optical_depth,
 )
 
-__all__ = [
-    "AtomicLineTable",
-    "LineComponent",
-    "zeeman_components",
-    "BoundaryPeakError",
-    "FilterMetrics",
-    "Spectrum",
-    "filter_metrics",
-    "make_frequency_grid",
-    "complex_susceptibility",
-    "complex_voigt",
-    "vapor_density",
-    "FilterConfig",
-    "HotCellConfig",
-    "fadof_transmission",
-    "hot_cell_transmission",
-    "optical_depth",
-    "OpoConfig",
-    "ModeComb",
-    "mode_comb",
-    "output_spectrum",
-    "DetectorConfig",
-    "Histogram",
-    "detected_histogram",
-    "g2_single",
-    "g2_single_fwhm",
-    "g2_multi_exact",
-    "g2_multi_comb",
-    "PairTransmissionMap",
-    "pair_transmission_map",
-    "resonant_degenerate_fraction",
-    "spectral_purity",
-    "overall_degenerate_fraction",
-    "optimize_filter",
-    "NoiseModel",
-    "NoiseFit",
-    "excess_noise",
-    "quadrature_variance_avg",
-    "noise_vs_power_fit",
-    "squeezing_through_loss",
-    "photon_flux",
-    "power_for_flux",
-]
+# the public API is every name imported above
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

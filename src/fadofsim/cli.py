@@ -26,20 +26,12 @@ from .opo import mode_comb, modes_within_grid, output_spectrum
 from .spectrum import BoundaryPeakError, Spectrum, filter_metrics, make_frequency_grid, write_csv
 from .vapor import fadof_transmission
 
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+CHI_SQUARE_MIN_EXPECTED = 5.0
 
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=_json_default)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
@@ -144,10 +136,11 @@ def cmd_g2(cfg: ExperimentConfig, out: Path, mode: str) -> list[str]:
     return [] if mode == "on" else _delta_comb_flags(cfg)
 
 
-def _chi_square(mc_hist, an_hist, min_expected: float = 5.0) -> dict:
+def _chi_square(mc_hist, an_hist) -> dict:
+    """Pearson chi-square over the bins expecting at least CHI_SQUARE_MIN_EXPECTED counts."""
     expected = an_hist.counts
     observed = mc_hist.counts
-    usable = expected >= min_expected
+    usable = expected >= CHI_SQUARE_MIN_EXPECTED
     dof = int(usable.sum())
     stat = float(np.sum((observed[usable] - expected[usable]) ** 2 / expected[usable]))
     p = float(chdtrc(dof, stat)) if dof else float("nan")
@@ -220,18 +213,18 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
         n_side = max(64, int(round(window / det.bin_s)))
         h_f = montecarlo.mc_histogram(filtered, det, n_side_bins=n_side)
         h_b = montecarlo.mc_histogram(blocked, det, n_side_bins=n_side)
-        acc = h_f.meta["accidental_floor_per_bin"]
-        c_f = montecarlo.coincidences_in_window(h_f, window)
-        c_b = montecarlo.coincidences_in_window(h_b, window)
-        n_bins = 2 * int(round(window / det.bin_s)) + 1
-        c_f_true = max(c_f - acc * n_bins, 0.0)
-        c_b_true = max(c_b - acc * n_bins, 0.0)
+        acc = h_f.accidental_floor_per_bin
+        # each run subtracts the floor of the bins its own window sums
+        c_f, n_f = montecarlo.coincidences_in_window(h_f, window)
+        c_b, n_b = montecarlo.coincidences_in_window(h_b, window)
+        c_f_true = max(c_f - acc * n_f, 0.0)
+        c_b_true = max(c_b - acc * n_b, 0.0)
         purity = pairs.spectral_purity(c_b_true, c_f_true) if c_f_true > 0 else float("nan")
         payload.update(
             coincidence_window_ns=window * 1e9,
             coincidences_filtered=c_f,
             coincidences_hot_cell=c_b,
-            accidentals_subtracted_per_run=acc * n_bins,
+            accidentals_subtracted_per_run=acc * n_f,
             spectral_purity_mc=purity,
         )
         print(f"spectral purity (MC): {purity:.4f} "

@@ -9,7 +9,7 @@ each feature over the coincidence bin and adds a flat accidental floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .spectrum import write_csv
 # The delta-comb approximation of the multimode correlation holds only
 # when the comb keeps at least this many modes per side.
 DELTA_COMB_MIN_MODES = 50
+# Bins on each side of the histogram peak searched for tooth modulation.
+MODULATION_BINS = 20
 
 
 @dataclass
@@ -48,10 +50,9 @@ class DetectorConfig:
         """Index k of the bin the channel offset falls into, T0 = k*t_bin + delta."""
         return int(np.round(self.offset_s / self.bin_s))
 
-    @property
-    def offset_residual_s(self) -> float:
-        """Sub-bin part delta of the channel offset, in [-t_bin/2, t_bin/2]."""
-        return self.offset_s - self.offset_bin * self.bin_s
+    def accidental_floor_per_bin(self, duration_s: float) -> float:
+        """Expected accidental coincidences per bin, t_bin * R1 * R2 * duration."""
+        return self.bin_s * self.r1_hz * self.r2_hz * duration_s
 
 
 def g2_single(delay_s, cfg: OpoConfig) -> np.ndarray:
@@ -116,13 +117,14 @@ class Histogram:
     """Expected coincidence counts per delay bin.
 
     Bin ``i`` covers measured delays [i*t_bin, (i+1)*t_bin); ``counts``
-    are expectation values (not integers).
+    are expectation values (not integers).  ``accidental_floor_per_bin``
+    is the flat accidental level included in every bin.
     """
 
     bin_index: np.ndarray
     counts: np.ndarray
     bin_s: float
-    meta: dict = field(default_factory=dict)
+    accidental_floor_per_bin: float = 0.0
 
     @property
     def delay_s(self) -> np.ndarray:
@@ -185,19 +187,9 @@ def detected_histogram(
     else:
         raise ValueError(f"unknown histogram mode {mode!r}")
     true_counts = opo.pair_rate_hz * det.acquisition_s * true_frac
-    floor = tb * det.r1_hz * det.r2_hz * det.acquisition_s
-    return Histogram(
-        bin_index=bins,
-        counts=true_counts + floor,
-        bin_s=tb,
-        meta={
-            "mode": mode,
-            "offset_s": det.offset_s,
-            "accidental_floor_per_bin": floor,
-            "pair_rate_hz": opo.pair_rate_hz,
-            "acquisition_s": det.acquisition_s,
-        },
-    )
+    floor = det.accidental_floor_per_bin(det.acquisition_s)
+    return Histogram(bin_index=bins, counts=true_counts + floor, bin_s=tb,
+                     accidental_floor_per_bin=floor)
 
 
 def histogram_envelope_fwhm(hist: Histogram) -> float:
@@ -209,7 +201,7 @@ def histogram_envelope_fwhm(hist: Histogram) -> float:
     subtracted, cusp region excluded) returns the width of the
     underlying correlation envelope without digitization bias.
     """
-    vals = hist.counts - hist.meta.get("accidental_floor_per_bin", 0.0)
+    vals = hist.counts - hist.accidental_floor_per_bin
     i_pk = int(np.argmax(vals))
     if i_pk in (0, len(vals) - 1):
         raise ValueError("histogram peak on window edge; widen the window")
@@ -233,17 +225,17 @@ def histogram_envelope_fwhm(hist: Histogram) -> float:
     return float(2.0 * np.log(2.0) * hist.bin_s / gamma_bin)
 
 
-def tooth_modulation(hist: Histogram, n_central: int = 20) -> float:
-    """Largest second-difference contrast around the histogram center.
+def tooth_modulation(hist: Histogram) -> float:
+    """Largest second-difference contrast within MODULATION_BINS of the peak.
 
     Compares each bin against the mean of its two neighbors after floor
     subtraction; a smooth envelope gives a value of order (gamma*t_bin)^2
     while round-trip teeth under coarse binning give order-one values.
     """
-    vals = hist.counts - hist.meta.get("accidental_floor_per_bin", 0.0)
+    vals = hist.counts - hist.accidental_floor_per_bin
     i_pk = int(np.argmax(vals))
-    lo = max(1, i_pk - n_central)
-    hi = min(len(vals) - 1, i_pk + n_central)
+    lo = max(1, i_pk - MODULATION_BINS)
+    hi = min(len(vals) - 1, i_pk + MODULATION_BINS)
     mids = vals[lo:hi]
     sides = 0.5 * (vals[lo - 1 : hi - 1] + vals[lo + 1 : hi + 1])
     # the envelope peak itself is a cusp, not tooth structure

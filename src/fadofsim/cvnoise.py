@@ -84,9 +84,6 @@ class NoiseFit:
         if not self.shot_noise > 0:
             raise ValueError("fitted shot-noise constant must be positive")
 
-    def predict(self, power) -> float | np.ndarray:
-        return self.shot_noise + self.linear_coefficient * np.asarray(power)
-
 
 def noise_vs_power_fit(powers, noise_powers) -> NoiseFit:
     """Least-squares fit noise = a + b*power over measured points."""
@@ -129,12 +126,3 @@ def photon_flux(power_w: float, wavelength_m: float) -> float:
     if wavelength_m <= 0:
         raise ValueError("wavelength must be positive")
     return power_w * wavelength_m / (PLANCK * SPEED_OF_LIGHT)
-
-
-def power_for_flux(flux_hz: float, wavelength_m: float) -> float:
-    """Optical power carrying a requested photon rate; inverse of photon_flux."""
-    if flux_hz < 0:
-        raise ValueError("flux cannot be negative")
-    if wavelength_m <= 0:
-        raise ValueError("wavelength must be positive")
-    return flux_hz * PLANCK * SPEED_OF_LIGHT / wavelength_m

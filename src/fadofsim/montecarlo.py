@@ -142,29 +142,26 @@ def mc_histogram(stream: EventStream, det: DetectorConfig, n_side_bins: int = 64
         binned = np.bincount(rel, minlength=2 * n_side_bins + 1)
     else:
         binned = np.zeros(2 * n_side_bins + 1, dtype=np.int64)
-    floor = tb * det.r1_hz * det.r2_hz * stream.duration_s
     return Histogram(
         bin_index=np.arange(k - n_side_bins, k + n_side_bins + 1),
         counts=binned.astype(float),
         bin_s=tb,
-        meta={
-            "mode": "monte_carlo",
-            "offset_s": det.offset_s,
-            "accidental_floor_per_bin": floor,
-            "seed": stream.seed,
-            "acquisition_s": stream.duration_s,
-        },
+        accidental_floor_per_bin=det.accidental_floor_per_bin(stream.duration_s),
     )
 
 
-def coincidences_in_window(hist: Histogram, window_s: float) -> float:
-    """Counts within +-window of the peak bin (window 0: the peak bin only)."""
+def coincidences_in_window(hist: Histogram, window_s: float) -> tuple[float, int]:
+    """Counts within +-window of the peak bin, and the number of bins summed.
+
+    Window 0 is the peak bin only.  Where the window reaches past the
+    histogram edge only the bins inside are summed and counted.
+    """
     if window_s < 0:
         raise ValueError("window cannot be negative")
     i_pk = int(np.argmax(hist.counts))
     center = hist.bin_index[i_pk]
-    span = np.abs(hist.bin_index - center) * hist.bin_s
-    return float(hist.counts[span <= window_s + 1e-15].sum())
+    inside = np.abs(hist.bin_index - center) * hist.bin_s <= window_s + 1e-15
+    return float(hist.counts[inside].sum()), int(inside.sum())
 
 
 def write_stream(stream: EventStream, directory, prefix: str = "timestamps", extra_meta=None) -> dict:

@@ -23,6 +23,9 @@ DEFAULT_OPERATING_OFFSET_HZ = -3.9259e9
 # filter transmission is averaged; a mode is usable only when its whole
 # window lies on the frequency grid.
 MODE_WINDOW_LINEWIDTHS = 50.0
+# Envelope weight, relative to the degenerate mode, below which the comb
+# is truncated.
+MODE_WEIGHT_CUTOFF = 1e-3
 
 # argument where sinc^2(x) = 1/2, i.e. sin(x)/x = 1/sqrt(2)
 _SINC_SQ_HALF = 1.3915573810029747
@@ -89,21 +92,15 @@ class ModeComb:
             raise ValueError("degenerate-mode weight must be 1")
 
 
-def mode_comb(
-    cfg: OpoConfig,
-    weight_cutoff: float = 1e-3,
-    max_modes: int | None = None,
-) -> ModeComb:
+def mode_comb(cfg: OpoConfig, max_modes: int | None = None) -> ModeComb:
     """Retained cavity modes under the phase-matching envelope.
 
     The envelope is sinc^2 with the configured FWHM, normalized to 1 at
     the degenerate mode.  Modes are retained symmetrically out to the
-    first index whose weight drops below ``weight_cutoff`` (sidelobe
+    first index whose weight drops below MODE_WEIGHT_CUTOFF (sidelobe
     revivals beyond that point are not re-admitted).  ``max_modes`` caps
     the index; it is mandatory for an infinite envelope.
     """
-    if not 0 < weight_cutoff < 1:
-        raise ValueError("weight cutoff must lie in (0, 1)")
     cap = np.inf if max_modes is None else max_modes
     if cap < 0:
         raise ValueError("mode cap cannot be negative")
@@ -112,7 +109,7 @@ def mode_comb(
     if beta == 0 and max_modes is None:
         raise ValueError("an infinite envelope requires an explicit mode cap")
     n_max = 0
-    while n_max < cap and _sinc_sq(beta * (n_max + 1)) >= weight_cutoff:
+    while n_max < cap and _sinc_sq(beta * (n_max + 1)) >= MODE_WEIGHT_CUTOFF:
         n_max += 1
     idx = np.arange(-n_max, n_max + 1)
     return ModeComb(
@@ -160,4 +157,4 @@ def output_spectrum(comb: ModeComb, cfg: OpoConfig, freq_hz) -> Spectrum:
         if f0 < lo or f0 > hi:
             continue
         psd += w * (hwhm / np.pi) / ((freq - f0) ** 2 + hwhm**2)
-    return Spectrum(frequency_hz=freq, value=psd, kind="psd", meta={"model": "opo_output"})
+    return Spectrum(frequency_hz=freq, value=psd, kind="psd")

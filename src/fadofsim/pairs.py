@@ -213,7 +213,6 @@ def optimize_filter(
     temperatures_k,
     grid_half_span_hz: float = 20e9,
     grid_step_hz: float = 2e6,
-    weight_cutoff: float = 1e-3,
     threads: int = 1,
 ) -> OptimizationResult:
     """Exhaustive grid search of the pair-blocking figure of merit.
@@ -251,11 +250,7 @@ def optimize_filter(
         if abs(peak - base.table.reference_frequency_hz) > MAX_PEAK_OFFSET_HZ:
             # peak escaped the central margin; comb would leave the grid
             return None
-        comb = mode_comb(
-            replace(opo, degenerate_frequency_hz=peak),
-            weight_cutoff=weight_cutoff,
-            max_modes=max_modes,
-        )
+        comb = mode_comb(replace(opo, degenerate_frequency_hz=peak), max_modes=max_modes)
         pmap = pair_transmission_map(spec, comb, opo)
         e0 = pmap.pair_transmission(0)
         s_nd = pmap.weighted_pair_sum(include_degenerate=False)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ class Spectrum:
     frequency_hz: np.ndarray
     value: np.ndarray
     kind: str = "transmission"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.frequency_hz = np.asarray(self.frequency_hz, dtype=float)
@@ -36,10 +35,6 @@ class Spectrum:
             self.value.min() < -1e-12 or self.value.max() > 1.0 + 1e-12
         ):
             raise ValueError("transmission values must lie in [0, 1]")
-
-    @property
-    def step_hz(self) -> float:
-        return float(self.frequency_hz[1] - self.frequency_hz[0])
 
     def to_csv(self, path, value_column: str = "transmission", header_lines=()) -> None:
         write_csv(path, header_lines, {
@@ -76,6 +71,10 @@ def make_frequency_grid(center_hz: float, half_span_hz: float, step_hz: float) -
     return center_hz + step_hz * np.arange(-n, n + 1)
 
 
+# Rejection is measured outside this many full widths around the peak.
+EXCLUSION_FWHM = 5.0
+
+
 @dataclass(frozen=True)
 class FilterMetrics:
     peak_frequency_hz: float
@@ -96,13 +95,13 @@ def _half_crossing(freq, vals, i_peak, half, direction):
     raise BoundaryPeakError("half-maximum not reached inside the frequency grid")
 
 
-def filter_metrics(spectrum: Spectrum, exclusion_fwhm: float = 5.0) -> FilterMetrics:
+def filter_metrics(spectrum: Spectrum) -> FilterMetrics:
     """Peak position/height, interpolated FWHM, and out-of-band rejection.
 
     The peak is the first grid maximum; a maximum on the grid boundary
     raises BoundaryPeakError since its width cannot be measured.
     Rejection compares the peak against the median transmission outside
-    ``exclusion_fwhm`` full widths around the peak.
+    EXCLUSION_FWHM full widths around the peak.
     """
     freq, vals = spectrum.frequency_hz, spectrum.value
     i_peak = int(np.argmax(vals))
@@ -114,7 +113,7 @@ def filter_metrics(spectrum: Spectrum, exclusion_fwhm: float = 5.0) -> FilterMet
     f_hi = _half_crossing(freq, vals, i_peak, half, +1)
     fwhm = float(f_hi - f_lo)
     f_peak = float(freq[i_peak])
-    outside = np.abs(freq - f_peak) > exclusion_fwhm * fwhm
+    outside = np.abs(freq - f_peak) > EXCLUSION_FWHM * fwhm
     if not np.any(outside):
         raise BoundaryPeakError("no out-of-band region left on the grid")
     floor = float(np.median(vals[outside]))

@@ -23,8 +23,11 @@ from .spectrum import Spectrum
 from .susceptibility import complex_susceptibility
 
 # Defaults reproducing the reference operating point.  The cell length is
-# a calibration product: 0.30 m maximizes the natural-abundance peak
-# transmission/width agreement (see README for the calibration scan).
+# a calibration product: at 4.5 mT and 365 K, 0.30 m gives the targets of
+# README "Notes on the defaults", a peak transmission near 0.70 with a
+# 510 MHz FWHM.  The calibration used the natural-abundance line table;
+# such a cell cannot put its peak where acceptance criterion 9 wants it
+# (see tools/criterion09_scan.py).
 DEFAULT_B_FIELD_T = 4.5e-3
 DEFAULT_CELL_TEMPERATURE_K = 365.0
 DEFAULT_CELL_LENGTH_M = 0.30
@@ -107,18 +110,7 @@ def fadof_transmission(cfg: FilterConfig, freq_hz) -> Spectrum:
     t_plus, t_minus = circular_amplitudes(cfg, freq_hz)
     t_pol = 0.25 * np.abs(t_plus - t_minus) ** 2
     total = t_pol + cfg.extinction * (1.0 - t_pol)
-    return Spectrum(
-        frequency_hz=np.asarray(freq_hz, dtype=float),
-        value=np.clip(total, 0.0, 1.0),
-        kind="transmission",
-        meta={
-            "model": "faraday_filter",
-            "b_field_t": cfg.b_field_t,
-            "temperature_k": cfg.temperature_k,
-            "cell_length_m": cfg.cell_length_m,
-            "extinction": cfg.extinction,
-        },
-    )
+    return Spectrum(np.asarray(freq_hz, dtype=float), np.clip(total, 0.0, 1.0))
 
 
 def optical_depth(cfg: HotCellConfig, freq_hz) -> np.ndarray:
@@ -139,15 +131,4 @@ def optical_depth(cfg: HotCellConfig, freq_hz) -> np.ndarray:
 
 def hot_cell_transmission(cfg: HotCellConfig, freq_hz) -> Spectrum:
     """Intensity transmission exp(-OD) of the blocking cell."""
-    od = optical_depth(cfg, freq_hz)
-    return Spectrum(
-        frequency_hz=np.asarray(freq_hz, dtype=float),
-        value=np.exp(-od),
-        kind="transmission",
-        meta={
-            "model": "hot_cell",
-            "temperature_k": cfg.temperature_k,
-            "length_m": cfg.length_m,
-            "buffer_fwhm_hz": cfg.buffer_fwhm_hz,
-        },
-    )
+    return Spectrum(np.asarray(freq_hz, dtype=float), np.exp(-optical_depth(cfg, freq_hz)))

@@ -14,6 +14,7 @@ from scipy.stats import chi2
 from fadofsim.cli import main
 from fadofsim.config import load_config
 from fadofsim.cvnoise import squeezing_through_loss
+from fadofsim.montecarlo import coincidences_in_window, mc_histogram, read_stream
 
 HASH = load_config(None).config_hash
 ROOT = Path(__file__).resolve().parents[1]
@@ -157,6 +158,26 @@ def test_simulate_outputs_and_cross_checks(tmp_path, quick_cfg_text, capsys):
     raw = np.fromfile(out / "timestamps_on_ch1.bin", dtype="<u8")
     assert raw.size > 1000
     assert np.all(np.diff(raw.astype(np.int64)) >= 0)
+
+
+def test_simulate_subtracts_only_the_summed_window_bins(tmp_path):
+    # at offset 150.5 ns the histograms span bins 0..300 around offset bin
+    # 150; at seed 0 the filtered peak lands on bin 151, so its +-150.5 ns
+    # window sums 300 bins, not 301, and only those 300 carry accidentals
+    cfg = tmp_path / "clip.cfg"
+    cfg.write_text("[detector]\noffset_ns = 150.5\n[montecarlo]\nduration_s = 5\n")
+    out = tmp_path / "clip"
+    assert main(["--config", str(cfg), "--out", str(out), "--seed", "0", "simulate"]) == 0
+    purity = json.loads((out / "purity.json").read_text())
+    det = load_config(cfg).detector
+    floor = det.accidental_floor_per_bin(5.0)
+    assert purity["accidentals_subtracted_per_run"] == floor * 300
+    true_counts = []
+    for prefix in ("timestamps_filtered", "timestamps_hotcell"):
+        hist = mc_histogram(read_stream(out, prefix), det, n_side_bins=150)
+        counts, n_bins = coincidences_in_window(hist, det.offset_s)
+        true_counts.append(counts - floor * n_bins)
+    assert purity["spectral_purity_mc"] == 1.0 - true_counts[1] / true_counts[0]
 
 
 def test_delta_comb_validity_flag_thresholds(tmp_path, capsys):

@@ -96,10 +96,8 @@ def test_comb_teeth_cutoff_validation():
 def test_detector_config_offset_split():
     det = DetectorConfig(bin_s=1e-9, offset_s=50.3e-9)
     assert det.offset_bin == 50
-    assert det.offset_residual_s == pytest.approx(0.3e-9, abs=1e-21)
     det = DetectorConfig(bin_s=1e-9, offset_s=49.7e-9)
     assert det.offset_bin == 50
-    assert det.offset_residual_s == pytest.approx(-0.3e-9, abs=1e-21)
 
 
 def test_detector_config_validation():
@@ -114,10 +112,11 @@ def test_detector_config_validation():
 def test_histogram_accidental_floor():
     det = DetectorConfig(bin_s=1e-9, r1_hz=1.5e4, r2_hz=1.2e4, acquisition_s=2.0)
     hist = detected_histogram(OPO, det, "single", n_side_bins=512)
-    assert hist.meta["accidental_floor_per_bin"] == pytest.approx(0.36, rel=1e-12)
+    assert hist.accidental_floor_per_bin == pytest.approx(0.36, rel=1e-12)
+    assert det.accidental_floor_per_bin(det.acquisition_s) == hist.accidental_floor_per_bin
     # 512 bins out the true-coincidence tail is negligible
     far = hist.counts[0]
-    assert far == pytest.approx(hist.meta["accidental_floor_per_bin"], rel=1e-6)
+    assert far == pytest.approx(hist.accidental_floor_per_bin, rel=1e-6)
 
 
 def test_histogram_normalization_single():

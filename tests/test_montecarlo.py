@@ -136,7 +136,7 @@ def test_zero_pair_rate_gives_flat_floor():
     det = DetectorConfig(offset_s=50e-9, r1_hz=2e4, r2_hz=2e4)
     stream = generate_pair_events(opo, det, "single", duration_s=5.0, seed=44)
     hist = mc_histogram(stream, det, n_side_bins=64)
-    floor = hist.meta["accidental_floor_per_bin"]
+    floor = hist.accidental_floor_per_bin
     assert hist.counts.mean() == pytest.approx(floor, rel=0.15)
     assert hist.counts.max() < floor + 6.0 * np.sqrt(floor)
 
@@ -148,7 +148,8 @@ def test_coincidence_window_coverage():
     stream = generate_pair_events(opo, det, "single", duration_s=20.0, seed=45)
     hist = mc_histogram(stream, det, n_side_bins=256)
     n_pairs = stream.meta["n_pairs_generated"]
-    captured = coincidences_in_window(hist, 50e-9)
+    captured, n_bins = coincidences_in_window(hist, 50e-9)
+    assert n_bins == 101
     expected_frac = 1.0 - np.exp(-opo.gamma_sum * 50e-9)
     assert expected_frac == pytest.approx(0.9286, abs=2e-4)
     assert captured / n_pairs == pytest.approx(expected_frac, rel=0.02)
@@ -160,11 +161,22 @@ def test_coincidences_in_window_edges():
         counts=np.array([1.0, 2, 3, 4, 10, 4, 3, 2, 1]),
         bin_s=1e-9,
     )
-    assert coincidences_in_window(hist, 0.0) == 10.0
-    assert coincidences_in_window(hist, 1e-9) == 18.0
-    assert coincidences_in_window(hist, 1e-6) == hist.counts.sum()
+    assert coincidences_in_window(hist, 0.0) == (10.0, 1)
+    assert coincidences_in_window(hist, 1e-9) == (18.0, 3)
+    # a window past the histogram edges sums and counts only the bins inside
+    assert coincidences_in_window(hist, 1e-6) == (hist.counts.sum(), 9)
     with pytest.raises(ValueError, match="window"):
         coincidences_in_window(hist, -1e-9)
+
+
+def test_coincidences_in_window_clipped_at_one_edge():
+    hist = Histogram(
+        bin_index=np.arange(46, 55),
+        counts=np.array([1.0, 2, 3, 4, 5, 6, 7, 8, 10]),
+        bin_s=1e-9,
+    )
+    # the peak is the last bin: of a +-2-bin window only 3 bins lie inside
+    assert coincidences_in_window(hist, 2e-9) == (25.0, 3)
 
 
 def test_pair_survival_thins_pairs_only():

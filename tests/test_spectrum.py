@@ -44,11 +44,6 @@ def test_spectrum_transmission_range_checked():
     assert od.value.max() == 35.0
 
 
-def test_spectrum_step_property():
-    s = Spectrum(frequency_hz=np.array([5.0, 7.0, 9.0]), value=np.zeros(3))
-    assert s.step_hz == 2.0
-
-
 def test_make_frequency_grid_endpoints_and_count():
     grid = make_frequency_grid(100.0, 10.0, 2.0)
     assert grid[0] == 90.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fadofsim.opo import OpoConfig
+from fadofsim.opo import DEFAULT_OPERATING_OFFSET_HZ, OpoConfig
 from fadofsim.spectrum import filter_metrics, make_frequency_grid
 from fadofsim.vapor import (
     FilterConfig,
@@ -78,6 +78,20 @@ def test_default_filter_calibration_pins():
     assert m.rejection_db == pytest.approx(31.491, rel=1e-3)
 
 
+def test_operating_offset_is_computed_default_peak():
+    # DEFAULT_OPERATING_OFFSET_HZ is hard-coded; it must stay on the peak
+    # that the default filter computes on the spectrum command's grid
+    step = 2e6
+    spec = fadof_transmission(FilterConfig(), make_frequency_grid(REF_HZ, 20e9, step))
+    peak = filter_metrics(spec).peak_frequency_hz - REF_HZ
+    assert abs(peak - DEFAULT_OPERATING_OFFSET_HZ) <= step, (
+        f"the default filter peaks at {peak / 1e9:+.4f} GHz, not at "
+        f"DEFAULT_OPERATING_OFFSET_HZ = {DEFAULT_OPERATING_OFFSET_HZ / 1e9:+.4f} GHz; "
+        "the runner-up window at -0.058 GHz was only 1.6e-4 below the -3.926 GHz "
+        "peak, so a small model or cell change can move the peak there"
+    )
+
+
 def test_filter_floor_reaches_extinction_far_out():
     # the crossed-polarizer floor is still 2x extinction at 50 GHz and
     # settles to within 10% of extinction only around 100 GHz detuning
@@ -138,13 +152,3 @@ def test_config_validation():
         HotCellConfig(length_m=-0.1)
     with pytest.raises(ValueError, match="temperature"):
         HotCellConfig(temperature_k=-1.0)
-
-
-def test_spectrum_metadata_records_operating_point():
-    cfg = FilterConfig()
-    grid = make_frequency_grid(REF_HZ, 1e9, 500e6)
-    spec = fadof_transmission(cfg, grid)
-    assert spec.meta["model"] == "faraday_filter"
-    assert spec.meta["b_field_t"] == cfg.b_field_t
-    hot = hot_cell_transmission(HotCellConfig(), grid)
-    assert hot.meta["model"] == "hot_cell"
