@@ -37,6 +37,7 @@ from .susceptibility import complex_susceptibility, complex_voigt, vapor_density
 from .vapor import (
     FilterConfig,
     HotCellConfig,
+    VaporCell,
     fadof_transmission,
     hot_cell_transmission,
     optical_depth,

@@ -22,7 +22,7 @@ from scipy.special import chdtrc
 from . import correlations, montecarlo, pairs
 from .config import ConfigError, ExperimentConfig, load_config
 from .cvnoise import noise_vs_power_fit, quadrature_variance_avg, squeezing_through_loss
-from .opo import mode_comb, modes_within_grid, output_spectrum
+from .opo import ModeComb, mode_comb, modes_within_grid, output_spectrum
 from .spectrum import BoundaryPeakError, Spectrum, filter_metrics, make_frequency_grid, write_csv
 from .vapor import fadof_transmission
 
@@ -39,15 +39,19 @@ def _hash_header(cfg: ExperimentConfig) -> list[str]:
     return [f"config_hash: {cfg.config_hash}"]
 
 
-def _grid_modes(cfg: ExperimentConfig) -> int:
-    """Modes per side whose averaging windows fit the [spectrum] grid."""
-    offset = cfg.opo.degenerate_frequency_hz - cfg.filter.table.reference_frequency_hz
+def _filter_on_grid(cfg: ExperimentConfig) -> tuple[Spectrum, ModeComb]:
+    """The filter on the [spectrum] grid, and the comb whose mode windows fit that grid."""
+    ref = cfg.filter.table.reference_frequency_hz
     try:
-        return modes_within_grid(cfg.opo, cfg.grid_half_span_hz, offset)
+        max_modes = modes_within_grid(
+            cfg.opo, cfg.grid_half_span_hz, cfg.opo.degenerate_frequency_hz - ref
+        )
     except ValueError as exc:
         raise ConfigError(
             f"[filter] center_offset_GHz vs [spectrum] half_span_GHz: {exc}"
         ) from exc
+    grid = make_frequency_grid(ref, cfg.grid_half_span_hz, cfg.grid_step_hz)
+    return fadof_transmission(cfg.filter, grid), mode_comb(cfg.opo, max_modes=max_modes)
 
 
 def _delta_comb_flags(cfg: ExperimentConfig) -> list[str]:
@@ -61,10 +65,8 @@ def _delta_comb_flags(cfg: ExperimentConfig) -> list[str]:
 
 def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> list[str]:
     """Filter, mirrored-filter, product, source, and filtered-source spectra."""
-    comb = mode_comb(cfg.opo, max_modes=_grid_modes(cfg))
-    ref = cfg.filter.table.reference_frequency_hz
-    grid = make_frequency_grid(ref, cfg.grid_half_span_hz, cfg.grid_step_hz)
-    fadof = fadof_transmission(cfg.filter, grid)
+    fadof, comb = _filter_on_grid(cfg)
+    grid = fadof.frequency_hz
     center = cfg.opo.degenerate_frequency_hz
     # mirror partner of each grid frequency about the source center,
     # evaluated directly (not interpolated)
@@ -91,6 +93,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> list[str]:
         "grid_half_span_hz": cfg.grid_half_span_hz,
         "grid_step_hz": cfg.grid_step_hz,
     }
+    ref = cfg.filter.table.reference_frequency_hz
     try:
         m = filter_metrics(fadof)
         payload.update(
@@ -155,7 +158,8 @@ def _chi_square(mc_hist, an_hist) -> dict:
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
     """Monte Carlo streams, their histograms, model cross-check, purity."""
-    grid_modes = _grid_modes(cfg)
+    # the operating-point check comes before any stream is written
+    fadof, comb = _filter_on_grid(cfg)
     det = replace(cfg.detector, acquisition_s=cfg.mc_duration_s)
     children = np.random.SeedSequence(seed).generate_state(4)
     dirty = _delta_comb_flags(cfg)
@@ -179,12 +183,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
 
     # purity branch: analytic resonant fraction sets the hot-cell pair
     # survival; two Monte Carlo runs close the loop through the counters
-    ref = cfg.filter.table.reference_frequency_hz
-    grid = make_frequency_grid(ref, cfg.grid_half_span_hz, cfg.grid_step_hz)
-    fadof = fadof_transmission(cfg.filter, grid)
-    pmap = pairs.pair_transmission_map(
-        fadof, mode_comb(cfg.opo, max_modes=grid_modes), cfg.opo
-    )
+    pmap = pairs.pair_transmission_map(fadof, comb, cfg.opo)
     resonant = pairs.resonant_degenerate_fraction(pmap)
     leakage = cfg.out_of_band_leakage
     if leakage is None:

@@ -185,7 +185,7 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
         flt = FilterConfig(
             b_field_t=sec.float("magnetic_field_mT", 4.5, 1e-3),
             temperature_k=sec.float("temperature_K", 365.0),
-            cell_length_m=sec.float("cell_length_mm", 300.0, 1e-3),
+            length_m=sec.float("cell_length_mm", 300.0, 1e-3),
             extinction=sec.float("extinction", 1.8e-6),
             buffer_fwhm_hz=sec.float("buffer_fwhm_MHz", 0.0, 1e6),
             table=table,
@@ -296,6 +296,18 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
 
     sec = _Section(parser, "output", resolved)
     output_dir = sec.string("directory", "fadofsim_out")
+
+    # configparser lower-cases option names and copies [DEFAULT] into every
+    # section, so a [DEFAULT] key only has to be read by some section
+    known = {name.lower() for name in resolved}
+    defaults = set(parser.defaults())
+    for name in parser.sections():
+        for key in sorted(set(parser.options(name)) - defaults):
+            if f"{name}.{key}" not in known:
+                _fail(name, key, "unknown key")
+    for key in sorted(defaults):
+        if not any(name.endswith(f".{key}") for name in known):
+            _fail("DEFAULT", key, "unknown key")
 
     digest = hashlib.sha256(
         "\n".join(f"{k}={v}" for k, v in sorted(resolved.items())).encode()

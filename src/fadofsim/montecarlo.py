@@ -113,9 +113,7 @@ def thin_stream(stream: EventStream, survival1: float, survival2: float, seed: i
     rng = np.random.default_rng(seed)
     ch1 = stream.channel1_s[rng.random(stream.channel1_s.size) < survival1]
     ch2 = stream.channel2_s[rng.random(stream.channel2_s.size) < survival2]
-    meta = dict(stream.meta)
-    meta["thinning"] = (survival1, survival2)
-    return EventStream(ch1, ch2, stream.duration_s, stream.seed, meta)
+    return EventStream(ch1, ch2, stream.duration_s, stream.seed, dict(stream.meta))
 
 
 def mc_histogram(stream: EventStream, det: DetectorConfig, n_side_bins: int = 64) -> Histogram:

@@ -11,11 +11,16 @@ wide frequency grids.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 from scipy.special import wofz
 
 from .constants import BOLTZMANN, SPEED_OF_LIGHT, TORR_TO_PA
 from .lines import AtomicLineTable, zeeman_components
+
+if TYPE_CHECKING:
+    from .vapor import VaporCell
 
 # |z| beyond which the asymptotic series replaces wofz.  At radius 14 the
 # four-term series agrees with wofz to better than 1e-8 relative.
@@ -63,53 +68,33 @@ def vapor_density(temperature_k: float) -> float:
     return p_pa / (BOLTZMANN * temperature_k)
 
 
-def complex_susceptibility(
-    freq_hz,
-    polarization: int,
-    b_field_t: float,
-    temperature_k: float,
-    table: AtomicLineTable,
-    buffer_fwhm_hz: float = 0.0,
-    density_m3: float | None = None,
-    abundances: dict[str, float] | None = None,
-) -> np.ndarray:
-    """Linear susceptibility chi(nu) for one circular polarization.
+def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: VaporCell) -> np.ndarray:
+    """Linear susceptibility chi(nu) of ``cell`` for one circular polarization.
 
     Sums Voigt responses of every Zeeman-shifted hyperfine component,
-    weighted by transition strength and isotope abundance.  ``freq_hz``
-    is absolute optical frequency; ``polarization`` is +1 or -1 for
-    sigma+/sigma-.  ``density_m3`` overrides the vapor-pressure curve
-    (total density, shared across isotopes); ``abundances`` overrides the
-    isotopic composition of the table.
+    weighted by transition strength and isotope abundance, at the
+    saturated vapor density of the cell temperature.  ``freq_hz`` is
+    absolute optical frequency; ``polarization`` is +1 or -1 for
+    sigma+/sigma-.  The cell length does not enter.
     """
     if polarization not in (-1, 1):
         raise ValueError("polarization must be +1 or -1")
-    if temperature_k <= 0:
-        raise ValueError("temperature must be positive")
-    if buffer_fwhm_hz < 0:
-        raise ValueError("buffer-gas broadening cannot be negative")
     freq = np.asarray(freq_hz, dtype=float)
-    n_total = vapor_density(temperature_k) if density_m3 is None else float(density_m3)
-    if n_total < 0:
-        raise ValueError("density must be non-negative")
-    if abundances is not None:
-        s = sum(abundances.values())
-        if abs(s - 1.0) > 1e-6:
-            raise ValueError(f"abundance overrides sum to {s}, expected 1")
+    table = cell.table
+    n_total = vapor_density(cell.temperature_k)
 
     lam = SPEED_OF_LIGHT / table.reference_frequency_hz
     k_wave = 2.0 * np.pi / lam
     gamma_natural = 2.0 * np.pi * table.natural_fwhm_hz
     # angular Lorentzian HWHM: natural plus collisional
-    gamma_l = np.pi * (table.natural_fwhm_hz + buffer_fwhm_hz)
+    gamma_l = np.pi * (table.natural_fwhm_hz + cell.buffer_fwhm_hz)
 
     chi = np.zeros(freq.shape, dtype=complex)
     for iso in table.isotopes.values():
-        ab = abundances.get(iso.name, 0.0) if abundances is not None else iso.abundance
-        if ab == 0.0:
+        if iso.abundance == 0.0:
             continue
-        n_iso = ab * n_total
-        u = np.sqrt(2.0 * BOLTZMANN * temperature_k / iso.mass_kg)
+        n_iso = iso.abundance * n_total
+        u = np.sqrt(2.0 * BOLTZMANN * cell.temperature_k / iso.mass_kg)
         ku = k_wave * u
         a = gamma_l / ku
         # strength * N * d^2 * sqrt(pi) / (2*(2I+1) * hbar * eps0 * k * u),

@@ -22,59 +22,54 @@ from .lines import AtomicLineTable
 from .spectrum import Spectrum
 from .susceptibility import complex_susceptibility
 
-# Defaults reproducing the reference operating point.  The cell length is
-# a calibration product: at 4.5 mT and 365 K, 0.30 m gives the targets of
-# README "Notes on the defaults", a peak transmission near 0.70 with a
-# 510 MHz FWHM.  The calibration used the natural-abundance line table;
-# such a cell cannot put its peak where acceptance criterion 9 wants it
-# (see tools/criterion09_scan.py).
-DEFAULT_B_FIELD_T = 4.5e-3
-DEFAULT_CELL_TEMPERATURE_K = 365.0
-DEFAULT_CELL_LENGTH_M = 0.30
-DEFAULT_EXTINCTION = 1.8e-6
-
-
-def _default_table() -> AtomicLineTable:
-    return AtomicLineTable.rubidium_d1()
-
 
 @dataclass
-class FilterConfig:
-    b_field_t: float = DEFAULT_B_FIELD_T
-    temperature_k: float = DEFAULT_CELL_TEMPERATURE_K
-    cell_length_m: float = DEFAULT_CELL_LENGTH_M
-    extinction: float = DEFAULT_EXTINCTION
+class VaporCell:
+    """A rubidium vapor cell; ``table`` holds its isotopic composition."""
+
+    temperature_k: float
+    length_m: float
     buffer_fwhm_hz: float = 0.0
-    density_m3: float | None = None
-    abundances: dict[str, float] | None = None
-    table: AtomicLineTable = field(default_factory=_default_table)
+    table: AtomicLineTable = field(default_factory=AtomicLineTable.rubidium_d1)
 
     def __post_init__(self):
-        if self.cell_length_m <= 0:
-            raise ValueError("cell length must be positive")
-        if not 0.0 <= self.extinction < 1.0:
-            raise ValueError("extinction must lie in [0, 1)")
         if self.temperature_k <= 0:
             raise ValueError("temperature must be positive")
+        if self.length_m <= 0:
+            raise ValueError("cell length must be positive")
+        if self.buffer_fwhm_hz < 0:
+            raise ValueError("buffer-gas broadening cannot be negative")
 
 
 @dataclass
-class HotCellConfig:
+class FilterConfig(VaporCell):
+    # Defaults reproducing the reference operating point.  The length is a
+    # calibration product: at 4.5 mT and 365 K, 0.30 m gives the targets of
+    # README "Notes on the defaults", a peak transmission near 0.70 with a
+    # 510 MHz FWHM.  The calibration used the natural-abundance line table;
+    # such a cell cannot put its peak where acceptance criterion 9 wants it
+    # (see tools/criterion09_scan.py).
+    temperature_k: float = 365.0
+    length_m: float = 0.30
+    b_field_t: float = 4.5e-3
+    extinction: float = 1.8e-6
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 <= self.extinction < 1.0:
+            raise ValueError("extinction must lie in [0, 1)")
+
+
+@dataclass
+class HotCellConfig(VaporCell):
     temperature_k: float = 420.0
     length_m: float = 0.10
     buffer_fwhm_hz: float = 200e6
-    density_m3: float | None = None
-    abundances: dict[str, float] | None = None
-    table: AtomicLineTable = field(default_factory=_default_table)
-
-    def __post_init__(self):
-        if self.length_m <= 0:
-            raise ValueError("cell length must be positive")
-        if self.temperature_k <= 0:
-            raise ValueError("temperature must be positive")
 
 
 def _wavevector(table: AtomicLineTable) -> float:
+    # complex_susceptibility forms k as 2 pi / lambda, which differs from
+    # this 2 pi nu / c in the last bit; either one for both moves output bytes
     return 2.0 * np.pi * table.reference_frequency_hz / SPEED_OF_LIGHT
 
 
@@ -87,17 +82,8 @@ def circular_amplitudes(cfg: FilterConfig, freq_hz) -> tuple[np.ndarray, np.ndar
     k = _wavevector(cfg.table)
     amps = []
     for q in (+1, -1):
-        chi = complex_susceptibility(
-            freq_hz,
-            q,
-            cfg.b_field_t,
-            cfg.temperature_k,
-            cfg.table,
-            buffer_fwhm_hz=cfg.buffer_fwhm_hz,
-            density_m3=cfg.density_m3,
-            abundances=cfg.abundances,
-        )
-        amps.append(np.exp(0.5j * k * cfg.cell_length_m * chi))
+        chi = complex_susceptibility(freq_hz, q, cfg.b_field_t, cfg)
+        amps.append(np.exp(0.5j * k * cfg.length_m * chi))
     return amps[0], amps[1]
 
 
@@ -115,18 +101,8 @@ def fadof_transmission(cfg: FilterConfig, freq_hz) -> Spectrum:
 
 def optical_depth(cfg: HotCellConfig, freq_hz) -> np.ndarray:
     """Resonant optical depth of the blocking cell (no field, no polarizers)."""
-    chi = complex_susceptibility(
-        freq_hz,
-        +1,
-        0.0,
-        cfg.temperature_k,
-        cfg.table,
-        buffer_fwhm_hz=cfg.buffer_fwhm_hz,
-        density_m3=cfg.density_m3,
-        abundances=cfg.abundances,
-    )
-    k = _wavevector(cfg.table)
-    return k * cfg.length_m * chi.imag
+    chi = complex_susceptibility(freq_hz, +1, 0.0, cfg)
+    return _wavevector(cfg.table) * cfg.length_m * chi.imag
 
 
 def hot_cell_transmission(cfg: HotCellConfig, freq_hz) -> Spectrum:

@@ -78,6 +78,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["--config", str(unknown), "--out", str(tmp_path), "g2"]) == 2
     assert "config error" in capsys.readouterr().err
 
+    # negative buffer widths and misspelt keys, named by section
+    for text, prefix in (
+        ("[filter]\nbuffer_fwhm_MHz = -1\n", "config error: [filter] "),
+        ("[hot_cell]\nbuffer_fwhm_MHz = -5\n", "config error: [hot_cell] "),
+        ("[filter]\nmagnetic_feild_mT = 9\n", "config error: [filter] magnetic_feild_mt"),
+    ):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert main(["--config", str(bad), "--out", str(tmp_path), "spectrum"]) == 2
+        assert capsys.readouterr().err.startswith(prefix)
+
     assert main(["--out", str(tmp_path), "--threads", "0", "noise"]) == 2
     assert "--threads" in capsys.readouterr().err
 

@@ -14,7 +14,7 @@ def test_defaults_without_file():
     assert cfg.source_path is None
     assert cfg.filter.b_field_t == pytest.approx(4.5e-3)
     assert cfg.filter.temperature_k == 365.0
-    assert cfg.filter.cell_length_m == pytest.approx(0.300)
+    assert cfg.filter.length_m == pytest.approx(0.300)
     assert cfg.filter.extinction == 1.8e-6
     assert cfg.hot_cell_enabled is True
     assert cfg.hot_cell.temperature_k == 420.0
@@ -59,7 +59,7 @@ def test_units_scaled_to_si(tmp_path):
     cfg = load_config(path)
     assert cfg.source_path == str(path)
     assert cfg.filter.b_field_t == pytest.approx(5.2e-3)
-    assert cfg.filter.cell_length_m == pytest.approx(0.250)
+    assert cfg.filter.length_m == pytest.approx(0.250)
     assert cfg.filter.buffer_fwhm_hz == pytest.approx(150e6)
     assert cfg.detector.bin_s == pytest.approx(2e-9)
     assert cfg.detector.offset_s == pytest.approx(40e-9)
@@ -92,6 +92,10 @@ def test_errors_name_section_and_key(tmp_path):
     cases = [
         ("[filter]\nmagnetic_field_mT = strong\n", r"\[filter\] magnetic_field_mT"),
         ("[filter]\nextinction = 1.0\n", r"\[filter\]"),
+        ("[filter]\nbuffer_fwhm_MHz = -1\n", r"\[filter\] buffer-gas broadening"),
+        ("[hot_cell]\nbuffer_fwhm_MHz = -5\n", r"\[hot_cell\] buffer-gas broadening"),
+        ("[filter]\nmagnetic_feild_mT = 9\n", r"\[filter\] magnetic_feild_mt: unknown key"),
+        ("[DEFAULT]\nseeed = 3\n[montecarlo]\n", r"\[DEFAULT\] seeed: unknown key"),
         ("[opo]\nfsr_MHz = 450\n", r"\[opo\]"),
         ("[detector]\nsingles1_hz = 5e3\n", r"\[detector\] singles1_hz"),
         ("[montecarlo]\nduration_s = 0\n", r"\[montecarlo\] duration_s"),
@@ -119,6 +123,15 @@ def test_unknown_section_rejected(tmp_path):
     path.write_text("[laser]\npower = 1\n")
     with pytest.raises(ConfigError, match="unknown config sections.*laser"):
         load_config(path)
+
+
+def test_default_section_keys_reach_every_reading_section(tmp_path):
+    # [DEFAULT] keys appear in every section; one read by some section is known
+    path = tmp_path / "d.cfg"
+    path.write_text("[DEFAULT]\ntemperature_K = 370\n[filter]\n[hot_cell]\n[opo]\n")
+    cfg = load_config(path)
+    assert cfg.filter.temperature_k == 370.0
+    assert cfg.hot_cell.temperature_k == 370.0
 
 
 def test_unparsable_file_and_missing_file(tmp_path):

@@ -204,7 +204,6 @@ def test_thin_stream_limits_and_validation():
     n = stream.channel1_s.size
     assert abs(half.channel1_s.size - 0.5 * n) < 4.0 * np.sqrt(0.25 * n)
     assert np.all(np.isin(half.channel1_s, stream.channel1_s))
-    assert half.meta["thinning"] == (0.5, 0.5)
     again = thin_stream(stream, 0.5, 0.5, seed=2)
     assert np.array_equal(half.channel1_s, again.channel1_s)
     with pytest.raises(ValueError, match="survival"):

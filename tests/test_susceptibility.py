@@ -1,9 +1,12 @@
 """Voigt kernel accuracy, vapor thermodynamics, and susceptibility structure."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import wofz
 
+from fadofsim import susceptibility
 from fadofsim.lines import AtomicLineTable
 from fadofsim.susceptibility import (
     complex_susceptibility,
@@ -11,10 +14,13 @@ from fadofsim.susceptibility import (
     vapor_density,
     vapor_pressure_torr,
 )
+from fadofsim.vapor import VaporCell
 
 from _oracles import faddeeva_by_quadrature
 
 TABLE = AtomicLineTable.rubidium_d1()
+# the susceptibility does not depend on the cell length
+CELL = VaporCell(temperature_k=365.0, length_m=0.1, table=TABLE)
 
 
 # Lorentzian-to-Doppler width ratio of the bundled line at the default
@@ -88,22 +94,22 @@ def _grid(half_ghz=8.0, step_mhz=20.0):
 
 def test_susceptibility_zero_field_polarizations_identical():
     grid = _grid()
-    plus = complex_susceptibility(grid, +1, 0.0, 365.0, TABLE)
-    minus = complex_susceptibility(grid, -1, 0.0, 365.0, TABLE)
+    plus = complex_susceptibility(grid, +1, 0.0, CELL)
+    minus = complex_susceptibility(grid, -1, 0.0, CELL)
     assert np.allclose(plus, minus, rtol=1e-12, atol=0)
 
 
 def test_susceptibility_field_reversal_swaps_polarizations():
     grid = _grid(4.0, 50.0)
-    plus = complex_susceptibility(grid, +1, 4.5e-3, 365.0, TABLE)
-    minus = complex_susceptibility(grid, -1, -4.5e-3, 365.0, TABLE)
+    plus = complex_susceptibility(grid, +1, 4.5e-3, CELL)
+    minus = complex_susceptibility(grid, -1, -4.5e-3, CELL)
     assert np.allclose(plus, minus, rtol=1e-9)
 
 
 def test_susceptibility_passive_absorber():
     grid = _grid()
     for b in (0.0, 4.5e-3, 9e-3):
-        chi = complex_susceptibility(grid, +1, b, 365.0, TABLE)
+        chi = complex_susceptibility(grid, +1, b, CELL)
         assert chi.imag.min() >= 0.0
 
 
@@ -111,8 +117,8 @@ def test_susceptibility_far_wing_small():
     # the absorptive part falls off Gaussian-fast, but the dispersive part
     # decays only as one over detuning, so the magnitude bound is looser
     ref = TABLE.reference_frequency_hz
-    near = complex_susceptibility(_grid(4.0, 10.0), +1, 0.0, 365.0, TABLE)
-    far = complex_susceptibility(np.array([ref - 100e9, ref + 100e9]), +1, 0.0, 365.0, TABLE)
+    near = complex_susceptibility(_grid(4.0, 10.0), +1, 0.0, CELL)
+    far = complex_susceptibility(np.array([ref - 100e9, ref + 100e9]), +1, 0.0, CELL)
     assert far.imag.max() < 1e-3 * near.imag.max()
     assert np.abs(far).max() < 1e-2 * np.abs(near).max()
 
@@ -122,7 +128,7 @@ def test_susceptibility_absorption_peaks_near_strongest_line():
     # strongest abundance-weighted component (two components tie; the
     # winner sits in the cluster that overlaps a second strong line)
     grid = _grid(6.0, 5.0)
-    chi = complex_susceptibility(grid, +1, 0.0, 365.0, TABLE)
+    chi = complex_susceptibility(grid, +1, 0.0, CELL)
     f_max = grid[np.argmax(chi.imag)]
     weights = [ln.strength * TABLE.isotopes[ln.isotope].abundance for ln in TABLE.lines]
     best = max(weights)
@@ -136,22 +142,28 @@ def test_susceptibility_absorption_peaks_near_strongest_line():
     assert min(abs(f_max - f) for f in candidates) < doppler_width_hz
 
 
-def test_susceptibility_scales_linearly_with_density():
+def test_susceptibility_scales_linearly_with_density(monkeypatch):
     grid = _grid(2.0, 100.0)
-    one = complex_susceptibility(grid, +1, 2e-3, 365.0, TABLE, density_m3=1e18)
-    two = complex_susceptibility(grid, +1, 2e-3, 365.0, TABLE, density_m3=2e18)
+    monkeypatch.setattr(susceptibility, "vapor_density", lambda temperature_k: 1e18)
+    one = complex_susceptibility(grid, +1, 2e-3, CELL)
+    monkeypatch.setattr(susceptibility, "vapor_density", lambda temperature_k: 2e18)
+    two = complex_susceptibility(grid, +1, 2e-3, CELL)
     assert np.allclose(two, 2.0 * one, rtol=1e-12)
+
+
+def _pure(isotope):
+    isotopes = {
+        name: replace(iso, abundance=float(name == isotope)) for name, iso in TABLE.isotopes.items()
+    }
+    table = AtomicLineTable(TABLE.reference_frequency_hz, TABLE.natural_fwhm_hz, isotopes, TABLE.lines)
+    return replace(CELL, table=table)
 
 
 def test_susceptibility_abundance_override():
     grid = _grid(2.0, 100.0)
-    natural = complex_susceptibility(grid, +1, 0.0, 365.0, TABLE)
-    pure85 = complex_susceptibility(
-        grid, +1, 0.0, 365.0, TABLE, abundances={"Rb85": 1.0, "Rb87": 0.0}
-    )
-    pure87 = complex_susceptibility(
-        grid, +1, 0.0, 365.0, TABLE, abundances={"Rb85": 0.0, "Rb87": 1.0}
-    )
+    natural = complex_susceptibility(grid, +1, 0.0, CELL)
+    pure85 = complex_susceptibility(grid, +1, 0.0, _pure("Rb85"))
+    pure87 = complex_susceptibility(grid, +1, 0.0, _pure("Rb87"))
     mix = 0.7217 * pure85 + 0.2783 * pure87
     assert np.allclose(natural, mix, rtol=1e-10)
 
@@ -159,12 +171,4 @@ def test_susceptibility_abundance_override():
 def test_susceptibility_input_validation():
     grid = _grid(1.0, 100.0)
     with pytest.raises(ValueError, match="polarization"):
-        complex_susceptibility(grid, 0, 0.0, 365.0, TABLE)
-    with pytest.raises(ValueError, match="temperature"):
-        complex_susceptibility(grid, +1, 0.0, -5.0, TABLE)
-    with pytest.raises(ValueError, match="broadening"):
-        complex_susceptibility(grid, +1, 0.0, 365.0, TABLE, buffer_fwhm_hz=-1.0)
-    with pytest.raises(ValueError, match="density"):
-        complex_susceptibility(grid, +1, 0.0, 365.0, TABLE, density_m3=-1e18)
-    with pytest.raises(ValueError, match="abundance"):
-        complex_susceptibility(grid, +1, 0.0, 365.0, TABLE, abundances={"Rb85": 0.9})
+        complex_susceptibility(grid, 0, 0.0, CELL)

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from fadofsim import susceptibility
 from fadofsim.opo import DEFAULT_OPERATING_OFFSET_HZ, OpoConfig
 from fadofsim.spectrum import filter_metrics, make_frequency_grid
 from fadofsim.vapor import (
     FilterConfig,
     HotCellConfig,
+    VaporCell,
     circular_amplitudes,
     fadof_transmission,
     hot_cell_transmission,
@@ -44,7 +46,7 @@ def test_transmission_is_passive_for_random_configs():
         cfg = FilterConfig(
             b_field_t=rng.uniform(0.0, 10e-3),
             temperature_k=rng.uniform(320.0, 400.0),
-            cell_length_m=rng.uniform(0.05, 0.5),
+            length_m=rng.uniform(0.05, 0.5),
             extinction=rng.uniform(0.0, 1e-3),
             buffer_fwhm_hz=rng.uniform(0.0, 500e6),
         )
@@ -125,8 +127,9 @@ def test_hot_cell_far_wing_transparency():
     assert np.all(at_200 > 0.99)
 
 
-def test_hot_cell_empty_is_transparent():
-    hot = HotCellConfig(density_m3=0.0)
+def test_hot_cell_empty_is_transparent(monkeypatch):
+    monkeypatch.setattr(susceptibility, "vapor_density", lambda temperature_k: 0.0)
+    hot = HotCellConfig()
     grid = make_frequency_grid(REF_HZ, 5e9, 500e6)
     spec = hot_cell_transmission(hot, grid)
     assert np.all(spec.value == 1.0)
@@ -140,15 +143,21 @@ def test_optical_depth_scales_with_length():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="cell length"):
-        FilterConfig(cell_length_m=0.0)
+    # the cell checks live in VaporCell and hold for both cells
+    for cell in (VaporCell, FilterConfig, HotCellConfig):
+        kwargs = {"temperature_k": 365.0, "length_m": 0.1}
+        with pytest.raises(ValueError, match="cell length"):
+            cell(**{**kwargs, "length_m": 0.0})
+        with pytest.raises(ValueError, match="cell length"):
+            cell(**{**kwargs, "length_m": -0.1})
+        with pytest.raises(ValueError, match="temperature"):
+            cell(**{**kwargs, "temperature_k": 0.0})
+        with pytest.raises(ValueError, match="temperature"):
+            cell(**{**kwargs, "temperature_k": -1.0})
+        with pytest.raises(ValueError, match="broadening"):
+            cell(**kwargs, buffer_fwhm_hz=-1.0)
+        cell(**kwargs, buffer_fwhm_hz=0.0)
     with pytest.raises(ValueError, match="extinction"):
         FilterConfig(extinction=1.0)
     with pytest.raises(ValueError, match="extinction"):
         FilterConfig(extinction=-1e-9)
-    with pytest.raises(ValueError, match="temperature"):
-        FilterConfig(temperature_k=0.0)
-    with pytest.raises(ValueError, match="cell length"):
-        HotCellConfig(length_m=-0.1)
-    with pytest.raises(ValueError, match="temperature"):
-        HotCellConfig(temperature_k=-1.0)

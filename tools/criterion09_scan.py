@@ -17,14 +17,25 @@ Run from the repository root (about 30 s on one core)::
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
+from fadofsim.lines import AtomicLineTable
 from fadofsim.spectrum import filter_metrics, make_frequency_grid
 from fadofsim.vapor import FilterConfig, fadof_transmission
 
 REF = FilterConfig().table.reference_frequency_hz
 BOX_HZ = (-3.2e9, -2.2e9)
+
+
+def pure(isotope):
+    """The bundled line table with every atom of one isotope."""
+    t = AtomicLineTable.rubidium_d1()
+    isotopes = {
+        name: replace(iso, abundance=float(name == isotope)) for name, iso in t.isotopes.items()
+    }
+    return AtomicLineTable(t.reference_frequency_hz, t.natural_fwhm_hz, isotopes, t.lines)
 
 
 def boxes(cfg):
@@ -42,7 +53,7 @@ def box_maximum(fields_t, lengths_m, temperatures_k, step_hz):
     freqs = REF + np.arange(BOX_HZ[0], BOX_HZ[1] + 1.0, step_hz)
     best = (0.0, None)
     for b, length, temp in itertools.product(fields_t, lengths_m, temperatures_k):
-        cfg = FilterConfig(b_field_t=b, cell_length_m=length, temperature_k=temp)
+        cfg = FilterConfig(b_field_t=b, length_m=length, temperature_k=temp)
         t = float(fadof_transmission(cfg, freqs).value.max())
         if t > best[0]:
             best = (t, (b, length, temp))
@@ -52,9 +63,9 @@ def box_maximum(fields_t, lengths_m, temperatures_k, step_hz):
 def main():
     print("default cell:", boxes(FilterConfig()))
     for length, temp in ((0.10, 365.0), (0.05, 380.0)):
-        cfg = FilterConfig(cell_length_m=length, temperature_k=temp, abundances={"Rb85": 1.0})
+        cfg = FilterConfig(length_m=length, temperature_k=temp, table=pure("Rb85"))
         print(f"85Rb {length * 1e3:.0f} mm {temp:.0f} K:", boxes(cfg))
-    print("87Rb 100 mm:", boxes(FilterConfig(cell_length_m=0.10, abundances={"Rb87": 1.0})))
+    print("87Rb 100 mm:", boxes(FilterConfig(length_m=0.10, table=pure("Rb87"))))
 
     coarse = box_maximum(
         np.arange(3e-3, 9.01e-3, 0.5e-3),
