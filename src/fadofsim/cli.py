@@ -331,11 +331,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.threads < 1:
+            raise ConfigError("--threads must be at least 1")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed must be non-negative")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.threads is not None and args.threads < 1:
-        print("config error: --threads must be at least 1", file=sys.stderr)
         return 2
     out = Path(args.out) if args.out else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

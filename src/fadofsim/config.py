@@ -31,56 +31,117 @@ def _fail(section: str, key: str, message: str):
     raise ConfigError(f"[{section}] {key}: {message}")
 
 
+# One row per INI key: (section, key, field, default in the key's unit,
+# scale to SI).  The value takes the default's type (float, int, complex,
+# bool or str); only floats are scaled.  Each field names the argument the
+# loader passes on, mostly a dataclass field.
+_KEYS = [
+    ("filter", "line_data", "line_data", "", 1),
+    ("filter", "center_offset_GHz", "center_offset_hz", np.nan, 1e9),
+    ("filter", "magnetic_field_mT", "b_field_t", 4.5, 1e-3),
+    ("filter", "temperature_K", "temperature_k", 365.0, 1),
+    ("filter", "cell_length_mm", "length_m", 300.0, 1e-3),
+    ("filter", "extinction", "extinction", 1.8e-6, 1),
+    ("filter", "buffer_fwhm_MHz", "buffer_fwhm_hz", 0.0, 1e6),
+    ("hot_cell", "enabled", "enabled", True, 1),
+    ("hot_cell", "temperature_K", "temperature_k", 420.0, 1),
+    ("hot_cell", "length_mm", "length_m", 100.0, 1e-3),
+    ("hot_cell", "buffer_fwhm_MHz", "buffer_fwhm_hz", 200.0, 1e6),
+    ("opo", "cavity_decay1_MHz", "gamma1", 6.3, 1e6),
+    ("opo", "cavity_decay2_MHz", "gamma2", 2.1, 1e6),
+    ("opo", "roundtrip_ns", "roundtrip_s", 1.99, 1e-9),
+    ("opo", "fsr_MHz", "fsr_hz", 501.0, 1e6),
+    ("opo", "envelope_fwhm_GHz", "envelope_fwhm_hz", 150.0, 1e9),
+    ("opo", "pair_rate_hz", "pair_rate_hz", 1e4, 1),
+    ("detector", "bin_ns", "bin_s", 1.0, 1e-9),
+    ("detector", "offset_ns", "offset_s", 50.0, 1e-9),
+    ("detector", "singles1_hz", "r1_hz", 1.5e4, 1),
+    ("detector", "singles2_hz", "r2_hz", 1.2e4, 1),
+    ("detector", "acquisition_s", "acquisition_s", 1.0, 1),
+    ("montecarlo", "duration_s", "duration_s", 1.0, 1),
+    ("montecarlo", "seed", "seed", 20260816, 1),
+    ("noise", "transmission_amplitude", "mean_transmission", 0.842 + 0j, 1),
+    ("noise", "transmission_noise", "transmission_noise", 0.01 + 0j, 1),
+    ("noise", "field_amplitude", "mean_field", 1.0 + 0j, 1),
+    ("noise", "field_noise", "field_noise", 0.005 + 0j, 1),
+    ("noise", "tnd_points", "tnd_points", 21, 1),
+    ("noise", "squeezing_table", "squeezing_table", "6:0.70, 6:1.0, 3:0.70", 1),
+    ("spectrum", "half_span_GHz", "half_span_hz", 20.0, 1e9),
+    ("spectrum", "step_MHz", "step_hz", 2.0, 1e6),
+    ("optimize", "b_min_mT", "b_min_t", 3.0, 1e-3),
+    ("optimize", "b_max_mT", "b_max_t", 6.0, 1e-3),
+    ("optimize", "b_points", "b_points", 7, 1),
+    ("optimize", "temperature_min_K", "t_min_k", 350.0, 1),
+    ("optimize", "temperature_max_K", "t_max_k", 380.0, 1),
+    ("optimize", "temperature_points", "t_points", 7, 1),
+    ("optimize", "half_span_GHz", "half_span_hz", 20.0, 1e9),
+    ("optimize", "step_MHz", "step_hz", 2.0, 1e6),
+    ("purity", "out_of_band_leakage", "out_of_band_leakage", "0.02", 1),
+    ("output", "directory", "directory", "fadofsim_out", 1),
+]
+
+_KINDS = {float: "a number", int: "an integer", complex: "a complex number", bool: "a boolean"}
 _BOOLEANS = {
     "1": True, "true": True, "yes": True, "on": True,
     "0": False, "false": False, "no": False, "off": False,
 }
 
 
-class _Section:
-    """Typed reader for one INI section; remembers which keys were read."""
+def _read(parser: configparser.ConfigParser, section: str, key: str, default, scale):
+    """One key's value in SI units; the default when the file does not set it."""
+    # a section absent from the file still sees the [DEFAULT] keys
+    name = section if parser.has_section(section) else parser.default_section
+    kind = type(default)
+    if not parser.has_option(name, key):
+        return default * scale if kind is float else default
+    try:
+        raw = parser.get(name, key).strip()
+    except configparser.InterpolationError as exc:
+        _fail(section, key, str(exc))
+    if kind is str:
+        return raw
+    try:
+        if kind is bool:
+            return _BOOLEANS[raw.lower()]
+        if kind is int:
+            return int(raw)
+        value = complex(raw.replace(" ", "")) if kind is complex else float(raw) * scale
+    except (ValueError, KeyError):
+        _fail(section, key, f"not {_KINDS[kind]}: {raw!r}")
+    if not np.isfinite(value):
+        _fail(section, key, "not a finite number")
+    return value
 
-    def __init__(self, parser: configparser.ConfigParser, name: str, resolved: dict):
-        self.parser = parser
-        self.name = name
-        self.resolved = resolved
 
-    def _raw(self, key: str):
-        if self.parser.has_option(self.name, key):
-            return self.parser.get(self.name, key).strip()
-        return None
+def _read_keys(parser: configparser.ConfigParser) -> tuple[dict, dict]:
+    """Every ``_KEYS`` value by section and field, and the resolved strings."""
+    values: dict = {section: {} for section, *_ in _KEYS}
+    unknown = set(parser.sections()) - set(values)
+    if unknown:
+        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    resolved: dict = {}
+    for section, key, name, default, scale in _KEYS:
+        value = _read(parser, section, key, default, scale)
+        values[section][name] = value
+        resolved[f"{section}.{key}"] = value if isinstance(value, str) else repr(value)
+    # configparser lower-cases option names and copies [DEFAULT] into every
+    # section, so a [DEFAULT] key only has to be read by some section
+    known = {(section, key.lower()) for section, key, *_ in _KEYS}
+    defaults = set(parser.defaults())
+    for section in parser.sections():
+        for key in sorted(set(parser.options(section)) - defaults):
+            if (section, key) not in known:
+                _fail(section, key, "unknown key")
+    for key in sorted(defaults - {key for _, key in known}):
+        _fail("DEFAULT", key, "unknown key")
+    return values, resolved
 
-    def _typed(self, key: str, default, convert, kind: str):
-        raw = self._raw(key)
-        if raw is None:
-            value = default
-        else:
-            try:
-                value = convert(raw)
-            except (ValueError, KeyError):
-                _fail(self.name, key, f"not {kind}: {raw!r}")
-        self.resolved[f"{self.name}.{key}"] = repr(value)
-        return value
 
-    def float(self, key: str, default: float, scale: float = 1.0) -> float:
-        return self._typed(key, default * scale, lambda raw: float(raw) * scale, "a number")
-
-    def int(self, key: str, default: int) -> int:
-        return self._typed(key, default, int, "an integer")
-
-    def complex(self, key: str, default: complex) -> complex:
-        return self._typed(
-            key, complex(default), lambda raw: complex(raw.replace(" ", "")), "a complex number"
-        )
-
-    def bool(self, key: str, default: bool) -> bool:
-        return self._typed(key, default, lambda raw: _BOOLEANS[raw.lower()], "a boolean")
-
-    def string(self, key: str, default: str) -> str:
-        raw = self._raw(key)
-        value = default if raw is None else raw
-        self.resolved[f"{self.name}.{key}"] = value
-        return value
+def _build(section: str, cls, **fields):
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 @dataclass
@@ -116,21 +177,7 @@ class ExperimentConfig:
     meta: dict = field(default_factory=dict)
 
 
-_KNOWN_SECTIONS = {
-    "filter",
-    "hot_cell",
-    "opo",
-    "detector",
-    "montecarlo",
-    "noise",
-    "spectrum",
-    "optimize",
-    "purity",
-    "output",
-}
-
-
-def _parse_squeezing_table(raw: str, section: str, key: str) -> list[tuple[float, float]]:
+def _parse_squeezing_table(raw: str) -> list[tuple[float, float]]:
     pairs = []
     for item in raw.split(","):
         item = item.strip()
@@ -138,12 +185,14 @@ def _parse_squeezing_table(raw: str, section: str, key: str) -> list[tuple[float
             continue
         parts = item.split(":")
         if len(parts) != 2:
-            _fail(section, key, f"expected 'dB:transmission' pairs, got {item!r}")
+            _fail("noise", "squeezing_table", f"expected 'dB:transmission' pairs, got {item!r}")
         try:
-            s, t = float(parts[0]), float(parts[1])
+            s_db, t = float(parts[0]), float(parts[1])
         except ValueError:
-            _fail(section, key, f"not numeric: {item!r}")
-        pairs.append((s, t))
+            _fail("noise", "squeezing_table", f"not numeric: {item!r}")
+        if not (0.0 <= t <= 1.0 and 0.0 <= s_db < np.inf):
+            _fail("noise", "squeezing_table", f"entry out of range: {s_db}:{t}")
+        pairs.append((s_db, t))
     return pairs
 
 
@@ -161,13 +210,10 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
         source = str(path)
-    unknown = set(parser.sections()) - _KNOWN_SECTIONS
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    resolved: dict = {}
-
-    sec = _Section(parser, "filter", resolved)
-    line_data = sec.string("line_data", "")
+    values, resolved = _read_keys(parser)
+    flt, hot, opo, det, mc, noise, spec, opt = (values[section] for section in (
+        "filter", "hot_cell", "opo", "detector", "montecarlo", "noise", "spectrum", "optimize"))
+    line_data = flt.pop("line_data")
     if line_data:
         table_path = Path(line_data)
         if not table_path.is_absolute() and source is not None:
@@ -178,112 +224,42 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
     else:
         table = AtomicLineTable.rubidium_d1()
     # operating point (pair degeneracy frequency); unset selects the default
-    center_off = sec.float("center_offset_GHz", np.nan, 1e9)
+    center_off = flt.pop("center_offset_hz")
     if np.isnan(center_off):
         center_off = DEFAULT_OPERATING_OFFSET_HZ
-    try:
-        flt = FilterConfig(
-            b_field_t=sec.float("magnetic_field_mT", 4.5, 1e-3),
-            temperature_k=sec.float("temperature_K", 365.0),
-            length_m=sec.float("cell_length_mm", 300.0, 1e-3),
-            extinction=sec.float("extinction", 1.8e-6),
-            buffer_fwhm_hz=sec.float("buffer_fwhm_MHz", 0.0, 1e6),
-            table=table,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[filter] {exc}") from exc
-
-    sec = _Section(parser, "hot_cell", resolved)
-    hot_enabled = sec.bool("enabled", True)
-    try:
-        hot = HotCellConfig(
-            temperature_k=sec.float("temperature_K", 420.0),
-            length_m=sec.float("length_mm", 100.0, 1e-3),
-            buffer_fwhm_hz=sec.float("buffer_fwhm_MHz", 200.0, 1e6),
-            table=table,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[hot_cell] {exc}") from exc
-
-    sec = _Section(parser, "opo", resolved)
-    try:
-        opo = OpoConfig(
-            gamma1=2.0 * np.pi * sec.float("cavity_decay1_MHz", 6.3, 1e6),
-            gamma2=2.0 * np.pi * sec.float("cavity_decay2_MHz", 2.1, 1e6),
-            roundtrip_s=sec.float("roundtrip_ns", 1.99, 1e-9),
-            fsr_hz=sec.float("fsr_MHz", 501.0, 1e6),
-            envelope_fwhm_hz=sec.float("envelope_fwhm_GHz", 150.0, 1e9),
-            degenerate_frequency_hz=table.reference_frequency_hz + center_off,
-            pair_rate_hz=sec.float("pair_rate_hz", 1e4),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[opo] {exc}") from exc
-
-    sec = _Section(parser, "detector", resolved)
-    try:
-        det = DetectorConfig(
-            bin_s=sec.float("bin_ns", 1.0, 1e-9),
-            offset_s=sec.float("offset_ns", 50.0, 1e-9),
-            r1_hz=sec.float("singles1_hz", 1.5e4),
-            r2_hz=sec.float("singles2_hz", 1.2e4),
-            acquisition_s=sec.float("acquisition_s", 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[detector] {exc}") from exc
+    flt = _build("filter", FilterConfig, table=table, **flt)
+    hot_enabled = hot.pop("enabled")
+    hot = _build("hot_cell", HotCellConfig, table=table, **hot)
+    # the decay rates are read as frequencies; OpoConfig takes angular rates
+    for name in ("gamma1", "gamma2"):
+        opo[name] = 2.0 * np.pi * opo[name]
+    opo["degenerate_frequency_hz"] = table.reference_frequency_hz + center_off
+    opo = _build("opo", OpoConfig, **opo)
+    det = _build("detector", DetectorConfig, **det)
     if det.r1_hz < opo.pair_rate_hz or det.r2_hz < opo.pair_rate_hz:
         _fail("detector", "singles1_hz", "channel singles rates cannot be below the pair rate")
-
-    sec = _Section(parser, "montecarlo", resolved)
-    duration = sec.float("duration_s", 1.0)
-    if duration <= 0:
+    if mc["duration_s"] <= 0:
         _fail("montecarlo", "duration_s", "must be positive")
-    seed = sec.int("seed", 20260816)
-    if seed < 0:
+    if mc["seed"] < 0:
         _fail("montecarlo", "seed", "must be non-negative")
-
-    sec = _Section(parser, "noise", resolved)
-    try:
-        noise = NoiseModel(
-            mean_transmission=sec.complex("transmission_amplitude", 0.842),
-            transmission_noise=sec.complex("transmission_noise", 0.01),
-            mean_field=sec.complex("field_amplitude", 1.0),
-            field_noise=sec.complex("field_noise", 0.005),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[noise] {exc}") from exc
-    tnd_points = sec.int("tnd_points", 21)
+    tnd_points = noise.pop("tnd_points")
+    table_raw = noise.pop("squeezing_table")
+    noise = _build("noise", NoiseModel, **noise)
     if tnd_points < 3:
         _fail("noise", "tnd_points", "need at least 3 sweep points")
-    table_raw = sec.string("squeezing_table", "6:0.70, 6:1.0, 3:0.70")
-    squeezing_table = _parse_squeezing_table(table_raw, "noise", "squeezing_table")
-    for s_db, t in squeezing_table:
-        if not 0.0 <= t <= 1.0 or s_db < 0:
-            _fail("noise", "squeezing_table", f"entry out of range: {s_db}:{t}")
-
-    sec = _Section(parser, "spectrum", resolved)
-    half_span = sec.float("half_span_GHz", 20.0, 1e9)
-    step = sec.float("step_MHz", 2.0, 1e6)
-    if half_span <= 0 or step <= 0 or step > half_span:
-        _fail("spectrum", "half_span_GHz", "span and step must be positive, step < span")
-
-    sec = _Section(parser, "optimize", resolved)
-    b_min = sec.float("b_min_mT", 3.0, 1e-3)
-    b_max = sec.float("b_max_mT", 6.0, 1e-3)
-    b_points = sec.int("b_points", 7)
-    t_min = sec.float("temperature_min_K", 350.0)
-    t_max = sec.float("temperature_max_K", 380.0)
-    t_points = sec.int("temperature_points", 7)
-    if b_min > b_max:
+    squeezing_table = _parse_squeezing_table(table_raw)
+    for section, grid in (("spectrum", spec), ("optimize", opt)):
+        if not 0 < grid["step_hz"] <= grid["half_span_hz"]:
+            _fail(section, "half_span_GHz", "span and step must be positive, step <= span")
+    if opt["b_min_t"] > opt["b_max_t"]:
         _fail("optimize", "b_min_mT", "minimum exceeds maximum")
-    if t_min > t_max:
+    if opt["t_min_k"] > opt["t_max_k"]:
         _fail("optimize", "temperature_min_K", "minimum exceeds maximum")
-    if b_points < 1 or t_points < 1:
+    if opt["t_min_k"] <= 0:
+        _fail("optimize", "temperature_min_K", "must be positive")
+    if opt["b_points"] < 1 or opt["t_points"] < 1:
         _fail("optimize", "b_points", "point counts must be at least 1")
-    opt_half_span = sec.float("half_span_GHz", 20.0, 1e9)
-    opt_step = sec.float("step_MHz", 2.0, 1e6)
-
-    sec = _Section(parser, "purity", resolved)
-    leak_raw = sec.string("out_of_band_leakage", "0.02")
+    leak_raw = values["purity"]["out_of_band_leakage"]
     if leak_raw.lower() == "auto":
         leakage = None
     else:
@@ -293,22 +269,6 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
             _fail("purity", "out_of_band_leakage", f"expected a number or 'auto': {leak_raw!r}")
         if not 0.0 <= leakage < 1.0:
             _fail("purity", "out_of_band_leakage", "must lie in [0, 1)")
-
-    sec = _Section(parser, "output", resolved)
-    output_dir = sec.string("directory", "fadofsim_out")
-
-    # configparser lower-cases option names and copies [DEFAULT] into every
-    # section, so a [DEFAULT] key only has to be read by some section
-    known = {name.lower() for name in resolved}
-    defaults = set(parser.defaults())
-    for name in parser.sections():
-        for key in sorted(set(parser.options(name)) - defaults):
-            if f"{name}.{key}" not in known:
-                _fail(name, key, "unknown key")
-    for key in sorted(defaults):
-        if not any(name.endswith(f".{key}") for name in known):
-            _fail("DEFAULT", key, "unknown key")
-
     digest = hashlib.sha256(
         "\n".join(f"{k}={v}" for k, v in sorted(resolved.items())).encode()
     ).hexdigest()
@@ -319,18 +279,18 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
         opo=opo,
         detector=det,
         noise=noise,
-        grid_half_span_hz=half_span,
-        grid_step_hz=step,
-        mc_duration_s=duration,
-        seed=seed,
-        optimize_b_t=np.linspace(b_min, b_max, b_points),
-        optimize_temperatures_k=np.linspace(t_min, t_max, t_points),
-        optimize_half_span_hz=opt_half_span,
-        optimize_step_hz=opt_step,
+        grid_half_span_hz=spec["half_span_hz"],
+        grid_step_hz=spec["step_hz"],
+        mc_duration_s=mc["duration_s"],
+        seed=mc["seed"],
+        optimize_b_t=np.linspace(opt["b_min_t"], opt["b_max_t"], opt["b_points"]),
+        optimize_temperatures_k=np.linspace(opt["t_min_k"], opt["t_max_k"], opt["t_points"]),
+        optimize_half_span_hz=opt["half_span_hz"],
+        optimize_step_hz=opt["step_hz"],
         out_of_band_leakage=leakage,
         squeezing_table=squeezing_table,
         noise_tnd_points=tnd_points,
-        output_dir=output_dir,
+        output_dir=values["output"]["directory"],
         config_hash=digest,
         source_path=source,
         meta={"resolved": resolved},

@@ -78,19 +78,34 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["--config", str(unknown), "--out", str(tmp_path), "g2"]) == 2
     assert "config error" in capsys.readouterr().err
 
-    # negative buffer widths and misspelt keys, named by section
-    for text, prefix in (
-        ("[filter]\nbuffer_fwhm_MHz = -1\n", "config error: [filter] "),
-        ("[hot_cell]\nbuffer_fwhm_MHz = -5\n", "config error: [hot_cell] "),
-        ("[filter]\nmagnetic_feild_mT = 9\n", "config error: [filter] magnetic_feild_mt"),
+    # negative buffer widths, misspelt keys, non-finite numbers and bad
+    # optimize scans, named by section before any command runs
+    for text, command, prefix in (
+        ("[filter]\nbuffer_fwhm_MHz = -1\n", "spectrum", "config error: [filter] "),
+        ("[hot_cell]\nbuffer_fwhm_MHz = -5\n", "spectrum", "config error: [hot_cell] "),
+        ("[filter]\nmagnetic_feild_mT = 9\n", "spectrum",
+         "config error: [filter] magnetic_feild_mt"),
+        ("[detector]\nbin_ns = nan\n", "g2", "config error: [detector] bin_ns: not a finite"),
+        ("[filter]\ntemperature_K = nan\n", "spectrum",
+         "config error: [filter] temperature_K: not a finite"),
+        ("[optimize]\nstep_MHz = 0\n", "optimize", "config error: [optimize] half_span_GHz"),
+        ("[optimize]\nhalf_span_GHz = -1\n", "optimize",
+         "config error: [optimize] half_span_GHz"),
+        ("[optimize]\ntemperature_min_K = 0\n", "optimize",
+         "config error: [optimize] temperature_min_K"),
     ):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
-        assert main(["--config", str(bad), "--out", str(tmp_path), "spectrum"]) == 2
+        assert main(["--config", str(bad), "--out", str(tmp_path), command]) == 2
         assert capsys.readouterr().err.startswith(prefix)
 
     assert main(["--out", str(tmp_path), "--threads", "0", "noise"]) == 2
     assert "--threads" in capsys.readouterr().err
+    for command in ("simulate", "g2"):
+        never = tmp_path / f"seed-{command}"
+        assert main(["--out", str(never), "--seed", "-1", command]) == 2
+        assert capsys.readouterr().err == "config error: --seed must be non-negative\n"
+        assert not never.exists()
 
     # an operating point whose degenerate-mode window leaves the grid
     off_grid = tmp_path / "c.cfg"

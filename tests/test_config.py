@@ -1,10 +1,15 @@
 """INI configuration loading, unit conversion, validation, and hashing."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from fadofsim.config import ConfigError, load_config
+from fadofsim.config import _KEYS, ConfigError, load_config
+from fadofsim.correlations import DetectorConfig
 from fadofsim.opo import OpoConfig
+from fadofsim.vapor import FilterConfig, HotCellConfig
 
 from test_lines import MINIMAL_TABLE
 
@@ -105,9 +110,21 @@ def test_errors_name_section_and_key(tmp_path):
         ("[noise]\ntnd_points = 2\n", r"\[noise\] tnd_points"),
         ("[noise]\nsqueezing_table = 6-0.7\n", r"\[noise\] squeezing_table"),
         ("[noise]\nsqueezing_table = -1:0.5\n", r"\[noise\] squeezing_table"),
+        ("[noise]\nsqueezing_table = nan:0.5\n", r"\[noise\] squeezing_table"),
         ("[spectrum]\nstep_MHz = 50000\n", r"\[spectrum\]"),
         ("[optimize]\nb_min_mT = 7\n", r"\[optimize\] b_min_mT"),
         ("[optimize]\nb_points = 0\n", r"\[optimize\] b_points"),
+        ("[optimize]\nstep_MHz = 0\n", r"\[optimize\] half_span_GHz"),
+        ("[optimize]\nhalf_span_GHz = -1\n", r"\[optimize\] half_span_GHz"),
+        ("[optimize]\nstep_MHz = 50000\n", r"\[optimize\] half_span_GHz"),
+        ("[optimize]\ntemperature_min_K = 0\n", r"\[optimize\] temperature_min_K"),
+        # non-finite numbers, including a finite one that overflows on scaling
+        ("[detector]\nbin_ns = nan\n", r"\[detector\] bin_ns: not a finite number"),
+        ("[filter]\ntemperature_K = nan\n", r"\[filter\] temperature_K: not a finite number"),
+        ("[filter]\ncenter_offset_GHz = inf\n", r"\[filter\] center_offset_GHz: not a finite"),
+        ("[opo]\nenvelope_fwhm_GHz = 1e300\n", r"\[opo\] envelope_fwhm_GHz: not a finite"),
+        ("[noise]\nfield_noise = nan+1j\n", r"\[noise\] field_noise: not a finite number"),
+        ("[output]\ndirectory = 50%\n", r"\[output\] directory"),
         ("[purity]\nout_of_band_leakage = 1.5\n", r"\[purity\] out_of_band_leakage"),
         ("[purity]\nout_of_band_leakage = maybe\n", r"\[purity\] out_of_band_leakage"),
     ]
@@ -127,11 +144,48 @@ def test_unknown_section_rejected(tmp_path):
 
 def test_default_section_keys_reach_every_reading_section(tmp_path):
     # [DEFAULT] keys appear in every section; one read by some section is known
-    path = tmp_path / "d.cfg"
-    path.write_text("[DEFAULT]\ntemperature_K = 370\n[filter]\n[hot_cell]\n[opo]\n")
-    cfg = load_config(path)
-    assert cfg.filter.temperature_k == 370.0
-    assert cfg.hot_cell.temperature_k == 370.0
+    listed = tmp_path / "d.cfg"
+    listed.write_text("[DEFAULT]\ntemperature_K = 370\n[filter]\n[hot_cell]\n[opo]\n")
+    # and they reach the sections the file leaves out too
+    absent = tmp_path / "a.cfg"
+    absent.write_text("[DEFAULT]\ntemperature_K = 370\n")
+    for path in (listed, absent):
+        cfg = load_config(path)
+        assert cfg.filter.temperature_k == 370.0
+        assert cfg.hot_cell.temperature_k == 370.0
+    assert load_config(absent).config_hash == load_config(listed).config_hash
+    assert load_config(absent).config_hash != load_config(None).config_hash
+
+
+def test_loader_defaults_match_the_dataclasses():
+    cfg = load_config(None)
+    # The loader's singles rates are the reference experiment's; the
+    # DetectorConfig defaults are the round 1e4 Hz the unit tests build on.
+    exceptions = {("DetectorConfig", "r1_hz"): 1.5e4, ("DetectorConfig", "r2_hz"): 1.2e4}
+    for loaded, cls in (
+        (cfg.filter, FilterConfig),
+        (cfg.hot_cell, HotCellConfig),
+        (cfg.opo, OpoConfig),
+        (cfg.detector, DetectorConfig),
+    ):
+        reference = cls()
+        for item in dataclasses.fields(cls):
+            if item.name == "table":  # both the bundled rubidium D1 table
+                continue
+            expected = exceptions.get((cls.__name__, item.name), getattr(reference, item.name))
+            # the loader scales a value given in mT or ns, one ulp off at most
+            assert getattr(loaded, item.name) == pytest.approx(expected, rel=1e-15), item.name
+
+
+def test_default_file_lists_every_key():
+    # active "key = value" lines and commented-out "#key = value" lines
+    listed, section = [], None
+    for line in open("configs/default.cfg"):
+        if line.startswith("["):
+            section = line.strip()[1:-1]
+        elif match := re.match(r"#?\s*(\w+)\s*=", line):
+            listed.append((section, match.group(1)))
+    assert sorted(listed) == sorted((section, key) for section, key, *_ in _KEYS)
 
 
 def test_unparsable_file_and_missing_file(tmp_path):
