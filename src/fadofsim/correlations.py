@@ -35,8 +35,8 @@ class DetectorConfig:
 
     bin_s: float = 1e-9
     offset_s: float = 50e-9
-    r1_hz: float = 1e4
-    r2_hz: float = 1e4
+    r1_hz: float = 1.5e4
+    r2_hz: float = 1.2e4
     acquisition_s: float = 1.0
 
     def __post_init__(self):

@@ -38,7 +38,7 @@ def test_spectrum_outputs(tmp_path, capsys):
         assert (tmp_path / name).exists()
     lines = (tmp_path / "fadof_spectrum.csv").read_text().splitlines()
     assert lines[0] == f"# config_hash: {HASH}"
-    assert lines[2] == "377087407311000.000000,9.820658918042e-05"
+    assert lines[2] == "377087407311000.000000,9.820658918040e-05"
 
     metrics = json.loads((tmp_path / "filter_metrics.json").read_text())
     assert metrics["config_hash"] == HASH

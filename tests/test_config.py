@@ -159,9 +159,6 @@ def test_default_section_keys_reach_every_reading_section(tmp_path):
 
 def test_loader_defaults_match_the_dataclasses():
     cfg = load_config(None)
-    # The loader's singles rates are the reference experiment's; the
-    # DetectorConfig defaults are the round 1e4 Hz the unit tests build on.
-    exceptions = {("DetectorConfig", "r1_hz"): 1.5e4, ("DetectorConfig", "r2_hz"): 1.2e4}
     for loaded, cls in (
         (cfg.filter, FilterConfig),
         (cfg.hot_cell, HotCellConfig),
@@ -172,7 +169,7 @@ def test_loader_defaults_match_the_dataclasses():
         for item in dataclasses.fields(cls):
             if item.name == "table":  # both the bundled rubidium D1 table
                 continue
-            expected = exceptions.get((cls.__name__, item.name), getattr(reference, item.name))
+            expected = getattr(reference, item.name)
             # the loader scales a value given in mT or ns, one ulp off at most
             assert getattr(loaded, item.name) == pytest.approx(expected, rel=1e-15), item.name
 

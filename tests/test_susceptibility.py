@@ -1,5 +1,6 @@
 """Voigt kernel accuracy, vapor thermodynamics, and susceptibility structure."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -45,15 +46,65 @@ def test_voigt_kernel_oracle_broad_lorentzian():
     assert rel.max() < 1e-6
 
 
+# Lorentzian widths from far below the Doppler width to beyond the
+# inner zone radius of the kernel
+A_VALUES = (1e-6, A_FADOF_CELL, A_HOT_CELL, 1.0, 4.0, 6.9, 7.5, 13.9)
+
+
 def test_voigt_asymptotic_seam_continuous():
-    # the far-field series takes over at |z| = 14; both evaluations must
-    # agree across the seam
-    for a in (A_FADOF_CELL, A_HOT_CELL):
-        x = np.linspace(12.5, 16.0, 3001)
-        ours = complex_voigt(x, a)
-        ref = wofz(x + 1j * a)
-        rel = np.abs(ours - ref) / np.abs(ref)
-        assert rel.max() < 1e-8
+    # the 18-term series takes over from wofz at |z| = 7 and the four-term
+    # series from it at |z| = 14; both evaluations must agree across each seam
+    for radius, tolerance in ((7.0, 1e-13), (14.0, 1e-8)):
+        for a in (A_FADOF_CELL, A_HOT_CELL):
+            x = np.linspace(radius - 1.5, radius + 2.0, 3001)
+            ours = complex_voigt(x, a)
+            ref = wofz(x + 1j * a)
+            rel = np.abs(ours - ref) / np.abs(ref)
+            assert rel.max() < tolerance
+
+
+def test_voigt_matches_wofz_within_asymptotic_radius():
+    x = np.linspace(-15.0, 15.0, 30001)
+    for a in A_VALUES:
+        inside = x * x + a * a <= 14.0**2
+        ours = complex_voigt(x[inside], a)
+        ref = wofz(x[inside] + 1j * a)
+        assert np.max(np.abs(ours - ref) / np.abs(ref)) <= 1e-13, a
+
+
+def test_voigt_far_zone_is_the_four_term_series():
+    # the benchmark reference transmissions were taken with this truncation
+    x = np.linspace(-200.0, 200.0, 40001)
+    for a in A_VALUES:
+        z = x[x * x + a * a > 14.0**2] + 1j * a
+        inv2 = 1.0 / (z * z)
+        closed = (1j / np.sqrt(np.pi)) * (1.0 + inv2 * (0.5 + inv2 * (0.75 + inv2 * 1.875))) / z
+        ours = complex_voigt(z.real, a)
+        assert np.max(np.abs(ours - closed) / np.abs(closed)) <= 1e-14, a
+
+
+def test_voigt_input_shape_and_order():
+    # one grid through all three zones
+    x = np.linspace(-20.0, 20.0, 4000)
+    ref = complex_voigt(x, A_HOT_CELL)
+    order = np.random.default_rng(0).permutation(x.size)
+    unsorted = complex_voigt(x[order], A_HOT_CELL)
+    np.testing.assert_allclose(unsorted, ref[order], rtol=1e-14, atol=0)
+    grid = complex_voigt(x.reshape(40, 100), A_HOT_CELL)
+    assert grid.shape == (40, 100)
+    np.testing.assert_allclose(grid, ref.reshape(40, 100), rtol=1e-14, atol=0)
+    for i in (0, 1300, 1800, 2000):  # far, mid, near, near
+        scalar = complex_voigt(x[i], A_HOT_CELL)
+        assert scalar.shape == ()
+        assert scalar == pytest.approx(ref[i], rel=1e-14)
+
+
+def test_voigt_raises_no_floating_point_warnings():
+    x = np.concatenate([np.linspace(-30.0, 30.0, 6001), [0.0, 7.0, 14.0, 1e6]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in A_VALUES:
+            assert np.all(np.isfinite(complex_voigt(x, a)))
 
 
 def test_voigt_normalization():
