@@ -7,8 +7,8 @@ evaluates w(z) in three zones of |z|, all on one code path:
 
 - |z| > 14: the four-term asymptotic series (Abramowitz & Stegun 7.1.23),
   4.5e-9 relative to ``scipy.special.wofz``;
-- 7 < |z| <= 14: the same series to 18 terms, within 2.7e-14 of ``wofz``
-  for every Lorentzian width from 1e-6 to 30 Doppler widths;
+- 7 < |z| <= 14: the same series to 18 terms, within 2.6e-14 of ``wofz``
+  for every Lorentzian width tested from 1e-6 to 13.9 Doppler widths;
 - |z| <= 7: ``wofz`` itself.
 
 Both series are several times cheaper per point than ``wofz`` and are
@@ -32,10 +32,11 @@ from .lines import AtomicLineTable, zeeman_components
 if TYPE_CHECKING:
     from .vapor import VaporCell
 
-# Zone radii of the kernel (see the module docstring), compared as
-# x^2 + a^2 against their squares.  Inside _SERIES_RADIUS the 18-term
-# series drifts past 1e-13 relative (1.9e-13 at |z| = 6), so wofz takes
-# over there.
+# Zone radii, compared as x^2 + a^2 against their squares.  Beyond
+# _ASYMPTOTIC_RADIUS the four-term series is within 4.5e-9 of wofz, and
+# between the radii the 18-term series within 2.6e-14.  Inside
+# _SERIES_RADIUS that series drifts past 1e-13 (1.9e-13 at |z| = 6), so
+# wofz is evaluated there.
 _ASYMPTOTIC_RADIUS = 14.0
 _SERIES_RADIUS = 7.0
 _FAR_TERMS = 4
