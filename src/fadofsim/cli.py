@@ -156,6 +156,22 @@ def _chi_square(mc_hist, an_hist) -> dict:
     }
 
 
+def _mc_run(cfg: ExperimentConfig, det: correlations.DetectorConfig, out: Path, label: str,
+            gen_mode: str, seed: int, n_side_bins: int = 64,
+            pair_survival: float = 1.0) -> correlations.Histogram:
+    """Generate, write and histogram one Monte Carlo stream.
+
+    Only the histogram outlives the call, so ``simulate`` holds one
+    stream at a time.
+    """
+    stream = montecarlo.generate_pair_events(
+        cfg.opo, det, gen_mode, cfg.mc_duration_s, int(seed), pair_survival=pair_survival
+    )
+    montecarlo.write_stream(stream, out, prefix=f"timestamps_{label}",
+                            extra_meta={"config_hash": cfg.config_hash})
+    return montecarlo.mc_histogram(stream, det, n_side_bins=n_side_bins)
+
+
 def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
     """Monte Carlo streams, their histograms, model cross-check, purity."""
     # the operating-point check comes before any stream is written
@@ -167,12 +183,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
 
     report: dict = {"config_hash": cfg.config_hash, "seed": seed, "rng": montecarlo.RNG_ALGORITHM}
     for label, gen_mode, child in (("on", "single", children[0]), ("off", "comb", children[1])):
-        stream = montecarlo.generate_pair_events(
-            cfg.opo, det, gen_mode, cfg.mc_duration_s, int(child)
-        )
-        montecarlo.write_stream(stream, out, prefix=f"timestamps_{label}",
-                                extra_meta={"config_hash": cfg.config_hash})
-        mc_hist = montecarlo.mc_histogram(stream, det)
+        mc_hist = _mc_run(cfg, det, out, label, gen_mode, child)
         mc_hist.to_csv(out / f"mc_{label}_histogram.csv", header_lines=hdr)
         an_hist = correlations.detected_histogram(cfg.opo, det, mode=gen_mode)
         check = _chi_square(mc_hist, an_hist)
@@ -198,20 +209,10 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
     }
     if cfg.hot_cell_enabled:
         window = det.offset_s  # coincidence window around the offset peak
-        filtered = montecarlo.generate_pair_events(
-            cfg.opo, det, "single", cfg.mc_duration_s, int(children[2])
-        )
-        blocked = montecarlo.generate_pair_events(
-            cfg.opo, det, "single", cfg.mc_duration_s, int(children[3]),
-            pair_survival=1.0 - resonant,
-        )
-        montecarlo.write_stream(filtered, out, prefix="timestamps_filtered",
-                                extra_meta={"config_hash": cfg.config_hash})
-        montecarlo.write_stream(blocked, out, prefix="timestamps_hotcell",
-                                extra_meta={"config_hash": cfg.config_hash})
         n_side = max(64, int(round(window / det.bin_s)))
-        h_f = montecarlo.mc_histogram(filtered, det, n_side_bins=n_side)
-        h_b = montecarlo.mc_histogram(blocked, det, n_side_bins=n_side)
+        h_f = _mc_run(cfg, det, out, "filtered", "single", children[2], n_side)
+        h_b = _mc_run(cfg, det, out, "hotcell", "single", children[3], n_side,
+                      pair_survival=1.0 - resonant)
         acc = h_f.accidental_floor_per_bin
         # each run subtracts the floor of the bins its own window sums
         c_f, n_f = montecarlo.coincidences_in_window(h_f, window)

@@ -3,10 +3,13 @@
 These deliberately avoid the code paths under test: the Faddeeva oracle
 integrates the defining Doppler-convolution integral directly by
 composite Simpson quadrature after an exact pole subtraction, instead of
-calling any library Faddeeva routine.
+calling any library Faddeeva routine; the coincidence oracle compares
+every start with every stop in plain Python.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -120,3 +123,22 @@ def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:
     sign = (-1) ** ((tj1 - tj2 - tm3) // 2)
     value = sign * total * Fraction(1)
     return float(value) * float(pre) ** 0.5
+
+
+def coincidences_by_loop(ch1_s, ch2_s, bin_s: float, offset_bin: int, n_side_bins: int) -> list[int]:
+    """Start multi-stop coincidence counts from a loop over every start and stop.
+
+    Each timestamp gets the clock index floor(t / bin_s); a stop whose
+    index minus the start's lies in offset_bin +- n_side_bins is counted at
+    that difference.  Entry j of the result counts the difference
+    offset_bin - n_side_bins + j.
+    """
+    counts = [0] * (2 * n_side_bins + 1)
+    stops = [math.floor(t / bin_s) for t in ch2_s]
+    for t in ch1_s:
+        start = math.floor(t / bin_s)
+        for stop in stops:
+            j = stop - start - offset_bin + n_side_bins
+            if 0 <= j <= 2 * n_side_bins:
+                counts[j] += 1
+    return counts

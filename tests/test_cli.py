@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -38,7 +39,12 @@ def test_spectrum_outputs(tmp_path, capsys):
         assert (tmp_path / name).exists()
     lines = (tmp_path / "fadof_spectrum.csv").read_text().splitlines()
     assert lines[0] == f"# config_hash: {HASH}"
-    assert lines[2] == "377087407311000.000000,9.820658918040e-05"
+    # the row layout is exact (%.6f,%.12e); the far-wing value is held to
+    # 1e-15 absolute, so a one-ulp move of the kernel does not trip it
+    frequency, transmission = lines[2].split(",")
+    assert frequency == "377087407311000.000000"
+    assert re.fullmatch(r"\d\.\d{12}e[+-]\d{2}", transmission)
+    assert float(transmission) == pytest.approx(9.820658918040e-05, rel=0, abs=1e-15)
 
     metrics = json.loads((tmp_path / "filter_metrics.json").read_text())
     assert metrics["config_hash"] == HASH

@@ -4,6 +4,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from _oracles import coincidences_by_loop
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fadofsim.correlations import DetectorConfig, Histogram, detected_histogram
@@ -87,6 +90,49 @@ def test_clock_binning_is_multi_stop():
     # events outside the window are ignored
     h = mc_histogram(_stream([1.1e-9], [9.6e-9]), det, n_side_bins=4)
     assert h.counts.sum() == 0.0
+
+
+# Timestamps on a quarter-bin lattice over 12 bins: repeated values give
+# equal timestamps within and across channels, several events share a
+# clock bin, windows hold bursts of stops, and 0 puts events at t = 0.
+_quarter_ticks = st.lists(st.integers(0, 48), max_size=30).map(sorted)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    ch1=_quarter_ticks,
+    ch2=_quarter_ticks,
+    bin_s=st.sampled_from([1e-9, 0.3e-9, 2.5e-9]),
+    offset_bin=st.integers(-6, 6),
+    n_side=st.integers(0, 8),
+)
+@example(ch1=[], ch2=[0, 5], bin_s=1e-9, offset_bin=0, n_side=2)
+@example(ch1=[0, 9], ch2=[], bin_s=1e-9, offset_bin=0, n_side=2)
+@example(ch1=[], ch2=[], bin_s=1e-9, offset_bin=0, n_side=0)
+@example(ch1=[0, 0, 4], ch2=[0, 0, 1, 3, 4, 4, 6, 9, 12], bin_s=1e-9, offset_bin=0, n_side=0)
+@example(ch1=[0, 0], ch2=[0, 0, 2, 5, 8, 13, 21, 27, 30], bin_s=1e-9, offset_bin=1, n_side=4)
+def test_mc_histogram_matches_loop_oracle(ch1, ch2, bin_s, offset_bin, n_side):
+    quarter = bin_s / 4
+    t1 = [q * quarter for q in ch1]
+    t2 = [q * quarter for q in ch2]
+    det = DetectorConfig(bin_s=bin_s, offset_s=offset_bin * bin_s, r1_hz=0.0, r2_hz=0.0)
+    assert det.offset_bin == offset_bin
+    h = mc_histogram(_stream(t1, t2), det, n_side_bins=n_side)
+    assert h.bin_index.tolist() == list(range(offset_bin - n_side, offset_bin + n_side + 1))
+    assert h.counts.tolist() == coincidences_by_loop(t1, t2, bin_s, offset_bin, n_side)
+
+
+def test_mc_histogram_matches_loop_oracle_on_dense_streams():
+    # about 100 stops per window, so matching runs 200 merged entries deep
+    rng = np.random.default_rng(3)
+    det = DetectorConfig(bin_s=1e-9, offset_s=-7e-9, r1_hz=0.0, r2_hz=0.0)
+    for n_side in (0, 3, 30):
+        t1 = np.sort(rng.uniform(0.0, 120e-9, 300))
+        t2 = np.sort(rng.uniform(0.0, 120e-9, 400))
+        h = mc_histogram(_stream(t1, t2), det, n_side_bins=n_side)
+        expected = coincidences_by_loop(t1.tolist(), t2.tolist(), 1e-9, -7, n_side)
+        assert h.counts.tolist() == expected
+        assert h.counts.sum() > 0
 
 
 def test_pair_separations_follow_two_sided_exponential():
