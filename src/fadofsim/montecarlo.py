@@ -157,6 +157,7 @@ def mc_histogram(stream: EventStream, det: DetectorConfig, n_side_bins: int = 64
     is_stop = (keys & 1).astype(bool)
     gap = np.diff(keys)
     near = (gap <= reach) & ~is_stop[:-1]  # starts whose next entry is in the window
+    # np.compress: boolean indexing is about 3x slower on this dense mask
     counts = np.bincount(np.compress(near & is_stop[1:], gap) >> 1, minlength=w + 1)
     # starts whose entry two places on may still be in the window
     cand = np.flatnonzero(near[:-1] & (gap[1:] <= reach))

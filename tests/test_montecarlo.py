@@ -123,7 +123,8 @@ def test_mc_histogram_matches_loop_oracle(ch1, ch2, bin_s, offset_bin, n_side):
 
 
 def test_mc_histogram_matches_loop_oracle_on_dense_streams():
-    # about 100 stops per window, so matching runs 200 merged entries deep
+    # up to about 200 stops per window, so the match runs hundreds of
+    # merged entries deep
     rng = np.random.default_rng(3)
     det = DetectorConfig(bin_s=1e-9, offset_s=-7e-9, r1_hz=0.0, r2_hz=0.0)
     for n_side in (0, 3, 30):
