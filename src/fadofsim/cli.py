@@ -116,6 +116,15 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> list[str]:
     return dirty
 
 
+def _g2_metric(what: str, measure, hist, dirty: list[str]):
+    """``measure(hist)``, or None plus a validity flag when the histogram has no such feature."""
+    try:
+        return measure(hist)
+    except ValueError as exc:
+        dirty.append(f"{what} not measurable: {exc}")
+        return None
+
+
 def cmd_g2(cfg: ExperimentConfig, out: Path, mode: str) -> list[str]:
     """Analytic detected-coincidence histograms, filter on and/or off."""
     hdr = _hash_header(cfg)
@@ -125,18 +134,26 @@ def cmd_g2(cfg: ExperimentConfig, out: Path, mode: str) -> list[str]:
         "bin_ns": cfg.detector.bin_s * 1e9,
         "roundtrip_ns": cfg.opo.roundtrip_s * 1e9,
     }
+    dirty: list[str] = []
     for label, hist_mode in (("on", "single"), ("off", "comb")):
         if mode not in (label, "both"):
             continue
         hist = correlations.detected_histogram(cfg.opo, cfg.detector, mode=hist_mode)
         hist.to_csv(out / f"g2_{label}_histogram.csv", header_lines=hdr)
-        fwhm = correlations.histogram_envelope_fwhm(hist) * 1e9
-        contrast = correlations.tooth_modulation(hist)
+        fwhm_s = _g2_metric(
+            f"filter {label} envelope FWHM", correlations.histogram_envelope_fwhm, hist, dirty
+        )
+        fwhm = None if fwhm_s is None else fwhm_s * 1e9
+        contrast = _g2_metric(
+            f"filter {label} tooth modulation", correlations.tooth_modulation, hist, dirty
+        )
         payload[f"{label}_envelope_fwhm_ns"] = fwhm
         payload[f"{label}_tooth_modulation"] = contrast
-        print(f"filter {label}: envelope FWHM {fwhm:.2f} ns, tooth modulation {contrast:.3g}")
+        fwhm_text = "n/a" if fwhm is None else f"{fwhm:.2f}"
+        contrast_text = "n/a" if contrast is None else f"{contrast:.3g}"
+        print(f"filter {label}: envelope FWHM {fwhm_text} ns, tooth modulation {contrast_text}")
     _write_json(out / "g2_metrics.json", payload)
-    return [] if mode == "on" else _delta_comb_flags(cfg)
+    return dirty + ([] if mode == "on" else _delta_comb_flags(cfg))
 
 
 def _chi_square(mc_hist, an_hist) -> dict:

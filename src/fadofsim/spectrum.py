@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,25 +43,190 @@ class Spectrum:
         })
 
 
-_CSV_CHUNK_ROWS = 4096
+_CSV_CHUNK_ROWS = 16384
+
+# ASCII digits of 0..9999, four bytes per entry, gathered as one uint32 each.
+_DIGIT_GROUPS = (
+    np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+).astype(np.uint8)
+_DIGIT_GROUPS_U32 = _DIGIT_GROUPS.view(np.uint32).ravel()
+# Correctly rounded 10**k for k in [-308, 308], indexed by k + 308.
+_POW10 = np.array([float(f"1e{k}") for k in range(-308, 309)])
+_INT_POW10 = 10 ** np.arange(19, dtype=np.int64)
+# Half-unit ties closer than this fraction of the scaled value go through
+# % formatting: the scaling makes at most four roundings, 4 * 2**-53
+# relative, so any tie it cannot settle lies inside the guard.
+_TIE_GUARD = 2.0**-50
+_FLOAT_SPEC = re.compile(r"%\.(\d+)([ef])\Z")
+
+
+def _byte(char: str) -> np.ndarray:
+    return np.frombuffer(char.encode(), np.uint8).reshape(1, 1)
+
+
+_DOT, _COMMA, _NEWLINE, _E = _byte("."), _byte(","), _byte("\n"), _byte("e")
 
 
 def write_csv(path, header_lines, columns: dict) -> None:
     """Write ``# `` header lines, the column-name line, then the data rows.
 
     ``columns`` maps each column name to ``(values, fmt)``: equally long
-    arrays (raveled in C order) and a %-format for one value.  Rows are
-    formatted from Python scalars in chunks, which keeps memory flat on
-    large grids.
+    arrays (raveled in C order) and a %-format for one value.  The bytes
+    are those of ``fmt % value`` for every value, joined by ``,`` with one
+    row per line.
+
+    Rows are formatted in chunks of ``_CSV_CHUNK_ROWS``, which keeps memory
+    flat on large grids, and laid out in a NUL-padded byte matrix whose
+    NULs are dropped on writing.  ``%.Ne`` and ``%.Nf`` columns of real
+    numbers (1 <= N <= 12) and ``%d`` columns of integers are formatted by
+    numpy: the decimal mantissa is ``rint`` of the value scaled by a power
+    of ten, and its digits come from a table of 4-digit groups.  A value
+    goes through ``fmt % value`` instead when the double arithmetic cannot
+    settle its rounding, that is when the scaled value lies within
+    ``2**-50`` of itself of a half-unit tie (the scaling errs by at most
+    ``4 * 2**-53``); when ``%.Ne`` rounding would carry into the next
+    decade, or ``log10`` put it in the wrong decade; when it is not finite,
+    ±0 or subnormal; or when its integer part is outside the int64 range.
+    Columns of any other format or type go through ``fmt % value`` whole.
     """
     values = [np.ravel(v) for v, _ in columns.values()]
-    row_fmt = ",".join(fmt for _, fmt in columns.values()) + "\n"
+    lengths = {name: v.size for name, v in zip(columns, values)}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"CSV columns differ in length: {lengths}")
+    n_rows = values[0].size if values else 0
+    fmts = [fmt for _, fmt in columns.values()]
     with open(path, "w") as fh:
         fh.writelines(f"# {line}\n" for line in header_lines)
         fh.write(",".join(columns) + "\n")
-        for start in range(0, values[0].size, _CSV_CHUNK_ROWS):
-            rows = zip(*(v[start : start + _CSV_CHUNK_ROWS].tolist() for v in values))
-            fh.writelines(row_fmt % row for row in rows)
+        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+            fields = []
+            for v, fmt in zip(values, fmts):
+                fields += [_field(v[start : start + _CSV_CHUNK_ROWS], fmt), ([_COMMA], None, None)]
+            fields[-1] = ([_NEWLINE], None, None)
+            fh.write(_rows(fields).tobytes().replace(b"\0", b"").decode())
+
+
+def _rows(fields) -> np.ndarray:
+    """Lay out fields side by side in one NUL-padded (rows, bytes) matrix.
+
+    A field is ``(pieces, rows, text)``: byte matrices written left to
+    right (a one-row piece repeats on every row), then ``text`` written
+    over the whole field on the listed rows.
+    """
+    n = max(piece.shape[0] for pieces, _, _ in fields for piece in pieces)
+    out = np.empty((n, sum(piece.shape[1] for pieces, _, _ in fields for piece in pieces)), np.uint8)
+    end = 0
+    for pieces, rows, text in fields:
+        start = end
+        for piece in pieces:
+            out[:, end : end + piece.shape[1]] = piece
+            end += piece.shape[1]
+        if rows is not None:
+            out[rows, start:end] = text
+    return out
+
+
+def _field(col: np.ndarray, fmt: str):
+    """One column as ``(pieces, rows, text)`` for ``_rows``."""
+    spec = _FLOAT_SPEC.match(fmt)
+    if fmt == "%d" and col.dtype.kind in "biu":
+        if col.dtype.kind == "u":
+            fallback = col > np.iinfo(np.int64).max
+        else:
+            fallback = col == np.iinfo(np.int64).min
+        v = np.where(fallback, 0, col).astype(np.int64)
+        pieces = [*_sign(v < 0), _int_digits(np.abs(v))]
+    elif spec and 1 <= int(spec[1]) <= 12 and col.dtype.kind in "biuf" and col.dtype.itemsize <= 8:
+        x = col.astype(float)
+        a = np.abs(x)
+        fallback = ~np.isfinite(a) | (a < np.finfo(float).tiny)
+        if spec[2] == "f":
+            fallback |= a >= 2.0**63
+        a[fallback] = 1.0
+        body, settled = (_exp_digits if spec[2] == "e" else _fixed_digits)(a, int(spec[1]))
+        fallback |= ~settled
+        pieces = [*_sign(x < 0), *body]
+    else:
+        return [_text([fmt % value for value in col.tolist()], 0)], None, None
+    rows = np.flatnonzero(fallback)
+    if not rows.size:
+        return pieces, None, None
+    width = sum(piece.shape[1] for piece in pieces)
+    text = _text([fmt % value for value in col[rows].tolist()], width)
+    if text.shape[1] > width:
+        pieces.append(np.zeros((1, text.shape[1] - width), np.uint8))
+    return pieces, rows, text
+
+
+def _exp_digits(a, n_dec):
+    """Unsigned ``%.{n_dec}e`` pieces of positive normal ``a``, and where they are settled."""
+    exp = np.floor(np.log10(a)).astype(np.int64)
+    k = n_dec - exp
+    k_first = np.clip(k, -300, 300)
+    scaled = a * _POW10[k_first + 308] * _POW10[k - k_first + 308]
+    mantissa = np.rint(scaled)
+    settled = (
+        (scaled >= 10.0**n_dec)
+        & (mantissa < 10.0 ** (n_dec + 1))
+        & (np.abs(np.abs(scaled - mantissa) - 0.5) > _TIE_GUARD * scaled)
+    )
+    mantissa[~settled] = 10.0**n_dec
+    digits = _digits(mantissa.astype(np.int64), n_dec + 1)
+    exp_abs = np.abs(exp)
+    exp_digits = _DIGIT_GROUPS_U32[exp_abs].view(np.uint8).reshape(-1, 4)
+    if exp_abs.max() < 100:
+        exp_digits = exp_digits[:, 2:]
+    else:
+        exp_digits = exp_digits[:, 1:]
+        exp_digits[exp_abs < 100, 0] = 0
+    exp_sign = (exp < 0).view(np.uint8) * np.uint8(ord("-") - ord("+")) + np.uint8(ord("+"))
+    return [digits[:, :1], _DOT, digits[:, 1:], _E, exp_sign[:, None], exp_digits], settled
+
+
+def _fixed_digits(a, n_dec):
+    """Unsigned ``%.{n_dec}f`` pieces of positive ``a`` below 2**63, and where they are settled."""
+    whole = np.floor(a)
+    scaled = (a - whole) * _POW10[n_dec + 308]
+    fraction = np.rint(scaled)
+    settled = np.abs(np.abs(scaled - fraction) - 0.5) > _TIE_GUARD * scaled
+    fraction = fraction.astype(np.int64)
+    carry = fraction // 10**n_dec
+    fraction_digits = _digits(fraction - carry * 10**n_dec, n_dec)
+    return [_int_digits(whole.astype(np.int64) + carry), _DOT, fraction_digits], settled
+
+
+def _int_digits(m):
+    """Decimal digits of non-negative int64 ``m``, right-aligned after leading NULs."""
+    n_digits = np.maximum(np.searchsorted(_INT_POW10, m, side="right"), 1)
+    width = int(n_digits.max())
+    digits = _digits(m, width)
+    short = n_digits < width
+    if short.any():
+        digits[np.arange(width) < (width - n_digits)[:, None]] = 0
+    return digits
+
+
+def _digits(m, width):
+    """ASCII digits of non-negative int64 ``m`` below 10**width, zero-padded."""
+    groups = -(-width // 4)
+    index = np.empty((m.size, groups), np.intp)
+    for g in range(groups - 1, -1, -1):
+        quotient = m // 10_000
+        index[:, g] = m - quotient * 10_000
+        m = quotient
+    return _DIGIT_GROUPS_U32[index].view(np.uint8)[:, 4 * groups - width :]
+
+
+def _sign(negative):
+    """A ``-``/NUL piece, or none when no value is negative."""
+    return [negative.view(np.uint8)[:, None] * np.uint8(ord("-"))] if negative.any() else []
+
+
+def _text(strings, width):
+    """Strings as a NUL-padded uint8 matrix at least ``width`` bytes wide."""
+    raw = [s.encode() for s in strings]
+    width = max(width, *map(len, raw)) if raw else width
+    return np.frombuffer(b"".join(r.ljust(width, b"\0") for r in raw), np.uint8).reshape(len(raw), width)
 
 
 def make_frequency_grid(center_hz: float, half_span_hz: float, step_hz: float) -> np.ndarray:

@@ -4,7 +4,8 @@ These deliberately avoid the code paths under test: the Faddeeva oracle
 integrates the defining Doppler-convolution integral directly by
 composite Simpson quadrature after an exact pole subtraction, instead of
 calling any library Faddeeva routine; the coincidence oracle compares
-every start with every stop in plain Python.
+every start with every stop in plain Python; the CSV oracle formats each
+row with one Python ``%`` call.
 """
 
 from __future__ import annotations
@@ -142,3 +143,18 @@ def coincidences_by_loop(ch1_s, ch2_s, bin_s: float, offset_bin: int, n_side_bin
             if 0 <= j <= 2 * n_side_bins:
                 counts[j] += 1
     return counts
+
+
+def csv_rows_by_percent(columns) -> str:
+    """CSV data rows from one ``row_fmt % row`` per row.
+
+    ``columns`` is a sequence of ``(values, fmt)``; each column's values
+    become Python scalars in C order, and ``row_fmt`` joins the formats
+    with ``,`` and ends the row with a newline.
+    """
+    values = [np.ravel(v).tolist() for v, _ in columns]
+    row_fmt = ",".join(fmt for _, fmt in columns) + "\n"
+    out = []
+    for row in zip(*values):
+        out.append(row_fmt % row)
+    return "".join(out)

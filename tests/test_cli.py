@@ -148,6 +148,26 @@ def test_g2_mode_selection(tmp_path):
     assert both["on_tooth_modulation"] < 0.01
 
 
+def test_g2_zero_pair_rate_flags_unmeasurable_envelope(tmp_path, capsys):
+    # a flat histogram has no envelope: named validity flags and JSON
+    # nulls, not an error exit
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text("[opo]\npair_rate_hz = 0\n")
+    for label in ("on", "off"):
+        out = tmp_path / label
+        assert main(["--config", str(cfg), "--out", str(out), "g2", "--mode", label]) == 1
+        err = capsys.readouterr().err
+        assert (
+            f"validity flag: filter {label} envelope FWHM not measurable: "
+            "histogram peak on window edge" in err
+        )
+        assert f"validity flag: filter {label} tooth modulation not measurable" in err
+        payload = json.loads((out / "g2_metrics.json").read_text())
+        assert payload[f"{label}_envelope_fwhm_ns"] is None
+        assert payload[f"{label}_tooth_modulation"] is None
+        assert (out / f"g2_{label}_histogram.csv").exists()
+
+
 def test_g2_deterministic_output_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["--out", str(a), "g2", "--mode", "off"]) == 0
