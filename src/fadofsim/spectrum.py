@@ -45,9 +45,11 @@ class Spectrum:
 
 _CSV_CHUNK_ROWS = 16384
 
-# ASCII digits of 0..9999, four bytes per entry, gathered as one uint32 each.
+# ASCII digits of 0..9999, four bytes per entry, gathered as one uint32
+# each (built in uint16, whose temporaries stay small at import).
 _DIGIT_GROUPS = (
-    np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
+    + ord("0")
 ).astype(np.uint8)
 _DIGIT_GROUPS_U32 = _DIGIT_GROUPS.view(np.uint32).ravel()
 # Correctly rounded 10**k for k in [-308, 308], indexed by k + 308.
@@ -99,22 +101,24 @@ def write_csv(path, header_lines, columns: dict) -> None:
         fh.writelines(f"# {line}\n" for line in header_lines)
         fh.write(",".join(columns) + "\n")
         for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+            chunk = slice(start, start + _CSV_CHUNK_ROWS)
             fields = []
             for v, fmt in zip(values, fmts):
-                fields += [_field(v[start : start + _CSV_CHUNK_ROWS], fmt), ([_COMMA], None, None)]
+                fields += [_field(v[chunk], fmt), ([_COMMA], None, None)]
             fields[-1] = ([_NEWLINE], None, None)
-            fh.write(_rows(fields).tobytes().replace(b"\0", b"").decode())
+            n = min(_CSV_CHUNK_ROWS, n_rows - start)
+            fh.write(_rows(fields, n).tobytes().replace(b"\0", b"").decode())
 
 
-def _rows(fields) -> np.ndarray:
+def _rows(fields, n: int) -> np.ndarray:
     """Lay out fields side by side in one NUL-padded (rows, bytes) matrix.
 
     A field is ``(pieces, rows, text)``: byte matrices written left to
     right (a one-row piece repeats on every row), then ``text`` written
     over the whole field on the listed rows.
     """
-    n = max(piece.shape[0] for pieces, _, _ in fields for piece in pieces)
-    out = np.empty((n, sum(piece.shape[1] for pieces, _, _ in fields for piece in pieces)), np.uint8)
+    width = sum(piece.shape[1] for pieces, _, _ in fields for piece in pieces)
+    out = np.empty((n, width), np.uint8)
     end = 0
     for pieces, rows, text in fields:
         start = end
@@ -200,8 +204,7 @@ def _int_digits(m):
     n_digits = np.maximum(np.searchsorted(_INT_POW10, m, side="right"), 1)
     width = int(n_digits.max())
     digits = _digits(m, width)
-    short = n_digits < width
-    if short.any():
+    if (n_digits < width).any():
         digits[np.arange(width) < (width - n_digits)[:, None]] = 0
     return digits
 
