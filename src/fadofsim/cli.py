@@ -22,7 +22,7 @@ from scipy.special import chdtrc
 from . import correlations, montecarlo, pairs
 from .config import ConfigError, ExperimentConfig, load_config
 from .cvnoise import noise_vs_power_fit, quadrature_variance_avg, squeezing_through_loss
-from .opo import ModeComb, mode_comb, modes_within_grid, output_spectrum
+from .opo import ModeComb, ModeOutsideGridError, mode_comb, modes_within_grid, output_spectrum
 from .spectrum import BoundaryPeakError, Spectrum, filter_metrics, make_frequency_grid, write_csv
 from .vapor import fadof_transmission
 
@@ -42,15 +42,13 @@ def _hash_header(cfg: ExperimentConfig) -> list[str]:
 def _filter_on_grid(cfg: ExperimentConfig) -> tuple[Spectrum, ModeComb]:
     """The filter on the [spectrum] grid, and the comb whose mode windows fit that grid."""
     ref = cfg.filter.table.reference_frequency_hz
+    grid = make_frequency_grid(ref, cfg.grid_half_span_hz, cfg.grid_step_hz)
     try:
-        max_modes = modes_within_grid(
-            cfg.opo, cfg.grid_half_span_hz, cfg.opo.degenerate_frequency_hz - ref
-        )
-    except ValueError as exc:
+        max_modes = modes_within_grid(cfg.opo, grid, cfg.opo.degenerate_frequency_hz)
+    except ModeOutsideGridError as exc:
         raise ConfigError(
             f"[filter] center_offset_GHz vs [spectrum] half_span_GHz: {exc}"
         ) from exc
-    grid = make_frequency_grid(ref, cfg.grid_half_span_hz, cfg.grid_step_hz)
     return fadof_transmission(cfg.filter, grid), mode_comb(cfg.opo, max_modes=max_modes)
 
 
@@ -70,7 +68,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> list[str]:
     center = cfg.opo.degenerate_frequency_hz
     # mirror partner of each grid frequency about the source center,
     # evaluated directly (not interpolated)
-    mirrored = fadof_transmission(cfg.filter, np.sort(2.0 * center - grid))
+    mirrored = fadof_transmission(cfg.filter, (2.0 * center - grid)[::-1])
     mirror_vals = mirrored.value[::-1]
     product = Spectrum(grid, fadof.value * mirror_vals, kind="transmission")
 
@@ -253,15 +251,18 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
 
 def cmd_optimize(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
     """Figure-of-merit surface over the (B, temperature) scan grid."""
-    result = pairs.optimize_filter(
-        cfg.filter,
-        cfg.opo,
-        cfg.optimize_b_t,
-        cfg.optimize_temperatures_k,
-        grid_half_span_hz=cfg.optimize_half_span_hz,
-        grid_step_hz=cfg.optimize_step_hz,
-        threads=threads,
-    )
+    try:
+        result = pairs.optimize_filter(
+            cfg.filter,
+            cfg.opo,
+            cfg.optimize_b_t,
+            cfg.optimize_temperatures_k,
+            grid_half_span_hz=cfg.optimize_half_span_hz,
+            grid_step_hz=cfg.optimize_step_hz,
+            threads=threads,
+        )
+    except ModeOutsideGridError as exc:
+        raise ConfigError(f"[optimize] half_span_GHz: {exc}") from exc
     result.to_csv(out / "fom_surface.csv", header_lines=_hash_header(cfg))
     payload = {
         "config_hash": cfg.config_hash,

@@ -119,23 +119,39 @@ def mode_comb(cfg: OpoConfig, max_modes: int | None = None) -> ModeComb:
     )
 
 
-def modes_within_grid(cfg: OpoConfig, half_span_hz: float, offset_hz: float) -> int:
-    """Largest mode index whose averaging window lies on a frequency grid.
+class ModeOutsideGridError(ValueError):
+    def __init__(self, index: int, detail: str = ""):
+        super().__init__(f"mode {index}: Lorentzian window not covered by the filter grid{detail}")
+        self.index = index
 
-    The grid spans +-``half_span_hz`` about a center ``offset_hz`` away
-    from the degenerate frequency.  Mode n is kept when
-    |offset| + n*FSR + MODE_WINDOW_LINEWIDTHS*linewidth <= half span;
-    a grid that cannot hold even the degenerate mode's window raises
-    ValueError.
+
+def modes_within_grid(cfg: OpoConfig, grid_hz, degenerate_hz: float) -> int:
+    """Largest n for which the averaging windows of modes -n..n lie on a grid.
+
+    ``grid_hz`` is the grid that was built and ``degenerate_hz`` the comb
+    center.  Mode n is kept when both windows,
+    degenerate -+ n*FSR -+ MODE_WINDOW_LINEWIDTHS*linewidth, lie within
+    ``grid_hz[0]`` and ``grid_hz[-1]``.  A grid that cannot hold even the
+    degenerate mode's window raises ModeOutsideGridError for mode 0,
+    stating the smallest grid half span that would.
     """
     window = MODE_WINDOW_LINEWIDTHS * cfg.mode_fwhm_hz
-    n = int(np.floor((half_span_hz - abs(offset_hz) - window) / cfg.fsr_hz))
-    if n < 0:
-        raise ValueError(
-            f"the degenerate mode at {offset_hz / 1e9:+.4g} GHz from the grid center "
-            f"does not fit, with its +-{window / 1e6:.4g} MHz window, inside the "
-            f"grid half span of {half_span_hz / 1e9:.4g} GHz"
-        )
+    lo, hi = grid_hz[0], grid_hz[-1]
+
+    def fits(n: int) -> bool:
+        step = n * cfg.fsr_hz
+        return degenerate_hz - step - window >= lo and degenerate_hz + step + window <= hi
+
+    if not fits(0):
+        offset = degenerate_hz - 0.5 * (lo + hi)
+        raise ModeOutsideGridError(0, (
+            f"; the degenerate mode at {offset / 1e9:+.4g} GHz from the grid center, with its "
+            f"+-{window / 1e6:.4g} MHz window, needs a half span of at least "
+            f"{(abs(offset) + window) / 1e9:.4g} GHz; the grid half span of "
+            f"{0.5 * (hi - lo) / 1e9:.4g} GHz is too small"))
+    n = 0
+    while fits(n + 1):
+        n += 1
     return n
 
 
@@ -146,15 +162,12 @@ def _sinc_sq(x):
 def output_spectrum(comb: ModeComb, cfg: OpoConfig, freq_hz) -> Spectrum:
     """Emission power spectral density: weighted unit-area mode Lorentzians.
 
-    Modes outside the grid are skipped (their density there is
-    negligible).
+    Every mode of ``comb`` is summed; callers pass a comb truncated by
+    modes_within_grid, so each mode lies on the grid.
     """
     freq = np.asarray(freq_hz, dtype=float)
     hwhm = 0.5 * cfg.mode_fwhm_hz
     psd = np.zeros(freq.shape)
-    lo, hi = freq[0], freq[-1]
     for f0, w in zip(comb.frequencies_hz, comb.weights):
-        if f0 < lo or f0 > hi:
-            continue
         psd += w * (hwhm / np.pi) / ((freq - f0) ** 2 + hwhm**2)
     return Spectrum(frequency_hz=freq, value=psd, kind="psd")

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .opo import MODE_WINDOW_LINEWIDTHS, ModeComb, OpoConfig, mode_comb, modes_within_grid
+from .opo import (MODE_WINDOW_LINEWIDTHS, ModeComb, ModeOutsideGridError, OpoConfig, mode_comb,
+                  modes_within_grid)
 from .spectrum import BoundaryPeakError, Spectrum, filter_metrics, make_frequency_grid, write_csv
 from .vapor import FilterConfig, fadof_transmission
 
@@ -24,14 +25,6 @@ from .vapor import FilterConfig, fadof_transmission
 # optimizer accepts; the comb is truncated so that it stays on the grid
 # wherever within this bound the peak sits.
 MAX_PEAK_OFFSET_HZ = 6e9
-
-
-class ModeOutsideGridError(ValueError):
-    def __init__(self, index: int):
-        super().__init__(
-            f"mode {index}: Lorentzian window not covered by the filter grid"
-        )
-        self.index = index
 
 
 @dataclass
@@ -70,17 +63,20 @@ def pair_transmission_map(
 
     eta_n is the transmission weighted by the unit-area mode Lorentzian,
     truncated at +-50 linewidths and renormalized over the truncation
-    window, integrated by the trapezoid rule on the spectrum grid.  Any
-    mode whose window is not fully covered raises ModeOutsideGridError.
+    window, integrated by the trapezoid rule on the spectrum grid.  When
+    modes_within_grid keeps fewer modes than the comb holds, the first
+    comb mode, -N, is named in ModeOutsideGridError; when not even the
+    degenerate window fits, that function's own error names mode 0.
     """
     freq = spectrum.frequency_hz
     vals = spectrum.value
+    degenerate = comb.frequencies_hz[comb.indices == 0][0]
+    if modes_within_grid(opo, freq, degenerate) < comb.n_max:
+        raise ModeOutsideGridError(-comb.n_max)
     hwhm = 0.5 * opo.mode_fwhm_hz
     half_window = MODE_WINDOW_LINEWIDTHS * opo.mode_fwhm_hz
     etas = np.empty(comb.indices.shape)
-    for j, (n, f0) in enumerate(zip(comb.indices, comb.frequencies_hz)):
-        if f0 - half_window < freq[0] or f0 + half_window > freq[-1]:
-            raise ModeOutsideGridError(int(n))
+    for j, f0 in enumerate(comb.frequencies_hz):
         sl = slice(
             np.searchsorted(freq, f0 - half_window),
             np.searchsorted(freq, f0 + half_window, side="right"),
@@ -145,24 +141,6 @@ def extinction_leakage_estimate(pmap: PairTransmissionMap, extinction: float) ->
     return min(1.0, extinction**2 * float(pmap.weights.sum()) / degenerate)
 
 
-@dataclass(frozen=True)
-class PurityResult:
-    resonant_fraction: float
-    leakage: float
-    overall_fraction: float
-    spectral_purity: float
-
-
-def purity_summary(pmap: PairTransmissionMap, leakage: float) -> PurityResult:
-    resonant = resonant_degenerate_fraction(pmap)
-    return PurityResult(
-        resonant_fraction=resonant,
-        leakage=leakage,
-        overall_fraction=overall_degenerate_fraction(resonant, leakage),
-        spectral_purity=1.0 - leakage,
-    )
-
-
 @dataclass
 class OptimizationResult:
     b_values_t: np.ndarray
@@ -220,9 +198,10 @@ def optimize_filter(
     For each (B, T) the filter spectrum is computed, the comb is centered
     on the filter's own transmission peak (the source is tuned to the
     filter in operation), and FOM = w0*eta0^2 / sum_{n!=0} w_n*eta_n*eta_-n.
-    The comb is truncated to the modes whose averaging windows fit the
-    grid for any peak within MAX_PEAK_OFFSET_HZ of the reference, so
-    every point sees the same mode set.  Points whose spectrum has no
+    The comb is truncated by modes_within_grid with its center
+    MAX_PEAK_OFFSET_HZ above the reference; the grid is symmetric about
+    the reference, so those windows fit for any peak within that bound
+    and every point sees the same mode set.  Points whose spectrum has no
     usable peak, or whose peak lies beyond that bound, are flagged
     invalid (NaN) and excluded from the maximum; ties resolve to the
     first point in scan order (B outer, temperature inner).  The points
@@ -233,7 +212,9 @@ def optimize_filter(
     grid = make_frequency_grid(
         base.table.reference_frequency_hz, grid_half_span_hz, grid_step_hz
     )
-    max_modes = modes_within_grid(opo, grid_half_span_hz, MAX_PEAK_OFFSET_HZ)
+    max_modes = modes_within_grid(
+        opo, grid, base.table.reference_frequency_hz + MAX_PEAK_OFFSET_HZ
+    )
     shape = (b_values_t.size, temperatures_k.size)
     fom = np.full(shape, np.nan)
     eta0 = np.full(shape, np.nan)

@@ -5,7 +5,8 @@ integrates the defining Doppler-convolution integral directly by
 composite Simpson quadrature after an exact pole subtraction, instead of
 calling any library Faddeeva routine; the coincidence oracle compares
 every start with every stop in plain Python; the CSV oracle formats each
-row with one Python ``%`` call.
+row with one Python ``%`` call; the mode-window oracle tests one mode at a
+time against the grid ends.
 """
 
 from __future__ import annotations
@@ -158,3 +159,16 @@ def csv_rows_by_percent(columns) -> str:
     for row in zip(*values):
         out.append(row_fmt % row)
     return "".join(out)
+
+
+def modes_off_grid(indices, frequencies_hz, half_window_hz: float, grid_hz) -> list[int]:
+    """Indices of the modes whose window f0 +- half_window leaves the grid.
+
+    Each mode is tested on its own against the first and last grid points,
+    in the order given.
+    """
+    off = []
+    for n, f0 in zip(indices, frequencies_hz):
+        if f0 - half_window_hz < grid_hz[0] or f0 + half_window_hz > grid_hz[-1]:
+            off.append(int(n))
+    return off

@@ -291,6 +291,44 @@ def test_optimize_scan(tmp_path):
     assert (out2 / "fom_surface.csv").read_bytes() == (out / "fom_surface.csv").read_bytes()
 
 
+def test_optimize_grid_too_narrow_names_the_key(tmp_path, capsys):
+    # the comb must fit with the filter peak 6 GHz from the reference, so
+    # the grid needs that plus the degenerate mode's +-420 MHz window
+    scan = ("[optimize]\nb_min_mT = 4.5\nb_max_mT = 4.5\nb_points = 1\n"
+            "temperature_min_K = 365\ntemperature_max_K = 365\ntemperature_points = 1\n")
+    for half_span, expected_rc in (("6", 2), ("6.42", 0)):
+        cfg = tmp_path / f"span{half_span}.cfg"
+        cfg.write_text(scan + f"half_span_GHz = {half_span}\n")
+        out = tmp_path / f"span{half_span}"
+        assert main(["--config", str(cfg), "--out", str(out), "optimize"]) == expected_rc
+        err = capsys.readouterr().err
+        if expected_rc == 2:
+            assert err.startswith("error: [optimize] half_span_GHz: ")
+            assert "half span of at least 6.42 GHz" in err
+            assert "Traceback" not in err
+            assert not (out / "optimize_result.json").exists()
+        else:
+            assert err == ""
+            assert json.loads((out / "optimize_result.json").read_text())["modes_per_side"] == 0
+
+
+def test_simulate_on_a_half_span_off_the_step_multiples(tmp_path, capsys):
+    # 6.8511 GHz rounds to a 6.85 GHz grid at 2.5 MHz steps; the comb is cut
+    # to the modes whose windows fit that grid, not the configured span
+    cfg = tmp_path / "odd.cfg"
+    cfg.write_text("[spectrum]\nhalf_span_GHz = 6.8511\nstep_MHz = 2.5\n"
+                   "[montecarlo]\nduration_s = 1\n")
+    out = tmp_path / "odd"
+    rc = main(["--config", str(cfg), "--out", str(out), "simulate"])
+    err = capsys.readouterr().err
+    assert rc in (0, 1)
+    assert all(line.startswith("validity flag: ") for line in err.splitlines())
+    assert (rc == 1) == bool(err)
+    assert "Lorentzian window" not in err
+    purity = json.loads((out / "purity.json").read_text())
+    assert purity["retained_modes_per_side"] == 4
+
+
 def test_noise_budget(tmp_path):
     out = tmp_path / "noise"
     rc = main(["--out", str(out), "noise"])

@@ -119,12 +119,3 @@ def test_output_spectrum_integral_matches_total_weight():
     area = np.trapezoid(spec.value, grid)
     # unit-area Lorentzians, truncated tails cost a few parts in 1e3
     assert area == pytest.approx(comb.weights.sum(), rel=5e-3)
-
-
-def test_output_spectrum_skips_modes_outside_grid():
-    cfg = OpoConfig()
-    comb = mode_comb(cfg, max_modes=5)
-    narrow = make_frequency_grid(cfg.degenerate_frequency_hz, 0.4 * cfg.fsr_hz, 0.5e6)
-    spec = output_spectrum(comb, cfg, narrow)
-    only_zero = output_spectrum(mode_comb(cfg, max_modes=0), cfg, narrow)
-    assert np.allclose(spec.value, only_zero.value, rtol=1e-12)

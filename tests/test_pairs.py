@@ -4,9 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from _oracles import modes_off_grid
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fadofsim.config import load_config
-from fadofsim.opo import OpoConfig, mode_comb, modes_within_grid
+from fadofsim.opo import MODE_WINDOW_LINEWIDTHS, OpoConfig, mode_comb, modes_within_grid
 from fadofsim.pairs import (
     MAX_PEAK_OFFSET_HZ,
     ModeOutsideGridError,
@@ -15,7 +18,6 @@ from fadofsim.pairs import (
     optimize_filter,
     overall_degenerate_fraction,
     pair_transmission_map,
-    purity_summary,
     resonant_degenerate_fraction,
     spectral_purity,
 )
@@ -23,6 +25,7 @@ from fadofsim.spectrum import Spectrum, make_frequency_grid
 from fadofsim.vapor import FilterConfig
 
 OPO = OpoConfig()
+REF_HZ = FilterConfig().table.reference_frequency_hz
 
 
 def _toy_map():
@@ -97,6 +100,14 @@ def test_scaling_filter_leaves_resonant_fraction_unchanged():
     )
 
 
+def _off_grid(opo, grid, degenerate_hz, n):
+    """Modes of the comb -n..n about ``degenerate_hz`` whose window leaves the grid, by the oracle."""
+    comb = mode_comb(replace(opo, degenerate_frequency_hz=degenerate_hz), max_modes=n)
+    assert comb.n_max == n
+    half_window = MODE_WINDOW_LINEWIDTHS * opo.mode_fwhm_hz
+    return modes_off_grid(comb.indices, comb.frequencies_hz, half_window, grid)
+
+
 def test_mode_window_must_fit_grid():
     grid = make_frequency_grid(OPO.degenerate_frequency_hz, 1e9, 1e6)
     spec = Spectrum(frequency_hz=grid, value=np.ones(grid.size))
@@ -104,26 +115,62 @@ def test_mode_window_must_fit_grid():
     with pytest.raises(ModeOutsideGridError, match="mode -2") as err:
         pair_transmission_map(spec, comb, OPO)
     assert err.value.index == -2
+    assert _off_grid(OPO, grid, OPO.degenerate_frequency_hz, 2) == [-2, 2]
 
     # the truncation rule keeps 31 modes per side on the default
     # spectrum/simulate grid and 27 on the optimize grid, whose peak may
     # sit anywhere within MAX_PEAK_OFFSET_HZ of the reference
     cfg = load_config(None)
     ref = cfg.filter.table.reference_frequency_hz
-    operating = cfg.opo.degenerate_frequency_hz - ref
-    assert modes_within_grid(OPO, cfg.grid_half_span_hz, operating) == 31
-    assert modes_within_grid(OPO, cfg.optimize_half_span_hz, MAX_PEAK_OFFSET_HZ) == 27
-    # at any offset every retained window lies on the grid, one more mode does not
     grid = make_frequency_grid(ref, cfg.grid_half_span_hz, cfg.grid_step_hz)
+    assert modes_within_grid(OPO, grid, cfg.opo.degenerate_frequency_hz) == 31
+    optimize_grid = make_frequency_grid(ref, cfg.optimize_half_span_hz, cfg.optimize_step_hz)
+    assert modes_within_grid(OPO, optimize_grid, ref + MAX_PEAK_OFFSET_HZ) == 27
+    # at any offset every retained window lies on the grid, one more mode does not
     spec = Spectrum(frequency_hz=grid, value=np.ones(grid.size))
     for offset in np.linspace(-19.5e9, 19.5e9, 53):
         opo = replace(OPO, degenerate_frequency_hz=ref + offset)
-        n = modes_within_grid(opo, cfg.grid_half_span_hz, offset)
+        n = modes_within_grid(opo, grid, ref + offset)
+        assert _off_grid(opo, grid, ref + offset, n) == []
+        assert _off_grid(opo, grid, ref + offset, n + 1) != []
         pair_transmission_map(spec, mode_comb(opo, max_modes=n), opo)
-        with pytest.raises(ModeOutsideGridError):
+        with pytest.raises(ModeOutsideGridError) as err:
             pair_transmission_map(spec, mode_comb(opo, max_modes=n + 1), opo)
-    with pytest.raises(ValueError, match="half span"):
-        modes_within_grid(OPO, cfg.grid_half_span_hz, 19.9e9)
+        assert err.value.index == -(n + 1)
+    with pytest.raises(ModeOutsideGridError, match="half span of at least 20.32 GHz") as err:
+        modes_within_grid(OPO, grid, ref + 19.9e9)
+    assert err.value.index == 0
+    assert _off_grid(OPO, grid, ref + 19.9e9, 0) == [0]
+
+    # a half span off the step multiples: the grid ends at 6.85 GHz, not
+    # 6.8511, which leaves room for 4 modes per side, not 5
+    odd = make_frequency_grid(ref, 6.8511e9, 2.5e6)
+    assert odd[-1] - ref == pytest.approx(6.85e9, abs=1e-3)
+    n = modes_within_grid(OPO, odd, OPO.degenerate_frequency_hz)
+    assert n == 4
+    assert _off_grid(OPO, odd, OPO.degenerate_frequency_hz, n + 1) == [-5]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    half_span_hz=st.floats(0.3e9, 30e9),
+    steps_per_half_span=st.floats(2.0, 3000.0),
+    offset_fraction=st.floats(-1.1, 1.1),
+)
+@example(half_span_hz=6.8511e9, steps_per_half_span=6.8511e9 / 2.5e6, offset_fraction=-3.9259 / 6.8511)
+@example(half_span_hz=921e6, steps_per_half_span=921.0, offset_fraction=0.0)
+def test_modes_within_grid_matches_per_mode_oracle(half_span_hz, steps_per_half_span, offset_fraction):
+    # the step need not divide the half span, so the grid ends short of it
+    grid = make_frequency_grid(REF_HZ, half_span_hz, half_span_hz / steps_per_half_span)
+    degenerate = REF_HZ + offset_fraction * half_span_hz
+    try:
+        n = modes_within_grid(OPO, grid, degenerate)
+    except ModeOutsideGridError as err:
+        assert err.index == 0
+        assert _off_grid(OPO, grid, degenerate, 0) == [0]
+        return
+    assert _off_grid(OPO, grid, degenerate, n) == []
+    assert _off_grid(OPO, grid, degenerate, n + 1) != []
 
 
 def test_spectral_purity_values_and_validation():
@@ -160,13 +207,11 @@ def test_extinction_leakage_estimate_behaviour():
         extinction_leakage_estimate(dead, 1e-6)
 
 
-def test_purity_summary_composition():
+def test_purity_fractions_composition():
     pmap = _toy_map()
-    result = purity_summary(pmap, leakage=0.02)
-    assert result.resonant_fraction == pytest.approx(0.25 / 0.33, rel=1e-12)
-    assert result.overall_fraction == pytest.approx(result.resonant_fraction * 0.98, rel=1e-15)
-    assert result.spectral_purity == 0.98
-    assert result.leakage == 0.02
+    resonant = resonant_degenerate_fraction(pmap)
+    assert resonant == pytest.approx(0.25 / 0.33, rel=1e-12)
+    assert overall_degenerate_fraction(resonant, 0.02) == pytest.approx(resonant * 0.98, rel=1e-15)
 
 
 def test_optimize_single_point_matches_defaults():
