@@ -29,9 +29,10 @@ from .vapor import fadof_transmission
 CHI_SQUARE_MIN_EXPECTED = 5.0
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
+    """Write ``payload`` as JSON, with the config hash as its first key."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump({"config_hash": cfg.config_hash, **payload}, fh, indent=2)
         fh.write("\n")
 
 
@@ -86,7 +87,6 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> list[str]:
 
     dirty: list[str] = []
     payload: dict = {
-        "config_hash": cfg.config_hash,
         "boundary_peak": False,
         "grid_half_span_hz": cfg.grid_half_span_hz,
         "grid_step_hz": cfg.grid_step_hz,
@@ -110,7 +110,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> list[str]:
         payload["detail"] = str(exc)
         dirty.append("spectrum has no interior transmission peak")
         print("warning: spectrum has no interior transmission peak", file=sys.stderr)
-    _write_json(out / "filter_metrics.json", payload)
+    _write_json(out / "filter_metrics.json", cfg, payload)
     return dirty
 
 
@@ -127,7 +127,6 @@ def cmd_g2(cfg: ExperimentConfig, out: Path, mode: str) -> list[str]:
     """Analytic detected-coincidence histograms, filter on and/or off."""
     hdr = _hash_header(cfg)
     payload: dict = {
-        "config_hash": cfg.config_hash,
         "expected_envelope_fwhm_ns": correlations.g2_single_fwhm(cfg.opo) * 1e9,
         "bin_ns": cfg.detector.bin_s * 1e9,
         "roundtrip_ns": cfg.opo.roundtrip_s * 1e9,
@@ -150,7 +149,7 @@ def cmd_g2(cfg: ExperimentConfig, out: Path, mode: str) -> list[str]:
         fwhm_text = "n/a" if fwhm is None else f"{fwhm:.2f}"
         contrast_text = "n/a" if contrast is None else f"{contrast:.3g}"
         print(f"filter {label}: envelope FWHM {fwhm_text} ns, tooth modulation {contrast_text}")
-    _write_json(out / "g2_metrics.json", payload)
+    _write_json(out / "g2_metrics.json", cfg, payload)
     return dirty + ([] if mode == "on" else _delta_comb_flags(cfg))
 
 
@@ -180,11 +179,28 @@ def _mc_run(cfg: ExperimentConfig, det: correlations.DetectorConfig, out: Path, 
     stream at a time.
     """
     stream = montecarlo.generate_pair_events(
-        cfg.opo, det, gen_mode, cfg.mc_duration_s, int(seed), pair_survival=pair_survival
+        cfg.opo, det, gen_mode, int(seed), pair_survival=pair_survival
     )
     montecarlo.write_stream(stream, out, prefix=f"timestamps_{label}",
                             extra_meta={"config_hash": cfg.config_hash})
     return montecarlo.mc_histogram(stream, det, n_side_bins=n_side_bins)
+
+
+def _purity_flags(cfg: ExperimentConfig, fadof: Spectrum, true_filtered: float,
+                  true_hot_cell: float) -> list[str]:
+    """Why the hot-cell purity of these true coincidence counts is no purity."""
+    reasons = []
+    if cfg.opo.pair_rate_hz == 0:
+        reasons.append("the pair rate is 0")
+    try:
+        filter_metrics(fadof)
+    except BoundaryPeakError as exc:
+        reasons.append(f"no filter passband on the [spectrum] grid ({exc})")
+    if true_filtered <= 0:
+        reasons.append(f"filtered true count {true_filtered:.4g} is not positive")
+    if true_hot_cell < 0:
+        reasons.append(f"hot-cell true count {true_hot_cell:.4g} is negative")
+    return reasons
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
@@ -196,7 +212,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
     dirty = _delta_comb_flags(cfg)
     hdr = _hash_header(cfg)
 
-    report: dict = {"config_hash": cfg.config_hash, "seed": seed, "rng": montecarlo.RNG_ALGORITHM}
+    report: dict = {"seed": seed, "rng": montecarlo.RNG_ALGORITHM}
     for label, gen_mode, child in (("on", "single", children[0]), ("off", "comb", children[1])):
         mc_hist = _mc_run(cfg, det, out, label, gen_mode, child)
         mc_hist.to_csv(out / f"mc_{label}_histogram.csv", header_lines=hdr)
@@ -205,7 +221,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
         report[label] = check
         if not check["p_value"] > 0.001:
             dirty.append(f"chi-square cross-check failed for filter-{label} case")
-    _write_json(out / "chi_square_report.json", report)
+    _write_json(out / "chi_square_report.json", cfg, report)
 
     # purity branch: analytic resonant fraction sets the hot-cell pair
     # survival; two Monte Carlo runs close the loop through the counters
@@ -215,7 +231,6 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
     if leakage is None:
         leakage = pairs.extinction_leakage_estimate(pmap, cfg.filter.extinction)
     payload: dict = {
-        "config_hash": cfg.config_hash,
         "resonant_degenerate_fraction": resonant,
         "out_of_band_leakage": leakage,
         "overall_degenerate_fraction": pairs.overall_degenerate_fraction(resonant, leakage),
@@ -225,26 +240,30 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
     if cfg.hot_cell_enabled:
         window = det.offset_s  # coincidence window around the offset peak
         n_side = max(64, int(round(window / det.bin_s)))
-        h_f = _mc_run(cfg, det, out, "filtered", "single", children[2], n_side)
-        h_b = _mc_run(cfg, det, out, "hotcell", "single", children[3], n_side,
-                      pair_survival=1.0 - resonant)
-        acc = h_f.accidental_floor_per_bin
-        # each run subtracts the floor of the bins its own window sums
-        c_f, n_f = montecarlo.coincidences_in_window(h_f, window)
-        c_b, n_b = montecarlo.coincidences_in_window(h_b, window)
-        c_f_true = max(c_f - acc * n_f, 0.0)
-        c_b_true = max(c_b - acc * n_b, 0.0)
-        purity = pairs.spectral_purity(c_b_true, c_f_true) if c_f_true > 0 else float("nan")
+        runs = []  # (coincidences, accidentals subtracted) of each run
+        for label, child, survival in (("filtered", children[2], 1.0),
+                                       ("hotcell", children[3], 1.0 - resonant)):
+            hist = _mc_run(cfg, det, out, label, "single", child, n_side, survival)
+            # each run subtracts the floor of the bins its own window sums
+            counts, n_bins = montecarlo.coincidences_in_window(hist, window)
+            runs.append((counts, hist.accidental_floor_per_bin * n_bins))
+        (c_f, acc_f), (c_b, acc_b) = runs
+        purity, reasons = None, _purity_flags(cfg, fadof, c_f - acc_f, c_b - acc_b)
+        if not reasons:
+            purity = pairs.spectral_purity(c_b - acc_b, c_f - acc_f)
+            if not 0.0 <= purity <= 1.0:
+                purity, reasons = None, [f"value {purity:.4g} lies outside [0, 1]"]
+        dirty += [f"spectral purity (MC) is not a purity: {r}" for r in reasons]
         payload.update(
             coincidence_window_ns=window * 1e9,
             coincidences_filtered=c_f,
             coincidences_hot_cell=c_b,
-            accidentals_subtracted_per_run=acc * n_f,
+            accidentals_subtracted_per_run=acc_f,
             spectral_purity_mc=purity,
         )
-        print(f"spectral purity (MC): {purity:.4f} "
-              f"(analytic resonant fraction {resonant:.4f})")
-    _write_json(out / "purity.json", payload)
+        purity_text = "n/a" if purity is None else f"{purity:.4f}"
+        print(f"spectral purity (MC): {purity_text} (analytic resonant fraction {resonant:.4f})")
+    _write_json(out / "purity.json", cfg, payload)
     print(f"overall degenerate fraction: {payload['overall_degenerate_fraction']:.4f}")
     return dirty
 
@@ -265,7 +284,6 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
         raise ConfigError(f"[optimize] half_span_GHz: {exc}") from exc
     result.to_csv(out / "fom_surface.csv", header_lines=_hash_header(cfg))
     payload = {
-        "config_hash": cfg.config_hash,
         "best_b_mT": result.best_b_t * 1e3,
         "best_temperature_K": result.best_temperature_k,
         "best_fom": result.best_fom,
@@ -273,7 +291,7 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
         "invalid_points": result.meta["n_invalid"],
         "modes_per_side": result.meta["max_modes"],
     }
-    _write_json(out / "optimize_result.json", payload)
+    _write_json(out / "optimize_result.json", cfg, payload)
     print(
         f"best figure of merit {result.best_fom:.3g} at "
         f"B = {result.best_b_t * 1e3:.2f} mT, T = {result.best_temperature_k:.1f} K"
@@ -286,10 +304,7 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
 def cmd_noise(cfg: ExperimentConfig, out: Path) -> list[str]:
     """Attenuation sweep of the quadrature noise plus the loss table."""
     t_nd = np.linspace(1.0 / cfg.noise_tnd_points, 1.0, cfg.noise_tnd_points)
-    variances = np.array([
-        quadrature_variance_avg(replace(cfg.noise, attenuation_amplitude=float(t)))
-        for t in t_nd
-    ])
+    variances = quadrature_variance_avg(replace(cfg.noise, attenuation_amplitude=t_nd))
     power_proxy = (t_nd * abs(cfg.noise.mean_field)) ** 2
     write_csv(out / "noise_sweep.csv", _hash_header(cfg), {
         "t_nd": (t_nd, "%.6f"), "power_proxy": (power_proxy, "%.9e"),
@@ -306,13 +321,12 @@ def cmd_noise(cfg: ExperimentConfig, out: Path) -> list[str]:
         for s_db, t in cfg.squeezing_table
     ]
     payload = {
-        "config_hash": cfg.config_hash,
         "shot_noise": fit.shot_noise,
         "linear_coefficient": fit.linear_coefficient,
         "max_abs_residual": float(np.max(np.abs(fit.residuals))),
         "squeezing_through_loss": table,
     }
-    _write_json(out / "noise_fit.json", payload)
+    _write_json(out / "noise_fit.json", cfg, payload)
     print(
         f"noise fit: shot noise {fit.shot_noise:.6f}, "
         f"linear coefficient {fit.linear_coefficient:.6g} per power unit"

@@ -173,7 +173,6 @@ class ExperimentConfig:
     noise_tnd_points: int
     output_dir: str
     config_hash: str
-    source_path: str | None
     meta: dict = field(default_factory=dict)
 
 
@@ -199,7 +198,6 @@ def _parse_squeezing_table(raw: str) -> list[tuple[float, float]]:
 def load_config(path: str | Path | None = None) -> ExperimentConfig:
     """Read an INI file (or defaults when ``path`` is None)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    source = None
     if path is not None:
         path = Path(path)
         if not path.is_file():
@@ -209,15 +207,14 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
                 parser.read_file(fh)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
-        source = str(path)
     values, resolved = _read_keys(parser)
     flt, hot, opo, det, mc, noise, spec, opt = (values[section] for section in (
         "filter", "hot_cell", "opo", "detector", "montecarlo", "noise", "spectrum", "optimize"))
     line_data = flt.pop("line_data")
     if line_data:
         table_path = Path(line_data)
-        if not table_path.is_absolute() and source is not None:
-            table_path = Path(source).parent / table_path
+        if not table_path.is_absolute() and path is not None:
+            table_path = path.parent / table_path
         if not table_path.is_file():
             _fail("filter", "line_data", f"file not found: {table_path}")
         table = AtomicLineTable.from_file(table_path)
@@ -292,6 +289,5 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
         noise_tnd_points=tnd_points,
         output_dir=values["output"]["directory"],
         config_hash=digest,
-        source_path=source,
         meta={"resolved": resolved},
     )

@@ -2,9 +2,7 @@
 
 from scipy.constants import (
     c as SPEED_OF_LIGHT,
-    epsilon_0 as VACUUM_PERMITTIVITY,
     h as PLANCK,
-    hbar as HBAR,
     k as BOLTZMANN,
     physical_constants,
 )

@@ -21,6 +21,8 @@ from .spectrum import write_csv
 DELTA_COMB_MIN_MODES = 50
 # Bins on each side of the histogram peak searched for tooth modulation.
 MODULATION_BINS = 20
+# Comb teeth weighing less than this fraction of the central tooth are dropped.
+COMB_TOOTH_CUTOFF = 1e-6
 
 
 @dataclass
@@ -101,12 +103,10 @@ def delta_comb_applies(cfg: OpoConfig) -> bool:
     return mode_comb(cfg, max_modes=DELTA_COMB_MIN_MODES).n_max >= DELTA_COMB_MIN_MODES
 
 
-def g2_multi_comb(cfg: OpoConfig, weight_cutoff: float = 1e-6) -> CombTeeth:
+def g2_multi_comb(cfg: OpoConfig) -> CombTeeth:
     """Teeth (n*tau, envelope(n*tau)) truncated where the envelope falls
-    below ``weight_cutoff`` of the peak."""
-    if not 0 < weight_cutoff < 1:
-        raise ValueError("weight cutoff must lie in (0, 1)")
-    n_cut = int(np.floor(np.log(1.0 / weight_cutoff) / (cfg.roundtrip_s * cfg.gamma_sum)))
+    below COMB_TOOTH_CUTOFF of the peak."""
+    n_cut = int(np.floor(np.log(1.0 / COMB_TOOTH_CUTOFF) / (cfg.roundtrip_s * cfg.gamma_sum)))
     n = np.arange(-n_cut, n_cut + 1)
     delays = n * cfg.roundtrip_s
     return CombTeeth(delays_s=delays, weights=g2_single(delays, cfg))
@@ -155,7 +155,6 @@ def detected_histogram(
     det: DetectorConfig,
     mode: str,
     n_side_bins: int = 64,
-    comb_weight_cutoff: float = 1e-6,
 ) -> Histogram:
     """Expected coincidence histogram around the channel-offset bin.
 
@@ -180,7 +179,7 @@ def detected_histogram(
             q(y_hi, gamma) - q(y_hi - tb, gamma) - q(y_lo, gamma) + q(y_lo - tb, gamma)
         ) / tb
     elif mode == "comb":
-        teeth = g2_multi_comb(opo, comb_weight_cutoff)
+        teeth = g2_multi_comb(opo)
         norm = teeth.weights / teeth.weights.sum()
         pos = (t0 + teeth.delays_s) / tb
         true_frac = (norm[None, :] * _tent(pos[None, :] - bins[:, None])).sum(axis=1)

@@ -40,35 +40,27 @@ class NoiseModel:
         if np.any(t_nd <= 0.0) or np.any(t_nd > 1.0):
             raise ValueError("attenuation amplitude must lie in (0, 1]")
 
-    @property
-    def vacuum_port_amplitude(self):
-        """Amplitude coupled to the filter's empty port, from unitarity."""
-        return np.sqrt(np.maximum(0.0, 1.0 - np.abs(self.mean_transmission) ** 2))
 
-
-def excess_noise(model: NoiseModel, exact: bool = False) -> float | np.ndarray:
+def excess_noise(model: NoiseModel) -> float | np.ndarray:
     """Quadrature variance above shot noise (variance minus 1).
 
     2 Re(conj(t a) (a dt + t da)) with the attenuated probe; the
     attenuator scales probe mean and fluctuation alike, so it factors
     out of the excess as an exact power of two.  The cross term of
-    order dt*da is dropped unless ``exact`` is set.
+    order dt*da is dropped.
     """
     t = np.asarray(model.mean_transmission)
     dt = np.asarray(model.transmission_noise)
     a = np.asarray(model.mean_field)
     da = np.asarray(model.field_noise)
-    beat = a * dt + t * da
-    if exact:
-        beat = beat + dt * da
-    correction = 2.0 * np.real(np.conj(t * a) * beat)
+    correction = 2.0 * np.real(np.conj(t * a) * (a * dt + t * da))
     out = model.attenuation_amplitude**2 * correction
     return float(out) if np.ndim(out) == 0 else out
 
 
-def quadrature_variance_avg(model: NoiseModel, exact: bool = False) -> float | np.ndarray:
+def quadrature_variance_avg(model: NoiseModel) -> float | np.ndarray:
     """Phase-averaged quadrature variance relative to shot noise."""
-    out = 1.0 + excess_noise(model, exact=exact)
+    out = 1.0 + excess_noise(model)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -39,11 +39,10 @@ def generate_pair_events(
     opo: OpoConfig,
     det: DetectorConfig,
     mode: str,
-    duration_s: float,
     seed: int,
     pair_survival: float = 1.0,
 ) -> EventStream:
-    """Simulate one acquisition.
+    """Simulate one acquisition of ``det.acquisition_s`` seconds.
 
     ``mode`` selects the pair-separation law: "single" draws from the
     two-sided exponential, "comb" draws a round-trip index from the
@@ -55,8 +54,7 @@ def generate_pair_events(
     """
     if not 0.0 <= pair_survival <= 1.0:
         raise ValueError("pair survival must lie in [0, 1]")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    duration_s = det.acquisition_s
     bg1 = det.r1_hz - opo.pair_rate_hz
     bg2 = det.r2_hz - opo.pair_rate_hz
     if bg1 < 0 or bg2 < 0:

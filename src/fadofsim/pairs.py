@@ -11,6 +11,7 @@ pair leakage.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -215,22 +216,19 @@ def optimize_filter(
     max_modes = modes_within_grid(
         opo, grid, base.table.reference_frequency_hz + MAX_PEAK_OFFSET_HZ
     )
-    shape = (b_values_t.size, temperatures_k.size)
-    fom = np.full(shape, np.nan)
-    eta0 = np.full(shape, np.nan)
-    nondeg = np.full(shape, np.nan)
-    peak_off = np.full(shape, np.nan)
-    def evaluate(b: float, temp: float):
-        cfg = replace(base, b_field_t=b, temperature_k=temp)
+    invalid = (np.nan,) * 4
+
+    def evaluate(point):
+        cfg = replace(base, b_field_t=point[0], temperature_k=point[1])
         spec = fadof_transmission(cfg, grid)
         try:
             metrics = filter_metrics(spec)
         except BoundaryPeakError:
-            return None
+            return invalid
         peak = metrics.peak_frequency_hz
         if abs(peak - base.table.reference_frequency_hz) > MAX_PEAK_OFFSET_HZ:
             # peak escaped the central margin; comb would leave the grid
-            return None
+            return invalid
         comb = mode_comb(replace(opo, degenerate_frequency_hz=peak), max_modes=max_modes)
         pmap = pair_transmission_map(spec, comb, opo)
         e0 = pmap.pair_transmission(0)
@@ -238,22 +236,11 @@ def optimize_filter(
         f = e0 / s_nd if s_nd > 0 else np.inf
         return peak - base.table.reference_frequency_hz, pmap.eta(0), s_nd, f
 
-    points = [
-        (i, j) for i in range(b_values_t.size) for j in range(temperatures_k.size)
-    ]
+    points = itertools.product(b_values_t.tolist(), temperatures_k.tolist())
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(
-            pool.map(
-                lambda ij: evaluate(float(b_values_t[ij[0]]), float(temperatures_k[ij[1]])),
-                points,
-            )
-        )
-    n_invalid = 0
-    for (i, j), res in zip(points, results):
-        if res is None:
-            n_invalid += 1
-            continue
-        peak_off[i, j], eta0[i, j], nondeg[i, j], fom[i, j] = res
+        results = np.array(list(pool.map(evaluate, points)))
+    shape = (b_values_t.size, temperatures_k.size, 4)
+    peak_off, eta0, nondeg, fom = np.moveaxis(results.reshape(shape), -1, 0)
     if np.all(np.isnan(fom)):
         raise ValueError("no valid points in the optimization range")
     return OptimizationResult(
@@ -263,5 +250,5 @@ def optimize_filter(
         eta0=eta0,
         sum_nondegenerate=nondeg,
         peak_offset_hz=peak_off,
-        meta={"n_invalid": n_invalid, "max_modes": max_modes},
+        meta={"n_invalid": int(np.isnan(fom).sum()), "max_modes": max_modes},
     )

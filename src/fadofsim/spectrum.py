@@ -80,16 +80,17 @@ def write_csv(path, header_lines, columns: dict) -> None:
     Rows are formatted in chunks of ``_CSV_CHUNK_ROWS``, which keeps memory
     flat on large grids, and laid out in a NUL-padded byte matrix whose
     NULs are dropped on writing.  ``%.Ne`` and ``%.Nf`` columns of real
-    numbers (1 <= N <= 12) and ``%d`` columns of integers are formatted by
-    numpy: the decimal mantissa is ``rint`` of the value scaled by a power
-    of ten, and its digits come from a table of 4-digit groups.  A value
-    goes through ``fmt % value`` instead when the double arithmetic cannot
-    settle its rounding, that is when the scaled value lies within
-    ``2**-50`` of itself of a half-unit tie (the scaling errs by at most
-    ``4 * 2**-53``); when ``%.Ne`` rounding would carry into the next
-    decade, or ``log10`` put it in the wrong decade; when it is not finite,
-    ±0 or subnormal; or when its integer part is outside the int64 range.
-    Columns of any other format or type go through ``fmt % value`` whole.
+    numbers (1 <= N <= 12) are formatted by numpy: the decimal mantissa is
+    ``rint`` of the value scaled by a power of ten, and its digits come
+    from a table of 4-digit groups.  A value goes through ``fmt % value``
+    instead when the double arithmetic cannot settle its rounding, that is
+    when the scaled value lies within ``2**-50`` of itself of a half-unit
+    tie (the scaling errs by at most ``4 * 2**-53``); when ``%.Ne``
+    rounding would carry into the next decade, or ``log10`` put it in the
+    wrong decade; when its ``%.Ne`` exponent has three digits; when it is
+    not finite, ±0 or subnormal; or when its integer part is outside the
+    int64 range.  Columns of any other format or type, ``%d`` included, go
+    through ``fmt % value`` whole.
     """
     values = [np.ravel(v) for v, _ in columns.values()]
     lengths = {name: v.size for name, v in zip(columns, values)}
@@ -133,25 +134,17 @@ def _rows(fields, n: int) -> np.ndarray:
 def _field(col: np.ndarray, fmt: str):
     """One column as ``(pieces, rows, text)`` for ``_rows``."""
     spec = _FLOAT_SPEC.match(fmt)
-    if fmt == "%d" and col.dtype.kind in "biu":
-        if col.dtype.kind == "u":
-            fallback = col > np.iinfo(np.int64).max
-        else:
-            fallback = col == np.iinfo(np.int64).min
-        v = np.where(fallback, 0, col).astype(np.int64)
-        pieces = [*_sign(v < 0), _int_digits(np.abs(v))]
-    elif spec and 1 <= int(spec[1]) <= 12 and col.dtype.kind in "biuf" and col.dtype.itemsize <= 8:
-        x = col.astype(float)
-        a = np.abs(x)
-        fallback = ~np.isfinite(a) | (a < np.finfo(float).tiny)
-        if spec[2] == "f":
-            fallback |= a >= 2.0**63
-        a[fallback] = 1.0
-        body, settled = (_exp_digits if spec[2] == "e" else _fixed_digits)(a, int(spec[1]))
-        fallback |= ~settled
-        pieces = [*_sign(x < 0), *body]
-    else:
+    if not (spec and 1 <= int(spec[1]) <= 12 and col.dtype.kind in "biuf" and col.dtype.itemsize <= 8):
         return [_text([fmt % value for value in col.tolist()], 0)], None, None
+    x = col.astype(float)
+    a = np.abs(x)
+    fallback = ~np.isfinite(a) | (a < np.finfo(float).tiny)
+    if spec[2] == "f":
+        fallback |= a >= 2.0**63
+    a[fallback] = 1.0
+    body, settled = (_exp_digits if spec[2] == "e" else _fixed_digits)(a, int(spec[1]))
+    fallback |= ~settled
+    pieces = [*_sign(x < 0), *body]
     rows = np.flatnonzero(fallback)
     if not rows.size:
         return pieces, None, None
@@ -165,24 +158,19 @@ def _field(col: np.ndarray, fmt: str):
 def _exp_digits(a, n_dec):
     """Unsigned ``%.{n_dec}e`` pieces of positive normal ``a``, and where they are settled."""
     exp = np.floor(np.log10(a)).astype(np.int64)
-    k = n_dec - exp
-    k_first = np.clip(k, -300, 300)
-    scaled = a * _POW10[k_first + 308] * _POW10[k - k_first + 308]
+    # k leaves the table only for three-digit exponents, which fall back
+    scaled = a * _POW10[np.clip(n_dec - exp, -308, 308) + 308]
     mantissa = np.rint(scaled)
+    exp_abs = np.abs(exp)
     settled = (
         (scaled >= 10.0**n_dec)
         & (mantissa < 10.0 ** (n_dec + 1))
         & (np.abs(np.abs(scaled - mantissa) - 0.5) > _TIE_GUARD * scaled)
+        & (exp_abs < 100)
     )
     mantissa[~settled] = 10.0**n_dec
     digits = _digits(mantissa.astype(np.int64), n_dec + 1)
-    exp_abs = np.abs(exp)
-    exp_digits = _DIGIT_GROUPS_U32[exp_abs].view(np.uint8).reshape(-1, 4)
-    if exp_abs.max() < 100:
-        exp_digits = exp_digits[:, 2:]
-    else:
-        exp_digits = exp_digits[:, 1:]
-        exp_digits[exp_abs < 100, 0] = 0
+    exp_digits = _DIGIT_GROUPS_U32[exp_abs].view(np.uint8).reshape(-1, 4)[:, 2:]
     exp_sign = (exp < 0).view(np.uint8) * np.uint8(ord("-") - ord("+")) + np.uint8(ord("+"))
     return [digits[:, :1], _DOT, digits[:, 1:], _E, exp_sign[:, None], exp_digits], settled
 

@@ -172,3 +172,15 @@ def modes_off_grid(indices, frequencies_hz, half_window_hz: float, grid_hz) -> l
         if f0 - half_window_hz < grid_hz[0] or f0 + half_window_hz > grid_hz[-1]:
             off.append(int(n))
     return off
+
+
+def excess_noise_with_cross_term(model) -> float:
+    """Excess quadrature noise of a ``cvnoise.NoiseModel`` keeping the dt*da term.
+
+    2 Re(conj(t a) (a dt + t da + dt da)) times the attenuator's power
+    transmission: the first-order model plus the cross term it drops.
+    """
+    t, dt = model.mean_transmission, model.transmission_noise
+    a, da = model.mean_field, model.field_noise
+    beat = a * dt + t * da + dt * da
+    return model.attenuation_amplitude**2 * 2.0 * float(np.real(np.conj(t * a) * beat))

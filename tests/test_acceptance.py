@@ -125,7 +125,7 @@ def test_criterion_03_dirichlet_kernel_vs_delta_comb():
     start = time.perf_counter()
     opo = OpoConfig()
     n_modes = 200
-    teeth = g2_multi_comb(opo, weight_cutoff=1e-6)
+    teeth = g2_multi_comb(opo)
     tau = opo.roundtrip_s
 
     worst = 0.0
@@ -155,7 +155,7 @@ def test_criterion_04_monte_carlo_matches_analytic():
     p_values = {}
     n_pairs = 0
     for mode, n_side in (("single", 128), ("comb", 300)):
-        stream = generate_pair_events(opo, det, mode, duration_s=5.0, seed=seed)
+        stream = generate_pair_events(opo, det, mode, seed=seed)
         n_pairs = stream.meta["n_pairs_generated"]
         observed = mc_histogram(stream, det, n_side_bins=n_side)
         expected = detected_histogram(opo, det, mode, n_side_bins=n_side)
@@ -165,8 +165,8 @@ def test_criterion_04_monte_carlo_matches_analytic():
         )
         p_values[mode] = float(stats.chi2.sf(stat, df=int(keep.sum())))
 
-    again = generate_pair_events(opo, det, "single", duration_s=5.0, seed=seed)
-    once = generate_pair_events(opo, det, "single", duration_s=5.0, seed=seed)
+    again = generate_pair_events(opo, det, "single", seed=seed)
+    once = generate_pair_events(opo, det, "single", seed=seed)
     deterministic = np.array_equal(again.channel1_s, once.channel1_s) and np.array_equal(
         again.channel2_s, once.channel2_s
     )

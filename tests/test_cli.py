@@ -329,6 +329,52 @@ def test_simulate_on_a_half_span_off_the_step_multiples(tmp_path, capsys):
     assert purity["retained_modes_per_side"] == 4
 
 
+@pytest.mark.parametrize("cfg_text, seed, reason", [
+    # the hot-cell run counts 9 against 18.18 accidentals subtracted
+    ("[spectrum]\nhalf_span_GHz = 6.8511\nstep_MHz = 2.5\n", None,
+     "hot-cell true count -9.18 is negative"),
+    ("[opo]\npair_rate_hz = 0\n", None, "the pair rate is 0"),
+    ("[filter]\nmagnetic_field_mT = 0\n", None, "no filter passband on the [spectrum] grid"),
+    ("[opo]\npair_rate_hz = 1\n[montecarlo]\nduration_s = 0.25\n", 3,
+     "filtered true count -1.465 is not positive"),
+    # the degenerate mode sits 8 GHz off the passband: the two runs differ by noise only
+    ("[filter]\ncenter_offset_GHz = 8\n[montecarlo]\nduration_s = 0.25\n", 0,
+     "value -0.006049 lies outside [0, 1]"),
+])
+def test_simulate_flags_values_that_are_not_purities(tmp_path, capsys, cfg_text, seed, reason):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(cfg_text)
+    seed_args = [] if seed is None else ["--seed", str(seed)]
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), *seed_args, "simulate"]) == 1
+    captured = capsys.readouterr()
+    assert f"validity flag: spectral purity (MC) is not a purity: {reason}" in captured.err
+    assert "spectral purity (MC): n/a" in captured.out
+    assert json.loads((out / "purity.json").read_text())["spectral_purity_mc"] is None
+
+
+def test_every_json_report_leads_with_the_config_hash(tmp_path):
+    cfg = tmp_path / "quick.cfg"
+    cfg.write_text("[montecarlo]\nduration_s = 0.25\n"
+                   "[optimize]\nb_points = 1\ntemperature_points = 1\n")
+    digest = load_config(cfg).config_hash
+    out = tmp_path / "out"
+    for command in ("spectrum", "g2", "simulate", "optimize", "noise"):
+        assert main(["--config", str(cfg), "--out", str(out), command]) == 0
+    reports = sorted(p.name for p in out.glob("*.json") if not p.name.endswith("_meta.json"))
+    assert reports == ["chi_square_report.json", "filter_metrics.json", "g2_metrics.json",
+                       "noise_fit.json", "optimize_result.json", "purity.json"]
+    for name in reports:
+        payload = json.loads((out / name).read_text())
+        assert list(payload)[0] == "config_hash", name
+        assert payload["config_hash"] == digest
+    # the timestamp sidecars carry it after their stream keys
+    sidecars = list(out.glob("*_meta.json"))
+    assert len(sidecars) == 4
+    for path in sidecars:
+        assert json.loads(path.read_text())["config_hash"] == digest
+
+
 def test_noise_budget(tmp_path):
     out = tmp_path / "noise"
     rc = main(["--out", str(out), "noise"])

