@@ -1,13 +1,15 @@
-"""Physical constants used throughout, taken from scipy.constants."""
+"""Physical constants used throughout, in SI units.
 
-from scipy.constants import (
-    c as SPEED_OF_LIGHT,
-    h as PLANCK,
-    k as BOLTZMANN,
-    physical_constants,
-)
+Values are the CODATA 2022 recommended values; c, h and k are exact in
+the 2019 SI.  Typed in rather than read from a
+library, so that outputs do not depend on which CODATA release an
+installed package ships.
+"""
 
-BOHR_MAGNETON = physical_constants["Bohr magneton"][0]
-ATOMIC_MASS = physical_constants["atomic mass constant"][0]
+SPEED_OF_LIGHT = 299792458.0
+PLANCK = 6.62607015e-34
+BOLTZMANN = 1.380649e-23
+BOHR_MAGNETON = 9.2740100657e-24
+ATOMIC_MASS = 1.66053906892e-27
 
 TORR_TO_PA = 101325.0 / 760.0
