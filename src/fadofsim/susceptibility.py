@@ -107,6 +107,11 @@ def vapor_density(temperature_k: float) -> float:
     return p_pa / (BOLTZMANN * temperature_k)
 
 
+def wavevector(table: AtomicLineTable) -> float:
+    """Vacuum wavevector 2 pi nu / c of the table's reference line, in rad/m."""
+    return 2.0 * np.pi * table.reference_frequency_hz / SPEED_OF_LIGHT
+
+
 def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: VaporCell) -> np.ndarray:
     """Linear susceptibility chi(nu) of ``cell`` for one circular polarization.
 
@@ -123,7 +128,7 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
     n_total = vapor_density(cell.temperature_k)
 
     lam = SPEED_OF_LIGHT / table.reference_frequency_hz
-    k_wave = 2.0 * np.pi / lam
+    k_wave = wavevector(table)
     gamma_natural = 2.0 * np.pi * table.natural_fwhm_hz
     # angular Lorentzian HWHM: natural plus collisional
     gamma_l = np.pi * (table.natural_fwhm_hz + cell.buffer_fwhm_hz)

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import SPEED_OF_LIGHT
 from .lines import AtomicLineTable
 from .spectrum import Spectrum
-from .susceptibility import complex_susceptibility
+from .susceptibility import complex_susceptibility, wavevector
 
 
 @dataclass
@@ -67,19 +66,13 @@ class HotCellConfig(VaporCell):
     buffer_fwhm_hz: float = 200e6
 
 
-def _wavevector(table: AtomicLineTable) -> float:
-    # complex_susceptibility forms k as 2 pi / lambda, which differs from
-    # this 2 pi nu / c in the last bit; either one for both moves output bytes
-    return 2.0 * np.pi * table.reference_frequency_hz / SPEED_OF_LIGHT
-
-
 def circular_amplitudes(cfg: FilterConfig, freq_hz) -> tuple[np.ndarray, np.ndarray]:
     """Complex field transmission t+- of the cell for sigma+- light.
 
     t = exp(i k n L) with n = 1 + chi/2; the common vacuum phase factor
     exp(i k L) carries no polarization information and is dropped.
     """
-    k = _wavevector(cfg.table)
+    k = wavevector(cfg.table)
     amps = []
     for q in (+1, -1):
         chi = complex_susceptibility(freq_hz, q, cfg.b_field_t, cfg)
@@ -102,7 +95,7 @@ def fadof_transmission(cfg: FilterConfig, freq_hz) -> Spectrum:
 def optical_depth(cfg: HotCellConfig, freq_hz) -> np.ndarray:
     """Resonant optical depth of the blocking cell (no field, no polarizers)."""
     chi = complex_susceptibility(freq_hz, +1, 0.0, cfg)
-    return _wavevector(cfg.table) * cfg.length_m * chi.imag
+    return wavevector(cfg.table) * cfg.length_m * chi.imag
 
 
 def hot_cell_transmission(cfg: HotCellConfig, freq_hz) -> Spectrum:
