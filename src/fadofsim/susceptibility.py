@@ -9,10 +9,13 @@ evaluates w(z) in three zones of |z|, all on one code path:
   4.5e-9 relative to ``scipy.special.wofz``;
 - 7 < |z| <= 14: the same series to 18 terms, within 2.6e-14 of ``wofz``
   for every Lorentzian width tested from 1e-6 to 13.9 Doppler widths;
-- |z| <= 7: ``wofz`` itself.
+- |z| <= 7: Weideman's rational approximation with N = 40 terms (SIAM J.
+  Numer. Anal. 31, 1497 (1994)), within 1.8e-14 of ``wofz`` on 200,000
+  random points with Lorentzian widths from 1e-6 to 7 Doppler widths.
 
-Both series are several times cheaper per point than ``wofz`` and are
-evaluated without complex division.  The far zone keeps its 4.5e-9
+The zones use numpy alone.  Both series are several times cheaper per
+point than ``wofz`` and are evaluated without complex division; the
+rational zone costs about what ``wofz`` does.  The far zone keeps its 4.5e-9
 truncation because the filter transmissions pinned by the benchmark
 reference were taken with it: a more accurate far series moves them by
 more than the reference's 1e-9 tolerance, so that upgrade waits for a
@@ -24,7 +27,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import wofz
 
 from .constants import BOLTZMANN, SPEED_OF_LIGHT, TORR_TO_PA
 from .lines import AtomicLineTable, zeeman_components
@@ -36,15 +38,65 @@ if TYPE_CHECKING:
 # _ASYMPTOTIC_RADIUS the four-term series is within 4.5e-9 of wofz, and
 # between the radii the 18-term series within 2.6e-14.  Inside
 # _SERIES_RADIUS that series drifts past 1e-13 (1.9e-13 at |z| = 6), so
-# wofz is evaluated there.
+# the rational approximation is evaluated there.
 _ASYMPTOTIC_RADIUS = 14.0
 _SERIES_RADIUS = 7.0
 _FAR_TERMS = 4
 _SERIES_TERMS = 18
+_RATIONAL_TERMS = 40
 _SQRT_PI = np.sqrt(np.pi)
 # w(z) ~ (i / (sqrt(pi) z)) sum_n c_n z^(-2n) with c_n = (2n-1)!! / 2^n
 # (Abramowitz & Stegun 7.1.23)
 _SERIES_COEFFS = np.cumprod([1.0] + [(2 * n - 1) / 2.0 for n in range(1, _SERIES_TERMS)])
+
+
+def _rational_coefficients(n_terms):
+    """Weideman's polynomial coefficients, highest power first, and his L.
+
+    a_n = (1 / 2M) sum_k f(t_k) cos(n theta_k) for n = 1..N, with
+    M = 2N, theta_k = k pi / M for |k| < M, t_k = L tan(theta_k / 2),
+    f(t) = exp(-t^2) (L^2 + t^2) and L = sqrt(N / sqrt(2)): the cosine
+    sum his FFT evaluates.
+    """
+    m = 2 * n_terms
+    length = np.sqrt(n_terms / np.sqrt(2.0))
+    theta = np.arange(1 - m, m) * (np.pi / m)
+    t = length * np.tan(theta / 2.0)
+    f = np.exp(-t * t) * (length * length + t * t)
+    coeffs = (np.cos(np.outer(np.arange(1, n_terms + 1), theta)) * f).sum(axis=1) / (2 * m)
+    return coeffs[::-1], length
+
+
+_RATIONAL_COEFFS, _RATIONAL_L = _rational_coefficients(_RATIONAL_TERMS)
+
+
+def _rational(x, a):
+    """Weideman's N-term rational approximation of w(x + i a), a > 0.
+
+    w(z) = 2 p(Z) / (L - i z)^2 + 1 / (sqrt(pi) (L - i z)) with
+    Z = (L + i z) / (L - i z) and p of degree N - 1 (SIAM J. Numer. Anal.
+    31, 1497 (1994)).  L - i z = (L + a) - i x, so 1 / (L - i z) needs
+    only a real division.  Horner runs in place.
+    """
+    u = np.empty(x.shape, dtype=complex)
+    d = x * x
+    d += (_RATIONAL_L + a) ** 2
+    np.divide(1.0, d, out=d)
+    np.multiply(d, _RATIONAL_L + a, out=u.real)
+    np.multiply(x, d, out=u.imag)
+    z_map = np.empty(x.shape, dtype=complex)
+    z_map.real = _RATIONAL_L - a
+    z_map.imag = x
+    z_map *= u
+    p = np.full(x.shape, _RATIONAL_COEFFS[0], dtype=complex)
+    for c in _RATIONAL_COEFFS[1:]:
+        p *= z_map
+        p += c
+    p *= u
+    p *= 2.0
+    p += 1.0 / _SQRT_PI
+    p *= u
+    return p
 
 
 def _asymptotic_series(x, a, d, terms):
@@ -85,7 +137,7 @@ def complex_voigt(x, a):
     # the far series on every point, then the inner zones overwritten
     out = _asymptotic_series(x, a, d, _FAR_TERMS)
     out[mid] = _asymptotic_series(x[mid], a, d[mid], _SERIES_TERMS)
-    out[near] = wofz(x[near] + 1j * a)
+    out[near] = _rational(x[near], a)
     return out.reshape(shape)
 
 
