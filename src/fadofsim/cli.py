@@ -273,11 +273,15 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
             counts, n_bins = montecarlo.coincidences_in_window(hist, window)
             runs.append((counts, hist.accidental_floor_per_bin * n_bins))
         (c_f, acc_f), (c_b, acc_b) = runs
-        purity, reasons = None, _purity_flags(cfg, fadof, c_f - acc_f, c_b - acc_b)
+        purity = stderr = None
+        reasons = _purity_flags(cfg, fadof, c_f - acc_f, c_b - acc_b)
         if not reasons:
             purity = pairs.spectral_purity(c_b - acc_b, c_f - acc_f)
+            # Poisson variance of each run's coincidences; the accidentals are known
+            stderr = pairs.spectral_purity_stderr(c_b - acc_b, c_f - acc_f, c_b, c_f)
             if not 0.0 <= purity <= 1.0:
-                purity, reasons = None, [f"value {purity:.4g} lies outside [0, 1]"]
+                reasons = [f"value {purity:.4g} lies outside [0, 1]"]
+                purity = stderr = None
         dirty += [f"spectral purity (MC) is not a purity: {r}" for r in reasons]
         payload.update(
             coincidence_window_ns=window * 1e9,
@@ -285,8 +289,9 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
             coincidences_hot_cell=c_b,
             accidentals_subtracted_per_run=acc_f,
             spectral_purity_mc=purity,
+            spectral_purity_mc_stderr=stderr,
         )
-        purity_text = "n/a" if purity is None else f"{purity:.4f}"
+        purity_text = "n/a" if purity is None else f"{purity:.4f} +- {stderr:.4f}"
         print(f"spectral purity (MC): {purity_text} (analytic resonant fraction {resonant:.4f})")
     _write_json(out / "purity.json", cfg, payload)
     print(f"overall degenerate fraction: {payload['overall_degenerate_fraction']:.4f}")

@@ -113,6 +113,18 @@ def spectral_purity(hot_cell_counts: float, filtered_counts: float) -> float:
     return 1.0 - hot_cell_counts / filtered_counts
 
 
+def spectral_purity_stderr(hot_cell_counts: float, filtered_counts: float,
+                           hot_cell_var: float, filtered_var: float) -> float:
+    """First-order standard error of ``spectral_purity`` from its counts' variances.
+
+    dP/dB = -1/F and dP/dF = B/F^2, so sigma_P = sqrt(var_B + (B/F)^2 var_F) / F.
+    """
+    if filtered_counts <= 0:
+        raise ValueError("filtered coincidence counts must be positive")
+    ratio = hot_cell_counts / filtered_counts
+    return (hot_cell_var + ratio * ratio * filtered_var) ** 0.5 / filtered_counts
+
+
 def overall_degenerate_fraction(resonant_fraction: float, leakage: float) -> float:
     """Degenerate fraction including out-of-band leakage pairs.
 

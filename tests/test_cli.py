@@ -1,6 +1,7 @@
 """End-to-end command-line interface behavior and output schemas."""
 
 import json
+import math
 import os
 import re
 import shutil
@@ -10,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 from scipy.stats import chi2
 
-from fadofsim.cli import main
+from fadofsim.cli import chi_square_sf, main
 from fadofsim.config import load_config
 from fadofsim.cvnoise import squeezing_through_loss
 from fadofsim.montecarlo import coincidences_in_window, mc_histogram, read_stream
@@ -354,7 +356,64 @@ def test_simulate_flags_values_that_are_not_purities(tmp_path, capsys, cfg_text,
     captured = capsys.readouterr()
     assert f"validity flag: spectral purity (MC) is not a purity: {reason}" in captured.err
     assert "spectral purity (MC): n/a" in captured.out
-    assert json.loads((out / "purity.json").read_text())["spectral_purity_mc"] is None
+    purity = json.loads((out / "purity.json").read_text())
+    assert purity["spectral_purity_mc"] is None
+    assert purity["spectral_purity_mc_stderr"] is None
+
+
+@pytest.mark.parametrize("cfg_text, seed, counts, purity, stderr_range", [
+    # 6 and 4 coincidences, each run less about 2.9 accidentals
+    ("[opo]\npair_rate_hz = 1\n[montecarlo]\nduration_s = 0.25\n", 0, (6.0, 4.0),
+     0.6211, (0.5, 1.0)),
+    ("", None, (9249.0, 326.0), 0.9667, (1e-3, 3e-3)),
+])
+def test_simulate_reports_the_purity_stderr(tmp_path, cfg_text, seed, counts, purity,
+                                            stderr_range):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    seed_args = [] if seed is None else ["--seed", str(seed)]
+    out = tmp_path / "out"
+    main(["--config", str(cfg), "--out", str(out), *seed_args, "simulate"])
+    report = json.loads((out / "purity.json").read_text())
+    assert (report["coincidences_filtered"], report["coincidences_hot_cell"]) == counts
+    assert report["spectral_purity_mc"] == pytest.approx(purity, abs=1e-4)
+    # first-order Poisson error of both counts, the accidentals known; the
+    # report holds the filtered run's subtraction, and B / F = 1 - purity
+    c_f, c_b = counts
+    true_f = c_f - report["accidentals_subtracted_per_run"]
+    ratio = 1.0 - report["spectral_purity_mc"]
+    expected = np.sqrt(c_b + ratio**2 * c_f) / true_f
+    assert report["spectral_purity_mc_stderr"] == pytest.approx(expected, rel=1e-12)
+    assert stderr_range[0] < report["spectral_purity_mc_stderr"] < stderr_range[1]
+
+
+def test_cli_import_and_config_load_leave_scipy_unloaded():
+    code = ("import sys, fadofsim.cli; from fadofsim.config import load_config; "
+            "load_config(None); print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_chi_square_sf_against_chdtrc():
+    worst = 0.0
+    for dof in range(1, 301):
+        # from the bulk out to tails of 1e-15, plus the origin
+        stats = [0.0, *chi2.isf(np.logspace(-15, -1e-6, 25), dof)]
+        for stat in stats:
+            want = chdtrc(dof, stat)
+            worst = max(worst, abs(chi_square_sf(float(stat), dof) - want) / want)
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("stat", [0.0, 1e-12, 0.3, 1.0, 7.5, 40.0, 300.0])
+def test_chi_square_sf_low_dof_identities(stat):
+    assert chi_square_sf(stat, 1) == pytest.approx(math.erfc(math.sqrt(stat / 2.0)),
+                                                   rel=1e-15, abs=0)
+    assert chi_square_sf(stat, 2) == pytest.approx(math.exp(-stat / 2.0), rel=1e-15, abs=0)
+    with pytest.raises(ValueError, match="degree of freedom"):
+        chi_square_sf(stat, 0)
 
 
 def test_every_json_report_leads_with_the_config_hash(tmp_path):

@@ -20,6 +20,7 @@ from fadofsim.pairs import (
     pair_transmission_map,
     resonant_degenerate_fraction,
     spectral_purity,
+    spectral_purity_stderr,
 )
 from fadofsim.spectrum import Spectrum, make_frequency_grid
 from fadofsim.vapor import FilterConfig
@@ -180,6 +181,25 @@ def test_spectral_purity_values_and_validation():
         spectral_purity(1.0, 0.0)
     with pytest.raises(ValueError, match="negative"):
         spectral_purity(-1.0, 10.0)
+
+
+def test_spectral_purity_stderr_matches_poisson_scatter():
+    # coincidences Poisson about their means, accidentals known: the
+    # first-order error is the scatter of the purity over many draws
+    acc_b, acc_f, mean_b, mean_f = 20.0, 20.0, 520.0, 10_020.0
+    rng = np.random.default_rng(7)
+    c_b = rng.poisson(mean_b, 20_000)
+    c_f = rng.poisson(mean_f, 20_000)
+    scatter = np.std(1.0 - (c_b - acc_b) / (c_f - acc_f))
+    stderr = spectral_purity_stderr(mean_b - acc_b, mean_f - acc_f, mean_b, mean_f)
+    assert stderr == pytest.approx(scatter, rel=0.03)
+    # sqrt(var_B + (B/F)^2 var_F) / F, term by term
+    assert spectral_purity_stderr(3.0, 4.0, 9.0, 16.0) == pytest.approx(
+        np.sqrt(9.0 + (3.0 / 4.0) ** 2 * 16.0) / 4.0, rel=1e-15
+    )
+    assert spectral_purity_stderr(0.0, 100.0, 0.0, 100.0) == 0.0
+    with pytest.raises(ValueError, match="positive"):
+        spectral_purity_stderr(1.0, 0.0, 1.0, 1.0)
 
 
 def test_overall_fraction_discounts_leakage():
