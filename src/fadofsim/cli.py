@@ -277,11 +277,11 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
         reasons = _purity_flags(cfg, fadof, c_f - acc_f, c_b - acc_b)
         if not reasons:
             purity = pairs.spectral_purity(c_b - acc_b, c_f - acc_f)
-            # Poisson variance of each run's coincidences; the accidentals are known
-            stderr = pairs.spectral_purity_stderr(c_b - acc_b, c_f - acc_f, c_b, c_f)
             if not 0.0 <= purity <= 1.0:
-                reasons = [f"value {purity:.4g} lies outside [0, 1]"]
-                purity = stderr = None
+                purity, reasons = None, [f"value {purity:.4g} lies outside [0, 1]"]
+            else:
+                # Poisson variance of each run's coincidences; the accidentals are known
+                stderr = pairs.spectral_purity_stderr(c_b - acc_b, c_f - acc_f, c_b, c_f)
         dirty += [f"spectral purity (MC) is not a purity: {r}" for r in reasons]
         payload.update(
             coincidence_window_ns=window * 1e9,

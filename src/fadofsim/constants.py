@@ -1,9 +1,8 @@
 """Physical constants used throughout, in SI units.
 
 Values are the CODATA 2022 recommended values; c, h and k are exact in
-the 2019 SI.  Typed in rather than read from a
-library, so that outputs do not depend on which CODATA release an
-installed package ships.
+the 2019 SI.  They are typed in rather than read from a library, so that
+outputs do not depend on which CODATA release an installed package ships.
 """
 
 SPEED_OF_LIGHT = 299792458.0

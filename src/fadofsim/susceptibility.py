@@ -15,7 +15,7 @@ evaluates w(z) in three zones of |z|, all on one code path:
 
 The zones use numpy alone.  Both series are several times cheaper per
 point than ``wofz`` and are evaluated without complex division; the
-rational zone costs about what ``wofz`` does.  The far zone keeps its 4.5e-9
+rational zone is no slower than ``wofz``.  The far zone keeps its 4.5e-9
 truncation because the filter transmissions pinned by the benchmark
 reference were taken with it: a more accurate far series moves them by
 more than the reference's 1e-9 tolerance, so that upgrade waits for a
