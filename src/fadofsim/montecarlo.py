@@ -99,21 +99,6 @@ def generate_pair_events(
     )
 
 
-def thin_stream(stream: EventStream, survival1: float, survival2: float, seed: int) -> EventStream:
-    """Bernoulli-thin each channel photon by photon.
-
-    Models an independent passive loss in front of each detector; a pair
-    losing one photon leaves the survivor behind as a background single.
-    """
-    for s in (survival1, survival2):
-        if not 0.0 <= s <= 1.0:
-            raise ValueError("survival probabilities must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    ch1 = stream.channel1_s[rng.random(stream.channel1_s.size) < survival1]
-    ch2 = stream.channel2_s[rng.random(stream.channel2_s.size) < survival2]
-    return EventStream(ch1, ch2, stream.duration_s, stream.seed, dict(stream.meta))
-
-
 def mc_histogram(stream: EventStream, det: DetectorConfig, n_side_bins: int = 64) -> Histogram:
     """Start multi-stop coincidence histogram of an event stream.
 

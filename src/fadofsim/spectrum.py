@@ -103,39 +103,24 @@ def write_csv(path, header_lines, columns: dict) -> None:
         fh.write(",".join(columns) + "\n")
         for start in range(0, n_rows, _CSV_CHUNK_ROWS):
             chunk = slice(start, start + _CSV_CHUNK_ROWS)
-            fields = []
+            pieces = []
             for v, fmt in zip(values, fmts):
-                fields += [_field(v[chunk], fmt), ([_COMMA], None, None)]
-            fields[-1] = ([_NEWLINE], None, None)
+                pieces += [_cells(v[chunk], fmt), _COMMA]
+            pieces[-1] = _NEWLINE
             n = min(_CSV_CHUNK_ROWS, n_rows - start)
-            fh.write(_rows(fields, n).tobytes().replace(b"\0", b"").decode())
+            fh.write(_hstack(pieces, n).tobytes().replace(b"\0", b"").decode())
 
 
-def _rows(fields, n: int) -> np.ndarray:
-    """Lay out fields side by side in one NUL-padded (rows, bytes) matrix.
-
-    A field is ``(pieces, rows, text)``: byte matrices written left to
-    right (a one-row piece repeats on every row), then ``text`` written
-    over the whole field on the listed rows.
-    """
-    width = sum(piece.shape[1] for pieces, _, _ in fields for piece in pieces)
-    out = np.empty((n, width), np.uint8)
-    end = 0
-    for pieces, rows, text in fields:
-        start = end
-        for piece in pieces:
-            out[:, end : end + piece.shape[1]] = piece
-            end += piece.shape[1]
-        if rows is not None:
-            out[rows, start:end] = text
-    return out
+def _hstack(pieces, n: int) -> np.ndarray:
+    """Byte matrices side by side in ``n`` rows; a one-row piece repeats on every row."""
+    return np.hstack([np.broadcast_to(piece, (n, piece.shape[1])) for piece in pieces])
 
 
-def _field(col: np.ndarray, fmt: str):
-    """One column as ``(pieces, rows, text)`` for ``_rows``."""
+def _cells(col: np.ndarray, fmt: str) -> np.ndarray:
+    """``fmt % value`` for every value of ``col`` as one NUL-padded (rows, bytes) matrix."""
     spec = _FLOAT_SPEC.match(fmt)
     if not (spec and 1 <= int(spec[1]) <= 12 and col.dtype.kind in "biuf" and col.dtype.itemsize <= 8):
-        return [_text([fmt % value for value in col.tolist()], 0)], None, None
+        return _text([fmt % value for value in col.tolist()], 0)
     x = col.astype(float)
     a = np.abs(x)
     fallback = ~np.isfinite(a) | (a < np.finfo(float).tiny)
@@ -144,15 +129,14 @@ def _field(col: np.ndarray, fmt: str):
     a[fallback] = 1.0
     body, settled = (_exp_digits if spec[2] == "e" else _fixed_digits)(a, int(spec[1]))
     fallback |= ~settled
-    pieces = [*_sign(x < 0), *body]
+    cells = _hstack([*_sign(x < 0), *body], x.size)
     rows = np.flatnonzero(fallback)
-    if not rows.size:
-        return pieces, None, None
-    width = sum(piece.shape[1] for piece in pieces)
-    text = _text([fmt % value for value in col[rows].tolist()], width)
-    if text.shape[1] > width:
-        pieces.append(np.zeros((1, text.shape[1] - width), np.uint8))
-    return pieces, rows, text
+    if rows.size:
+        text = _text([fmt % value for value in col[rows].tolist()], cells.shape[1])
+        if text.shape[1] > cells.shape[1]:
+            cells = np.pad(cells, ((0, 0), (0, text.shape[1] - cells.shape[1])))
+        cells[rows] = text
+    return cells
 
 
 def _exp_digits(a, n_dec):

@@ -2,8 +2,8 @@
 
 These deliberately avoid the code paths under test: the Faddeeva oracle
 integrates the defining Doppler-convolution integral directly by
-composite Simpson quadrature after an exact pole subtraction, instead of
-calling any library Faddeeva routine; the coincidence oracle compares
+composite Simpson quadrature after subtracting a closed-form part, instead
+of calling any library Faddeeva routine; the coincidence oracle compares
 every start with every stop in plain Python; the CSV oracle formats each
 row with one Python ``%`` call; the mode-window oracle tests one mode at a
 time against the grid ends.
@@ -23,12 +23,16 @@ def faddeeva_by_quadrature(x, a: float, half_width: float = 12.0, nodes: int = 3
 
     w(z) = (i/pi) * integral over real t of exp(-t^2) / (z - t).
 
-    The integrand's near-pole structure is removed exactly: the first-order
-    Taylor expansion of exp(-t^2) about t = x is subtracted (its quotient
-    with (z - t) integrates in closed form over [-W, W]) and the smooth
-    remainder, which vanishes quadratically at t = x, is integrated by
-    composite Simpson.  The Gaussian tail beyond |t| = W is below 1e-60
-    for W = 12, far under the quadrature error.
+    A part whose quotient with (z - t) integrates in closed form over
+    [-W, W] is subtracted from exp(-t^2), and the remainder is integrated
+    by composite Simpson.  For a < 1 that part is the constant exp(-z^2):
+    the remainder then has no pole at t = z, so Simpson needs no nodes at
+    the scale a, and |exp(-z^2)| = exp(a^2 - x^2) < e costs no digits.
+    For a >= 1 it is the first-order Taylor expansion of exp(-t^2) about
+    t = x, since exp(-z^2) grows as exp(a^2); the pole then lies at least
+    one unit off the real axis, where the nodes resolve it.  The Gaussian
+    tail beyond |t| = W is below 1e-60 for W = 12, far under the
+    quadrature error.
     """
     if a <= 0:
         raise ValueError("requires a > 0")
@@ -49,17 +53,17 @@ def faddeeva_by_quadrature(x, a: float, half_width: float = 12.0, nodes: int = 3
     for lo in range(0, x.size, chunk):
         xs = x[lo : lo + chunk, None]
         z = xs + 1j * a
-        ex = np.exp(-xs * xs)
-        # first-order expansion of the Gaussian about the pole position
-        linear = ex * (1.0 + 2.0 * xs * xs - 2.0 * xs * t[None, :])
-        residual = ((gauss[None, :] - linear) / (z - t[None, :]) * simpson).sum(axis=1)
-        # closed form of the subtracted part over [-W, W]
+        # integral of 1 / (z - t) over [-W, W]
         lam = np.log(z + w_half) - np.log(z - w_half)
-        analytic = ex[:, 0] * (
-            (1.0 + 2.0 * xs[:, 0] ** 2 - 2.0 * xs[:, 0] * z[:, 0]) * lam[:, 0]
-            + 4.0 * xs[:, 0] * w_half
-        )
-        out[lo : lo + chunk] = (1j / np.pi) * (residual + analytic)
+        if a < 1.0:
+            subtracted = np.exp(-z * z)
+            analytic = subtracted * lam
+        else:
+            ex = np.exp(-xs * xs)
+            subtracted = ex * (1.0 + 2.0 * xs * xs - 2.0 * xs * t[None, :])
+            analytic = ex * ((1.0 + 2.0 * xs * xs - 2.0 * xs * z) * lam + 4.0 * xs * w_half)
+        residual = ((gauss[None, :] - subtracted) / (z - t[None, :]) * simpson).sum(axis=1)
+        out[lo : lo + chunk] = (1j / np.pi) * (residual + analytic[:, 0])
     return out
 
 

@@ -16,7 +16,6 @@ from fadofsim.montecarlo import (
     generate_pair_events,
     mc_histogram,
     read_stream,
-    thin_stream,
     write_stream,
 )
 from fadofsim.opo import OpoConfig
@@ -235,26 +234,6 @@ def test_pair_survival_thins_pairs_only():
     n_kept = kept.meta["n_pairs_generated"]
     assert n_kept < 0.3 * n_full
     assert n_kept == pytest.approx(0.25 * n_full, rel=0.05)
-
-
-def test_thin_stream_limits_and_validation():
-    opo = OpoConfig(pair_rate_hz=1e3)
-    det = DetectorConfig(r1_hz=1e3, r2_hz=1e3, acquisition_s=5.0)
-    stream = generate_pair_events(opo, det, "single", seed=47)
-    untouched = thin_stream(stream, 1.0, 1.0, seed=1)
-    assert np.array_equal(untouched.channel1_s, stream.channel1_s)
-    assert np.array_equal(untouched.channel2_s, stream.channel2_s)
-    emptied = thin_stream(stream, 0.0, 0.0, seed=1)
-    assert emptied.channel1_s.size == 0
-    assert emptied.channel2_s.size == 0
-    half = thin_stream(stream, 0.5, 0.5, seed=2)
-    n = stream.channel1_s.size
-    assert abs(half.channel1_s.size - 0.5 * n) < 4.0 * np.sqrt(0.25 * n)
-    assert np.all(np.isin(half.channel1_s, stream.channel1_s))
-    again = thin_stream(stream, 0.5, 0.5, seed=2)
-    assert np.array_equal(half.channel1_s, again.channel1_s)
-    with pytest.raises(ValueError, match="survival"):
-        thin_stream(stream, 1.5, 1.0, seed=1)
 
 
 def test_generation_validation():

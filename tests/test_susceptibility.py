@@ -52,8 +52,9 @@ A_VALUES = (1e-6, A_FADOF_CELL, A_HOT_CELL, 1.0, 4.0, 6.9, 7.5, 13.9)
 
 
 def test_voigt_asymptotic_seam_continuous():
-    # the 18-term series takes over from wofz at |z| = 7 and the four-term
-    # series from it at |z| = 14; both evaluations must agree across each seam
+    # the 18-term series takes over from the rational zone at |z| = 7 and
+    # the four-term series from it at |z| = 14; both evaluations must agree
+    # across each seam
     for radius, tolerance in ((7.0, 1e-13), (14.0, 1e-8)):
         for a in (A_FADOF_CELL, A_HOT_CELL):
             x = np.linspace(radius - 1.5, radius + 2.0, 3001)
@@ -72,12 +73,6 @@ def test_voigt_matches_wofz_within_asymptotic_radius():
         assert np.max(np.abs(ours - ref) / np.abs(ref)) <= 1e-13, a
 
 
-# The quadrature oracle's Simpson rule resolves the pole at t = x only for
-# Lorentzian widths well above its 8.5e-4 node spacing; below that it
-# holds to 2e-8 (1.6e-8 measured at a = 1e-3)
-ORACLE_RESOLVED_A = 5e-3
-
-
 @pytest.mark.parametrize("a", (1e-6, 1e-3, A_FADOF_CELL, A_HOT_CELL, 1.0, 4.0, 6.9))
 def test_voigt_rational_zone_against_quadrature_oracle(a):
     # |z| up to 7.5: the 40-term rational zone and the 18-term series past its seam
@@ -87,8 +82,7 @@ def test_voigt_rational_zone_against_quadrature_oracle(a):
     assert np.any(radius < 7.0) and np.any(radius > 7.0)
     ours = complex_voigt(x, a)
     oracle = faddeeva_by_quadrature(x, a, half_width=14.0, nodes=32769)
-    tolerance = 5e-14 if a > ORACLE_RESOLVED_A else 2e-8
-    assert np.max(np.abs(ours - oracle) / np.abs(oracle)) <= tolerance
+    assert np.max(np.abs(ours - oracle) / np.abs(oracle)) <= 5e-14
 
 
 def test_voigt_rational_zone_against_wofz():
