@@ -11,7 +11,9 @@ name is recorded in the stream metadata.
 
 from __future__ import annotations
 
+import bisect
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +24,9 @@ from .opo import OpoConfig
 
 RNG_ALGORITHM = "PCG64"
 TIMESTAMP_UNIT_S = 1e-12
+# Events per chunk of the histogram merge and the stream writer: their
+# working memory is a few arrays of this length, not of the stream's.
+_CHUNK_EVENTS = 1 << 20
 
 
 @dataclass
@@ -63,24 +68,34 @@ def generate_pair_events(
 
     n_pairs = rng.poisson(opo.pair_rate_hz * duration_s * pair_survival)
     t_signal = rng.uniform(0.0, duration_s, n_pairs)
+    # the separation array becomes the idler times in place
     if mode == "single":
-        magnitude = rng.exponential(1.0 / opo.gamma_sum, n_pairs)
-        sign = rng.integers(0, 2, n_pairs) * 2 - 1
-        separation = magnitude * sign
+        separation = rng.exponential(1.0 / opo.gamma_sum, n_pairs)
+        sign = rng.integers(0, 2, n_pairs)
+        sign *= 2
+        sign -= 1
+        separation *= sign
+        del sign
     elif mode == "comb":
         teeth = g2_multi_comb(opo)
         p = teeth.weights / teeth.weights.sum()
         separation = rng.choice(teeth.delays_s, size=n_pairs, p=p)
     else:
         raise ValueError(f"unknown generation mode {mode!r}")
-    t_idler = t_signal + separation + det.offset_s
+    separation += t_signal
+    separation += det.offset_s
+    t_idler = separation
 
     n_bg1 = rng.poisson(bg1 * duration_s)
     n_bg2 = rng.poisson(bg2 * duration_s)
     ch1 = np.concatenate([t_signal, rng.uniform(0.0, duration_s, n_bg1)])
+    del t_signal
+    ch1 = ch1[(ch1 >= 0.0) & (ch1 < duration_s)]
+    ch1.sort()
     ch2 = np.concatenate([t_idler, rng.uniform(0.0, duration_s, n_bg2)])
-    ch1 = np.sort(ch1[(ch1 >= 0.0) & (ch1 < duration_s)])
-    ch2 = np.sort(ch2[(ch2 >= 0.0) & (ch2 < duration_s)])
+    del t_idler, separation
+    ch2 = ch2[(ch2 >= 0.0) & (ch2 < duration_s)]
+    ch2.sort()
     return EventStream(
         channel1_s=ch1,
         channel2_s=ch2,
@@ -108,32 +123,70 @@ def mc_histogram(stream: EventStream, det: DetectorConfig, n_side_bins: int = 64
     lies within the window is then counted at that difference.  Bins span
     the channel-offset bin +- n_side_bins, matching the analytic layout.
 
-    The count is one merge of the two channels.  Channel-1 bins are
-    shifted to the window start (offset bin - n_side_bins) and every event
-    becomes the key 2*bin + channel (0 for a start, 1 for a stop), so a
-    coincidence is a stop that follows a start in key order by at most
-    w = 2*n_side_bins bins; a stop in the start's own bin sorts after it,
-    as the window's inclusive lower edge requires.  Both channels are
-    sorted, so the stable sort of the concatenated keys is one linear
-    merge.  Each start directly followed by a stop within w bins is a
-    coincidence at that gap, and one bincount over all neighbours gives
-    the bulk of the histogram.  A stop d > 1 places on needs every entry
-    in between inside the window too, so the loop over d = 2, 3, ...
-    walks a candidate set that shrinks each step: time is linear in the
-    events plus the coincidences beyond the nearest entry, memory a few
-    int64 arrays of the merged length.  The keys are int64, so the
-    stream must span fewer than 2**62 clock bins (duration / bin_s
-    < 2**62, offset included).
+    The channels are merged one chunk at a time.  A chunk holds at most
+    ``_CHUNK_EVENTS`` starts (channel-1 events), fewer where their windows
+    would open more than ``_CHUNK_EVENTS`` stops past the first start's,
+    and every stop from the first start's window opening to the last
+    start's window closing.  Each start's coincidences depend only on the
+    stops within its window, so the chunk counts add up to those of one
+    merge of the whole stream, and memory is a few arrays of one chunk
+    (plus the stops of one window) whatever the stream's length.  The
+    chunk edges are found by bisection on the clock bin, which is
+    monotone in time.
     """
     tb = det.bin_s
     k = det.offset_bin
     w = 2 * n_side_bins
+    shift = k - n_side_bins  # channel-1 bins move to the window start
+    t1, t2 = stream.channel1_s, stream.channel2_s
+
+    def first(t, b, lo):
+        """First index from lo on whose clock bin is at least b."""
+        return bisect.bisect_left(t, b, lo, key=lambda x: math.floor(x / tb))
+
+    counts = np.zeros(w + 1, dtype=np.int64)
+    i = lo = 0
+    while i < t1.size:
+        lo = first(t2, math.floor(t1[i] / tb) + shift, lo)
+        j = min(i + _CHUNK_EVENTS, t1.size)
+        if lo + _CHUNK_EVENTS < t2.size:
+            j = min(j, first(t1, math.floor(t2[lo + _CHUNK_EVENTS] / tb) - shift + 1, i + 1))
+        hi = first(t2, math.floor(t1[j - 1] / tb) + shift + w + 1, lo)
+        counts += _merged_counts(t1[i:j], t2[lo:hi], tb, shift, w)
+        i = j
+    return Histogram(
+        bin_index=np.arange(k - n_side_bins, k + n_side_bins + 1),
+        counts=counts.astype(float),
+        bin_s=tb,
+        accidental_floor_per_bin=det.accidental_floor_per_bin(stream.duration_s),
+    )
+
+
+def _merged_counts(t1: np.ndarray, t2: np.ndarray, tb: float, shift: int, w: int) -> np.ndarray:
+    """Coincidence counts at bin differences 0..w of starts t1 and stops t2.
+
+    One merge of the two channels.  Channel-1 bins are shifted by
+    ``shift`` to the window start and every event becomes the key
+    2*bin + channel (0 for a start, 1 for a stop), so a coincidence is a
+    stop that follows a start in key order by at most w bins; a stop in
+    the start's own bin sorts after it, as the window's inclusive lower
+    edge requires.  Both channels are sorted, so the stable sort of the
+    concatenated keys is one linear merge.  Each start directly followed
+    by a stop within w bins is a coincidence at that gap, and one
+    bincount over all neighbours gives the bulk of the counts.  A stop
+    d > 1 places on needs every entry in between inside the window too,
+    so the loop over d = 2, 3, ... walks a candidate set that shrinks
+    each step: time is linear in the events plus the coincidences beyond
+    the nearest entry, memory a few int64 arrays of the merged length.
+    The keys are int64, so the stream must span fewer than 2**62 clock
+    bins (duration / bin_s < 2**62, offset included).
+    """
     reach = 2 * w + 1  # key difference of a start and a stop w bins later
-    n1 = stream.channel1_s.size
-    keys = np.empty(n1 + stream.channel2_s.size, dtype=np.int64)
-    keys[:n1] = np.floor(stream.channel1_s / tb)
-    keys[n1:] = np.floor(stream.channel2_s / tb)
-    keys[:n1] += k - n_side_bins
+    n1 = t1.size
+    keys = np.empty(n1 + t2.size, dtype=np.int64)
+    keys[:n1] = np.floor(t1 / tb)
+    keys[n1:] = np.floor(t2 / tb)
+    keys[:n1] += shift
     keys *= 2
     keys[n1:] += 1
     keys.sort(kind="stable")
@@ -152,12 +205,7 @@ def mc_histogram(stream: EventStream, det: DetectorConfig, n_side_bins: int = 64
         cand, span = cand[inside], span[inside]
         counts += np.bincount(span[(span & 1) == 1] >> 1, minlength=w + 1)
         d += 1
-    return Histogram(
-        bin_index=np.arange(k - n_side_bins, k + n_side_bins + 1),
-        counts=counts.astype(float),
-        bin_s=tb,
-        accidental_floor_per_bin=det.accidental_floor_per_bin(stream.duration_s),
-    )
+    return counts
 
 
 def coincidences_in_window(hist: Histogram, window_s: float) -> tuple[float, int]:
@@ -186,11 +234,12 @@ def write_stream(stream: EventStream, directory, prefix: str = "timestamps", ext
     paths = {}
     counts = {}
     for ch, data in (("ch1", stream.channel1_s), ("ch2", stream.channel2_s)):
-        ticks = np.round(data / TIMESTAMP_UNIT_S).astype("<u8")
         p = directory / f"{prefix}_{ch}.bin"
-        ticks.tofile(p)
+        with open(p, "wb") as fh:
+            for i in range(0, data.size, _CHUNK_EVENTS):
+                np.round(data[i : i + _CHUNK_EVENTS] / TIMESTAMP_UNIT_S).astype("<u8").tofile(fh)
         paths[ch] = p.name
-        counts[ch] = int(ticks.size)
+        counts[ch] = int(data.size)
     sidecar = {
         "format": "u64-le picoseconds",
         "rng": stream.meta.get("rng", RNG_ALGORITHM),

@@ -1,6 +1,7 @@
 """Timestamp generation, clock binning, and agreement with the analytic model."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from fadofsim import montecarlo
 from fadofsim.correlations import DetectorConfig, Histogram, detected_histogram
 from fadofsim.montecarlo import (
     EventStream,
@@ -28,6 +30,27 @@ def _stream(ch1, ch2, duration=1.0):
         duration_s=duration,
         seed=0,
     )
+
+
+# Chunk lengths that split the few-event streams of the oracle tests.
+_SMALL_CHUNKS = (1, 2, 3, 7)
+
+
+def _chunked(chunk, fn, *args, **kwargs):
+    """fn(*args, **kwargs) with the merge and writer chunk set to chunk events."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_CHUNK_EVENTS", chunk)
+        return fn(*args, **kwargs)
+
+
+def _traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes allocated while fn runs, beyond what was live before."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_generation_deterministic_under_seed():
@@ -110,15 +133,26 @@ _quarter_ticks = st.lists(st.integers(0, 48), max_size=30).map(sorted)
 @example(ch1=[], ch2=[], bin_s=1e-9, offset_bin=0, n_side=0)
 @example(ch1=[0, 0, 4], ch2=[0, 0, 1, 3, 4, 4, 6, 9, 12], bin_s=1e-9, offset_bin=0, n_side=0)
 @example(ch1=[0, 0], ch2=[0, 0, 2, 5, 8, 13, 21, 27, 30], bin_s=1e-9, offset_bin=1, n_side=4)
+# four starts in clock bin 1, split by every small chunk length
+@example(ch1=[4, 4, 5, 7, 9], ch2=[3, 4, 6, 7, 9, 12], bin_s=1e-9, offset_bin=0, n_side=1)
+# each stop shares the clock bin of the last start of a chunk of 1 or 2
+@example(ch1=[1, 5, 9, 13], ch2=[6, 10, 15], bin_s=1e-9, offset_bin=0, n_side=0)
+# stops ahead of their starts, and more stops than starts per window
+@example(ch1=[8, 9, 20], ch2=[0, 1, 2, 3, 4, 5, 8, 12, 13], bin_s=1e-9, offset_bin=-3, n_side=1)
 def test_mc_histogram_matches_loop_oracle(ch1, ch2, bin_s, offset_bin, n_side):
     quarter = bin_s / 4
     t1 = [q * quarter for q in ch1]
     t2 = [q * quarter for q in ch2]
     det = DetectorConfig(bin_s=bin_s, offset_s=offset_bin * bin_s, r1_hz=0.0, r2_hz=0.0)
     assert det.offset_bin == offset_bin
-    h = mc_histogram(_stream(t1, t2), det, n_side_bins=n_side)
+    stream = _stream(t1, t2)
+    expected = coincidences_by_loop(t1, t2, bin_s, offset_bin, n_side)
+    h = mc_histogram(stream, det, n_side_bins=n_side)
     assert h.bin_index.tolist() == list(range(offset_bin - n_side, offset_bin + n_side + 1))
-    assert h.counts.tolist() == coincidences_by_loop(t1, t2, bin_s, offset_bin, n_side)
+    assert h.counts.tolist() == expected
+    for chunk in _SMALL_CHUNKS:
+        h = _chunked(chunk, mc_histogram, stream, det, n_side_bins=n_side)
+        assert h.counts.tolist() == expected, f"chunk of {chunk}"
 
 
 def test_mc_histogram_matches_loop_oracle_on_dense_streams():
@@ -133,6 +167,32 @@ def test_mc_histogram_matches_loop_oracle_on_dense_streams():
         expected = coincidences_by_loop(t1.tolist(), t2.tolist(), 1e-9, -7, n_side)
         assert h.counts.tolist() == expected
         assert h.counts.sum() > 0
+        for chunk in _SMALL_CHUNKS:
+            h = _chunked(chunk, mc_histogram, _stream(t1, t2), det, n_side_bins=n_side)
+            assert h.counts.tolist() == expected, f"chunk of {chunk}"
+
+
+@pytest.mark.parametrize("n_stops", [8, 64, 512])
+def test_mc_histogram_memory_is_bounded_by_the_chunk(n_stops):
+    # 64 chunks of starts against 8, 64 or 512 chunks of stops: either
+    # channel may be the one that sets the chunk edges
+    chunk = 1 << 10
+    rng = np.random.default_rng(n_stops)
+    t1 = np.sort(rng.uniform(0.0, 5.0, 64 * chunk))
+    t2 = np.sort(rng.uniform(0.0, 5.0, n_stops * chunk))
+    det = DetectorConfig(bin_s=1e-9, offset_s=50e-9, r1_hz=0.0, r2_hz=0.0)
+    peak = _traced_peak(_chunked, chunk, mc_histogram, _stream(t1, t2, 5.0), det)
+    assert peak < 16 * 8 * chunk, f"{peak} bytes traced for {t1.nbytes + t2.nbytes} of stream"
+
+
+@pytest.mark.parametrize("mode", ["single", "comb"])
+def test_generation_memory_is_about_twice_its_output(mode):
+    opo = OpoConfig(pair_rate_hz=1e4)
+    det = DetectorConfig(offset_s=50e-9, r1_hz=1.5e4, r2_hz=1.2e4, acquisition_s=10.0)
+    out = []
+    peak = _traced_peak(lambda: out.append(generate_pair_events(opo, det, mode, seed=49)))
+    output_bytes = out[0].channel1_s.nbytes + out[0].channel2_s.nbytes
+    assert peak < 2 * output_bytes, f"{peak} bytes traced for {output_bytes} of output"
 
 
 def test_pair_separations_follow_two_sided_exponential():
@@ -247,6 +307,19 @@ def test_generation_validation():
         generate_pair_events(opo, DetectorConfig(r1_hz=5e3, r2_hz=1.2e4), "single", 1)
     with pytest.raises(ValueError, match="unknown generation mode"):
         generate_pair_events(opo, det, "pairs", seed=1)
+
+
+@pytest.mark.parametrize("n_events", [0, 1, 6, 7, 8, 31])
+def test_write_stream_bytes_around_the_chunk_length(tmp_path, n_events):
+    # chunks of 7 events: none, one short, one exact, one and a bit, four and a bit
+    rng = np.random.default_rng(n_events)
+    stream = _stream(np.sort(rng.uniform(0.0, 300.0, n_events)),
+                     np.sort(rng.uniform(0.0, 300.0, n_events + 7)), 300.0)
+    sidecar = _chunked(7, write_stream, stream, tmp_path)
+    for ch, data in (("ch1", stream.channel1_s), ("ch2", stream.channel2_s)):
+        expected = np.round(data / 1e-12).astype("<u8").tobytes()
+        assert (tmp_path / sidecar["files"][ch]).read_bytes() == expected
+        assert sidecar["counts"][ch] == data.size
 
 
 def test_write_read_round_trip(tmp_path):

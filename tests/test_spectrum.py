@@ -160,6 +160,18 @@ def _csv_body(path, columns) -> str:
     return text[len(head) :]
 
 
+def _assert_same_rows(body: str, expected: str) -> None:
+    """body == expected, reported at the first differing row.
+
+    Diffing two whole CSV bodies of thousands of rows takes pytest minutes;
+    the split lines are equal exactly when the bodies are.
+    """
+    got, want = body.split("\n"), expected.split("\n")
+    row = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert row is None, f"row {row}: {got[row]!r} != {want[row]!r}"
+    assert len(got) == len(want), f"{len(got) - 1} rows written, {len(want) - 1} expected"
+
+
 def _signed(values):
     return st.tuples(values, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
 
@@ -194,7 +206,7 @@ def _csv_columns(draw):
 @given(columns=_csv_columns())
 def test_write_csv_matches_percent_oracle(tmp_path_factory, columns):
     path = tmp_path_factory.getbasetemp() / "oracle.csv"
-    assert _csv_body(path, columns) == csv_rows_by_percent(columns)
+    _assert_same_rows(_csv_body(path, columns), csv_rows_by_percent(columns))
 
 
 _FIXED_VALUES = {
@@ -217,7 +229,7 @@ _FIXED_VALUES = {
 def test_write_csv_fixed_examples_match_oracle(tmp_path, name, fmt):
     values = np.array(_FIXED_VALUES[name])
     columns = [(values, fmt), (-values, fmt)]
-    assert _csv_body(tmp_path / "t.csv", columns) == csv_rows_by_percent(columns)
+    _assert_same_rows(_csv_body(tmp_path / "t.csv", columns), csv_rows_by_percent(columns))
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1])
@@ -230,7 +242,7 @@ def test_write_csv_row_counts_around_the_chunk_length(tmp_path, n_rows):
     ]
     body = _csv_body(tmp_path / "t.csv", columns)
     assert body.count("\n") == n_rows
-    assert body == csv_rows_by_percent(columns)
+    _assert_same_rows(body, csv_rows_by_percent(columns))
 
 
 def test_write_csv_other_formats_and_types_match_oracle(tmp_path):
@@ -245,7 +257,7 @@ def test_write_csv_other_formats_and_types_match_oracle(tmp_path):
         (x.reshape(5, 1), "%.0f"),
         (x, "%.13e"),
     ]
-    assert _csv_body(tmp_path / "t.csv", columns) == csv_rows_by_percent(columns)
+    _assert_same_rows(_csv_body(tmp_path / "t.csv", columns), csv_rows_by_percent(columns))
 
 
 def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
