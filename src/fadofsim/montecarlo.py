@@ -68,7 +68,6 @@ def generate_pair_events(
 
     n_pairs = rng.poisson(opo.pair_rate_hz * duration_s * pair_survival)
     t_signal = rng.uniform(0.0, duration_s, n_pairs)
-    # the separation array becomes the idler times in place
     if mode == "single":
         separation = rng.exponential(1.0 / opo.gamma_sum, n_pairs)
         sign = rng.integers(0, 2, n_pairs)
@@ -82,9 +81,11 @@ def generate_pair_events(
         separation = rng.choice(teeth.delays_s, size=n_pairs, p=p)
     else:
         raise ValueError(f"unknown generation mode {mode!r}")
-    separation += t_signal
-    separation += det.offset_s
+    # the idler times t_signal + separation + offset, formed in place
     t_idler = separation
+    t_idler += t_signal
+    t_idler += det.offset_s
+    del separation
 
     n_bg1 = rng.poisson(bg1 * duration_s)
     n_bg2 = rng.poisson(bg2 * duration_s)
@@ -93,7 +94,7 @@ def generate_pair_events(
     ch1 = ch1[(ch1 >= 0.0) & (ch1 < duration_s)]
     ch1.sort()
     ch2 = np.concatenate([t_idler, rng.uniform(0.0, duration_s, n_bg2)])
-    del t_idler, separation
+    del t_idler
     ch2 = ch2[(ch2 >= 0.0) & (ch2 < duration_s)]
     ch2.sort()
     return EventStream(
@@ -140,18 +141,22 @@ def mc_histogram(stream: EventStream, det: DetectorConfig, n_side_bins: int = 64
     shift = k - n_side_bins  # channel-1 bins move to the window start
     t1, t2 = stream.channel1_s, stream.channel2_s
 
+    def clock(t):
+        return math.floor(t / tb)
+
     def first(t, b, lo):
         """First index from lo on whose clock bin is at least b."""
-        return bisect.bisect_left(t, b, lo, key=lambda x: math.floor(x / tb))
+        return bisect.bisect_left(t, b, lo, key=clock)
 
     counts = np.zeros(w + 1, dtype=np.int64)
     i = lo = 0
     while i < t1.size:
-        lo = first(t2, math.floor(t1[i] / tb) + shift, lo)
+        lo = first(t2, clock(t1[i]) + shift, lo)  # the first start's window opens
         j = min(i + _CHUNK_EVENTS, t1.size)
         if lo + _CHUNK_EVENTS < t2.size:
-            j = min(j, first(t1, math.floor(t2[lo + _CHUNK_EVENTS] / tb) - shift + 1, i + 1))
-        hi = first(t2, math.floor(t1[j - 1] / tb) + shift + w + 1, lo)
+            # starts whose window opens after the stop _CHUNK_EVENTS on wait
+            j = min(j, first(t1, clock(t2[lo + _CHUNK_EVENTS]) - shift + 1, i + 1))
+        hi = first(t2, clock(t1[j - 1]) + shift + w + 1, lo)  # the last one's closes
         counts += _merged_counts(t1[i:j], t2[lo:hi], tb, shift, w)
         i = j
     return Histogram(

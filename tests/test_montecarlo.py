@@ -43,12 +43,12 @@ def _chunked(chunk, fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
-def _traced_peak(fn, *args, **kwargs) -> int:
-    """Peak bytes allocated while fn runs, beyond what was live before."""
+def _traced_peak(fn, *args, **kwargs):
+    """Peak bytes allocated while fn runs, beyond what was live before, and its result."""
     tracemalloc.start()
     try:
-        fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
+        result = fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
 
@@ -181,7 +181,7 @@ def test_mc_histogram_memory_is_bounded_by_the_chunk(n_stops):
     t1 = np.sort(rng.uniform(0.0, 5.0, 64 * chunk))
     t2 = np.sort(rng.uniform(0.0, 5.0, n_stops * chunk))
     det = DetectorConfig(bin_s=1e-9, offset_s=50e-9, r1_hz=0.0, r2_hz=0.0)
-    peak = _traced_peak(_chunked, chunk, mc_histogram, _stream(t1, t2, 5.0), det)
+    peak, _ = _traced_peak(_chunked, chunk, mc_histogram, _stream(t1, t2, 5.0), det)
     assert peak < 16 * 8 * chunk, f"{peak} bytes traced for {t1.nbytes + t2.nbytes} of stream"
 
 
@@ -189,9 +189,8 @@ def test_mc_histogram_memory_is_bounded_by_the_chunk(n_stops):
 def test_generation_memory_is_about_twice_its_output(mode):
     opo = OpoConfig(pair_rate_hz=1e4)
     det = DetectorConfig(offset_s=50e-9, r1_hz=1.5e4, r2_hz=1.2e4, acquisition_s=10.0)
-    out = []
-    peak = _traced_peak(lambda: out.append(generate_pair_events(opo, det, mode, seed=49)))
-    output_bytes = out[0].channel1_s.nbytes + out[0].channel2_s.nbytes
+    peak, stream = _traced_peak(generate_pair_events, opo, det, mode, seed=49)
+    output_bytes = stream.channel1_s.nbytes + stream.channel2_s.nbytes
     assert peak < 2 * output_bytes, f"{peak} bytes traced for {output_bytes} of output"
 
 
