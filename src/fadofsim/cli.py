@@ -21,7 +21,7 @@ import numpy as np
 
 from . import correlations, montecarlo, pairs
 from .config import ConfigError, ExperimentConfig, load_config
-from .cvnoise import noise_vs_power_fit, quadrature_variance_avg, squeezing_through_loss
+from .cvnoise import excess_noise, noise_vs_power_fit, squeezing_through_loss
 from .opo import ModeComb, ModeOutsideGridError, mode_comb, modes_within_grid, output_spectrum
 from .spectrum import BoundaryPeakError, Spectrum, filter_metrics, make_frequency_grid, write_csv
 from .vapor import fadof_transmission
@@ -74,7 +74,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> list[str]:
     product = Spectrum(grid, fadof.value * mirror_vals, kind="transmission")
 
     source = output_spectrum(comb, cfg.opo, grid)
-    filtered = Spectrum(grid, source.value * fadof.value, kind="density")
+    filtered = Spectrum(grid, source.value * fadof.value, kind="density_per_hz")
 
     hdr = _hash_header(cfg)
     fadof.to_csv(out / "fadof_spectrum.csv", header_lines=hdr)
@@ -82,8 +82,8 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> list[str]:
         out / "mirror_spectrum.csv", header_lines=hdr
     )
     product.to_csv(out / "pair_product_spectrum.csv", header_lines=hdr)
-    source.to_csv(out / "opo_spectrum.csv", value_column="density_per_hz", header_lines=hdr)
-    filtered.to_csv(out / "filtered_opo_spectrum.csv", value_column="density_per_hz", header_lines=hdr)
+    source.to_csv(out / "opo_spectrum.csv", header_lines=hdr)
+    filtered.to_csv(out / "filtered_opo_spectrum.csv", header_lines=hdr)
 
     dirty: list[str] = []
     payload: dict = {
@@ -196,7 +196,7 @@ def _chi_square(mc_hist, an_hist) -> dict:
 
 
 def _mc_run(cfg: ExperimentConfig, det: correlations.DetectorConfig, out: Path, label: str,
-            gen_mode: str, seed: int, n_side_bins: int = 64,
+            gen_mode: str, seed: int, n_side_bins: int = correlations.HISTOGRAM_SIDE_BINS,
             pair_survival: float = 1.0) -> correlations.Histogram:
     """Generate, write and histogram one Monte Carlo stream.
 
@@ -264,7 +264,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
     }
     if cfg.hot_cell_enabled:
         window = det.offset_s  # coincidence window around the offset peak
-        n_side = max(64, int(round(window / det.bin_s)))
+        n_side = max(correlations.HISTOGRAM_SIDE_BINS, int(round(window / det.bin_s)))
         runs = []  # (coincidences, accidentals subtracted) of each run
         for label, child, survival in (("filtered", children[2], 1.0),
                                        ("hotcell", children[3], 1.0 - resonant)):
@@ -334,7 +334,7 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
 def cmd_noise(cfg: ExperimentConfig, out: Path) -> list[str]:
     """Attenuation sweep of the quadrature noise plus the loss table."""
     t_nd = np.linspace(1.0 / cfg.noise_tnd_points, 1.0, cfg.noise_tnd_points)
-    variances = quadrature_variance_avg(replace(cfg.noise, attenuation_amplitude=t_nd))
+    variances = 1.0 + excess_noise(replace(cfg.noise, attenuation_amplitude=t_nd))
     power_proxy = (t_nd * abs(cfg.noise.mean_field)) ** 2
     write_csv(out / "noise_sweep.csv", _hash_header(cfg), {
         "t_nd": (t_nd, "%.6f"), "power_proxy": (power_proxy, "%.9e"),

@@ -233,8 +233,9 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
     opo["degenerate_frequency_hz"] = table.reference_frequency_hz + center_off
     opo = _build("opo", OpoConfig, **opo)
     det = _build("detector", DetectorConfig, **det)
-    if det.r1_hz < opo.pair_rate_hz or det.r2_hz < opo.pair_rate_hz:
-        _fail("detector", "singles1_hz", "channel singles rates cannot be below the pair rate")
+    for key, rate in (("singles1_hz", det.r1_hz), ("singles2_hz", det.r2_hz)):
+        if rate < opo.pair_rate_hz:
+            _fail("detector", key, "channel singles rate cannot be below the pair rate")
     if mc["duration_s"] <= 0:
         _fail("montecarlo", "duration_s", "must be positive")
     if mc["seed"] < 0:
@@ -246,16 +247,19 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
         _fail("noise", "tnd_points", "need at least 3 sweep points")
     squeezing_table = _parse_squeezing_table(table_raw)
     for section, grid in (("spectrum", spec), ("optimize", opt)):
-        if not 0 < grid["step_hz"] <= grid["half_span_hz"]:
-            _fail(section, "half_span_GHz", "span and step must be positive, step <= span")
+        if not grid["step_hz"] > 0:
+            _fail(section, "step_MHz", "must be positive")
+        if not grid["step_hz"] <= grid["half_span_hz"]:
+            _fail(section, "half_span_GHz", "must be at least the step")
     if opt["b_min_t"] > opt["b_max_t"]:
         _fail("optimize", "b_min_mT", "minimum exceeds maximum")
     if opt["t_min_k"] > opt["t_max_k"]:
         _fail("optimize", "temperature_min_K", "minimum exceeds maximum")
     if opt["t_min_k"] <= 0:
         _fail("optimize", "temperature_min_K", "must be positive")
-    if opt["b_points"] < 1 or opt["t_points"] < 1:
-        _fail("optimize", "b_points", "point counts must be at least 1")
+    for key, name in (("b_points", "b_points"), ("temperature_points", "t_points")):
+        if opt[name] < 1:
+            _fail("optimize", key, "must be at least 1")
     leak_raw = values["purity"]["out_of_band_leakage"]
     if leak_raw.lower() == "auto":
         leakage = None

@@ -23,6 +23,8 @@ DELTA_COMB_MIN_MODES = 50
 MODULATION_BINS = 20
 # Comb teeth weighing less than this fraction of the central tooth are dropped.
 COMB_TOOTH_CUTOFF = 1e-6
+# Default bins on each side of the channel-offset bin of a coincidence histogram.
+HISTOGRAM_SIDE_BINS = 64
 
 
 @dataclass
@@ -154,7 +156,7 @@ def detected_histogram(
     opo: OpoConfig,
     det: DetectorConfig,
     mode: str,
-    n_side_bins: int = 64,
+    n_side_bins: int = HISTOGRAM_SIDE_BINS,
 ) -> Histogram:
     """Expected coincidence histogram around the channel-offset bin.
 

@@ -58,12 +58,6 @@ def excess_noise(model: NoiseModel) -> float | np.ndarray:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def quadrature_variance_avg(model: NoiseModel) -> float | np.ndarray:
-    """Phase-averaged quadrature variance relative to shot noise."""
-    out = 1.0 + excess_noise(model)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 @dataclass(frozen=True)
 class NoiseFit:
     """Constant + linear decomposition of noise power versus probe power."""

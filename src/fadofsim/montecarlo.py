@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlations import DetectorConfig, Histogram, g2_multi_comb
+from .correlations import HISTOGRAM_SIDE_BINS, DetectorConfig, Histogram, g2_multi_comb
 from .opo import OpoConfig
 
 RNG_ALGORITHM = "PCG64"
@@ -54,8 +54,8 @@ def generate_pair_events(
     tooth-weight law and sets the separation to exactly n*tau.
     ``pair_survival`` thins pairs as a whole (both photons), modeling a
     resonant blocking cell; background singles are unaffected.  The
-    channel-2 electronic offset is added to idler timestamps.  Events
-    pushed outside the acquisition window are dropped.
+    channel-2 electronic offset is added to idler timestamps.  Idler
+    events pushed outside the acquisition window are dropped.
     """
     if not 0.0 <= pair_survival <= 1.0:
         raise ValueError("pair survival must lie in [0, 1]")
@@ -91,7 +91,7 @@ def generate_pair_events(
     n_bg2 = rng.poisson(bg2 * duration_s)
     ch1 = np.concatenate([t_signal, rng.uniform(0.0, duration_s, n_bg1)])
     del t_signal
-    ch1 = ch1[(ch1 >= 0.0) & (ch1 < duration_s)]
+    # uniform(0, d) draws are d*u with u < 1, so channel 1 lies in [0, d) already
     ch1.sort()
     ch2 = np.concatenate([t_idler, rng.uniform(0.0, duration_s, n_bg2)])
     del t_idler
@@ -115,7 +115,8 @@ def generate_pair_events(
     )
 
 
-def mc_histogram(stream: EventStream, det: DetectorConfig, n_side_bins: int = 64) -> Histogram:
+def mc_histogram(stream: EventStream, det: DetectorConfig,
+                 n_side_bins: int = HISTOGRAM_SIDE_BINS) -> Histogram:
     """Start multi-stop coincidence histogram of an event stream.
 
     Both channels are first digitized against the common internal clock

@@ -170,4 +170,4 @@ def output_spectrum(comb: ModeComb, cfg: OpoConfig, freq_hz) -> Spectrum:
     psd = np.zeros(freq.shape)
     for f0, w in zip(comb.frequencies_hz, comb.weights):
         psd += w * (hwhm / np.pi) / ((freq - f0) ** 2 + hwhm**2)
-    return Spectrum(frequency_hz=freq, value=psd, kind="psd")
+    return Spectrum(frequency_hz=freq, value=psd, kind="density_per_hz")

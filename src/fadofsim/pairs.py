@@ -202,8 +202,8 @@ def optimize_filter(
     opo: OpoConfig,
     b_values_t,
     temperatures_k,
-    grid_half_span_hz: float = 20e9,
-    grid_step_hz: float = 2e6,
+    grid_half_span_hz: float,
+    grid_step_hz: float,
     threads: int = 1,
 ) -> OptimizationResult:
     """Exhaustive grid search of the pair-blocking figure of merit.
@@ -217,8 +217,10 @@ def optimize_filter(
     and every point sees the same mode set.  Points whose spectrum has no
     usable peak, or whose peak lies beyond that bound, are flagged
     invalid (NaN) and excluded from the maximum; ties resolve to the
-    first point in scan order (B outer, temperature inner).  The points
-    run on a pool of ``threads`` worker threads.
+    first point in scan order (B outer, temperature inner).  The
+    frequency grid, reference +- ``grid_half_span_hz`` in steps of
+    ``grid_step_hz``, comes from the caller.  The points run on a pool of
+    ``threads`` worker threads.
     """
     b_values_t = np.asarray(b_values_t, dtype=float)
     temperatures_k = np.asarray(temperatures_k, dtype=float)

@@ -14,7 +14,11 @@ class BoundaryPeakError(ValueError):
 
 @dataclass
 class Spectrum:
-    """Values sampled on a strictly increasing, uniformly spaced frequency grid."""
+    """Values sampled on a strictly increasing, uniformly spaced frequency grid.
+
+    ``kind`` names the value column of ``to_csv``; "transmission" values
+    must lie in [0, 1].
+    """
 
     frequency_hz: np.ndarray
     value: np.ndarray
@@ -37,9 +41,9 @@ class Spectrum:
         ):
             raise ValueError("transmission values must lie in [0, 1]")
 
-    def to_csv(self, path, value_column: str = "transmission", header_lines=()) -> None:
+    def to_csv(self, path, header_lines=()) -> None:
         write_csv(path, header_lines, {
-            "frequency_Hz": (self.frequency_hz, "%.6f"), value_column: (self.value, "%.12e"),
+            "frequency_Hz": (self.frequency_hz, "%.6f"), self.kind: (self.value, "%.12e"),
         })
 
 

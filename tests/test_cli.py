@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +97,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("[detector]\nbin_ns = nan\n", "g2", "config error: [detector] bin_ns: not a finite"),
         ("[filter]\ntemperature_K = nan\n", "spectrum",
          "config error: [filter] temperature_K: not a finite"),
-        ("[optimize]\nstep_MHz = 0\n", "optimize", "config error: [optimize] half_span_GHz"),
+        ("[optimize]\nstep_MHz = 0\n", "optimize", "config error: [optimize] step_MHz"),
         ("[optimize]\nhalf_span_GHz = -1\n", "optimize",
          "config error: [optimize] half_span_GHz"),
         ("[optimize]\ntemperature_min_K = 0\n", "optimize",
@@ -394,6 +395,32 @@ def test_cli_import_and_config_load_leave_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_tracer_target_resolves_after_importing_the_cli():
+    # bench/tracer.py wraps these names for `bench/run.py --trace 1`; the
+    # file is only read here, in a fresh interpreter that imports the CLI
+    code = textwrap.dedent(f"""
+        import importlib.util, json, sys
+        import fadofsim.cli
+        spec = importlib.util.spec_from_file_location("tracer", {str(ROOT / "bench" / "tracer.py")!r})
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        missing = []
+        for owner_path, attr, name, _ in tracer.TARGETS:
+            owner = sys.modules.get("fadofsim." + owner_path.split(".")[0])
+            for part in owner_path.split(".")[1:]:
+                owner = getattr(owner, part, None)
+            if not callable(getattr(owner, attr, None)):
+                missing.append(name)
+        print(json.dumps({{"targets": len(tracer.TARGETS), "missing": missing}}))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    result = json.loads(proc.stdout)
+    assert result["targets"] > 0
+    assert result["missing"] == []
 
 
 def test_chi_square_sf_against_chdtrc():

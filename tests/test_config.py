@@ -101,6 +101,7 @@ def test_errors_name_section_and_key(tmp_path):
         ("[DEFAULT]\nseeed = 3\n[montecarlo]\n", r"\[DEFAULT\] seeed: unknown key"),
         ("[opo]\nfsr_MHz = 450\n", r"\[opo\]"),
         ("[detector]\nsingles1_hz = 5e3\n", r"\[detector\] singles1_hz"),
+        ("[detector]\nsingles2_hz = 5e3\n", r"\[detector\] singles2_hz"),
         ("[montecarlo]\nduration_s = 0\n", r"\[montecarlo\] duration_s"),
         ("[montecarlo]\nseed = -4\n", r"\[montecarlo\] seed"),
         ("[montecarlo]\nseed = 1.5\n", r"\[montecarlo\] seed"),
@@ -110,9 +111,11 @@ def test_errors_name_section_and_key(tmp_path):
         ("[noise]\nsqueezing_table = -1:0.5\n", r"\[noise\] squeezing_table"),
         ("[noise]\nsqueezing_table = nan:0.5\n", r"\[noise\] squeezing_table"),
         ("[spectrum]\nstep_MHz = 50000\n", r"\[spectrum\]"),
+        ("[spectrum]\nstep_MHz = -1\n", r"\[spectrum\] step_MHz"),
         ("[optimize]\nb_min_mT = 7\n", r"\[optimize\] b_min_mT"),
         ("[optimize]\nb_points = 0\n", r"\[optimize\] b_points"),
-        ("[optimize]\nstep_MHz = 0\n", r"\[optimize\] half_span_GHz"),
+        ("[optimize]\ntemperature_points = 0\n", r"\[optimize\] temperature_points"),
+        ("[optimize]\nstep_MHz = 0\n", r"\[optimize\] step_MHz"),
         ("[optimize]\nhalf_span_GHz = -1\n", r"\[optimize\] half_span_GHz"),
         ("[optimize]\nstep_MHz = 50000\n", r"\[optimize\] half_span_GHz"),
         ("[optimize]\ntemperature_min_K = 0\n", r"\[optimize\] temperature_min_K"),

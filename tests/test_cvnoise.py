@@ -11,7 +11,6 @@ from fadofsim.cvnoise import (
     excess_noise,
     noise_vs_power_fit,
     photon_flux,
-    quadrature_variance_avg,
     squeezing_through_loss,
 )
 
@@ -19,7 +18,7 @@ from fadofsim.cvnoise import (
 def test_quiet_model_sits_at_shot_noise():
     model = NoiseModel(mean_transmission=0.842)
     assert excess_noise(model) == 0.0
-    assert quadrature_variance_avg(model) == 1.0
+    assert 1.0 + excess_noise(model) == 1.0
 
 
 def test_excess_noise_linear_form():
@@ -130,7 +129,7 @@ def test_noise_fit_self_consistent_on_model_sweep():
     variances = []
     for p in powers:
         a = np.sqrt(p)
-        variances.append(quadrature_variance_avg(NoiseModel(t, dt, a, 0.0)))
+        variances.append(1.0 + excess_noise(NoiseModel(t, dt, a, 0.0)))
     fit = noise_vs_power_fit(powers, np.asarray(variances))
     assert fit.shot_noise == pytest.approx(1.0, rel=1e-9)
     assert fit.linear_coefficient == pytest.approx(2.0 * t * dt, rel=1e-9)

@@ -64,6 +64,21 @@ def test_generation_deterministic_under_seed():
     assert not np.array_equal(a.channel1_s, c.channel1_s)
 
 
+@pytest.mark.parametrize("mode", ["single", "comb"])
+@pytest.mark.parametrize("duration", [0.1, 1.0, 2.0, 300.0])
+def test_generated_channels_are_sorted_within_the_acquisition(mode, duration):
+    # numpy draws uniform(0, d) as d*u with u at most 1 - 2**-53, which
+    # rounds below d for every d; channel 1 is not masked on that basis
+    assert duration * (1.0 - 2.0**-53) < duration
+    opo = OpoConfig(pair_rate_hz=50.0)
+    det = DetectorConfig(r1_hz=200.0, r2_hz=150.0, acquisition_s=duration)
+    stream = generate_pair_events(opo, det, mode, seed=7)
+    for channel in (stream.channel1_s, stream.channel2_s):
+        assert channel.size > 0
+        assert np.all(np.diff(channel) >= 0)
+        assert channel[0] >= 0.0 and channel[-1] < duration
+
+
 def test_written_files_byte_identical_across_runs(tmp_path):
     opo = OpoConfig(pair_rate_hz=1e3)
     det = DetectorConfig(r1_hz=2e3, r2_hz=2e3)

@@ -140,9 +140,9 @@ def test_to_csv_round_trip(tmp_path):
 
 def test_to_csv_custom_column(tmp_path):
     freq = np.arange(3.0)
-    s = Spectrum(frequency_hz=freq, value=np.array([1.0, 2.0, 3.0]), kind="od")
+    s = Spectrum(frequency_hz=freq, value=np.array([1.0, 2.0, 3.0]), kind="optical_depth")
     path = tmp_path / "od.csv"
-    s.to_csv(path, value_column="optical_depth")
+    s.to_csv(path)
     assert "frequency_Hz,optical_depth" in path.read_text()
 
 
