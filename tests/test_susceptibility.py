@@ -1,10 +1,13 @@
 """Voigt kernel accuracy, vapor thermodynamics, and susceptibility structure."""
 
+import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import wofz
 
 from fadofsim import susceptibility
@@ -248,3 +251,147 @@ def test_susceptibility_input_validation():
     grid = _grid(1.0, 100.0)
     with pytest.raises(ValueError, match="polarization"):
         complex_susceptibility(grid, 0, 0.0, CELL)
+
+
+# ---- one far-field series per group of components
+
+
+def _kernel_sum(x, a, offsets, weights):
+    return sum(weight * complex_voigt(x - offset, a) for offset, weight in zip(offsets, weights))
+
+
+def _kernel_radius2(x, a):
+    # the kernel's own comparison for its four-term zone
+    r2 = x * x
+    r2 += a * a
+    return r2
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    offsets=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12),
+    weights=st.lists(st.floats(1e-3, 1e3), min_size=12, max_size=12),
+    log_a=st.floats(-6.0, 0.0),
+    shift=st.floats(-40.0, 40.0),
+)
+@example(offsets=[0.0], weights=[1.0] * 12, log_a=-6.0, shift=0.0)
+@example(offsets=[-2.0, 2.0], weights=[1.0] * 12, log_a=0.0, shift=12.5)
+@example(offsets=[2.0] * 12, weights=[1e-3] + [1e3] * 11, log_a=-2.07, shift=-7.0)
+# the next float beyond 14 + s is inside the kernel's radius for a component
+@example(offsets=[0.155, 0.299], weights=[1.0] * 12, log_a=-5.77, shift=-0.76)
+def test_far_field_matches_the_kernel_sum(offsets, weights, log_a, shift):
+    # random groups at a random place: the far field handles only points
+    # in every component's four-term zone, and there matches the direct
+    # sum of the kernel
+    offsets = np.array(offsets) + shift
+    weights = np.array(weights[: offsets.size])
+    a = 10.0**log_a
+    centre = 0.5 * (offsets.min() + offsets.max())
+    radius = 14.0 + np.abs(offsets - centre).max()
+    edge = np.sqrt(radius**2 - a * a)
+    steps = np.array([0.0, 1e-12, 1e-9, 2e-9, 1e-6, 1e-3])
+    x = np.concatenate([
+        np.linspace(-120.0, 120.0, 2401) + shift,
+        centre + edge + steps,
+        centre - edge - steps,
+        [centre + np.nextafter(edge, np.inf)],
+    ])
+    far, series = susceptibility._far_field(x, a, offsets, weights)
+    assert far.sum() > 2000 and series.shape == (far.sum(),)
+    for offset in offsets:
+        assert np.all(_kernel_radius2(x[far] - offset, a) > 14.0**2)
+    direct = _kernel_sum(x[far], a, offsets, weights)
+    assert np.max(np.abs(series - direct) / np.abs(direct)) <= 2e-15
+
+
+def test_far_coefficients_of_one_component_are_the_four_term_series():
+    coeffs = susceptibility._far_coefficients(np.zeros(1), np.array([2.5]))
+    assert np.array_equal(coeffs, 2.5 * np.array([1.0, 0.0, 0.5, 0.0, 0.75, 0.0, 1.875]))
+
+
+@pytest.mark.parametrize("spread", [1e-3, 0.66, 1.35, 2.0, 5.0, 8.0])
+def test_far_series_order_is_the_least_that_meets_the_truncation(spread):
+    rho = spread / (spread + 14.0)
+    order = 7
+    while math.comb(order, 6) * rho ** (order - 6) >= 1e-17:
+        order += 1
+    coeffs = susceptibility._far_coefficients(np.array([-spread, 0.3 * spread, spread]), np.ones(3))
+    assert coeffs.size == order
+
+
+def test_far_field_takes_no_point_beyond_the_largest_order():
+    # a group spread too wide for 64 terms: every point goes to the kernel
+    offsets = np.array([-10.0, 0.0, 10.0])
+    assert susceptibility._far_coefficients(offsets, np.ones(3)) is None
+    far, series = susceptibility._far_field(np.linspace(-200.0, 200.0, 101), 0.01, offsets, np.ones(3))
+    assert not far.any() and series.size == 0
+
+
+def _all_near(monkeypatch):
+    def no_far_field(x, a, offsets, weights):
+        return np.zeros(np.shape(x), dtype=bool), np.empty(0, dtype=complex)
+
+    monkeypatch.setattr(susceptibility, "_far_field", no_far_field)
+
+
+def test_susceptibility_matches_the_kernel_at_every_point(monkeypatch):
+    # the far field changes the values only by rounding: against the same
+    # sum with every point sent through the kernel
+    grid = _grid(30.0, 7.0)
+    for b in (0.0, 4.5e-3, 0.05):
+        grouped = complex_susceptibility(grid, -1, b, CELL)
+        with monkeypatch.context() as m:
+            _all_near(m)
+            direct = complex_susceptibility(grid, -1, b, CELL)
+        assert np.max(np.abs(grouped - direct) / np.abs(direct)) <= 1e-14, b
+
+
+def test_susceptibility_does_not_depend_on_the_order_of_the_points():
+    rng = np.random.default_rng(3)
+    grid = TABLE.reference_frequency_hz + rng.uniform(-25e9, 25e9, 5000)
+    grid.sort()
+    ref = complex_susceptibility(grid, +1, 4.5e-3, CELL)
+    order = rng.permutation(grid.size)
+    assert np.array_equal(complex_susceptibility(grid[order], +1, 4.5e-3, CELL), ref[order])
+    assert np.array_equal(complex_susceptibility(grid[::-1], +1, 4.5e-3, CELL), ref[::-1])
+    # numpy's in-place complex product of one-element arrays rounds
+    # differently from longer ones, in the kernel as well
+    for i in (0, 1234, 4999):
+        one = complex_susceptibility(grid[i : i + 1], +1, 4.5e-3, CELL)
+        assert one.shape == (1,) and one[0] == pytest.approx(ref[i], rel=1e-15)
+        scalar = complex_susceptibility(grid[i], +1, 4.5e-3, CELL)
+        assert scalar.shape == () and scalar == one[0]
+
+
+def test_susceptibility_on_the_outer_boundary_of_a_group(monkeypatch):
+    # points at and around 14 + s from each group's centre, alone and
+    # together, against the kernel sum
+    seen = []
+    far_field = susceptibility._far_field
+
+    def spy(x, a, offsets, weights):
+        seen.append((x, a, offsets))
+        return far_field(x, a, offsets, weights)
+
+    ref = TABLE.reference_frequency_hz
+    probe = np.array([ref + 1e9])
+    monkeypatch.setattr(susceptibility, "_far_field", spy)
+    complex_susceptibility(probe, +1, 4.5e-3, CELL)
+    monkeypatch.undo()
+    assert len(seen) == 4  # (Rb85, F=2), (Rb85, F=3), (Rb87, F=1), (Rb87, F=2)
+    points = []
+    for x, a, offsets in seen:
+        hz_per_unit = (probe[0] - ref) / x[0]
+        centre = 0.5 * (offsets.min() + offsets.max())
+        edge = np.sqrt((14.0 + np.abs(offsets - centre).max()) ** 2 - a * a)
+        for side in (-1.0, 1.0):
+            for step in (-1e-6, 0.0, 1e-9, 2e-9, 1e-6):
+                points.append(ref + (centre + side * (edge + step)) * hz_per_unit)
+    points = np.array(points)
+    together = complex_susceptibility(points, +1, 4.5e-3, CELL)
+    alone = np.array([complex_susceptibility(points[i : i + 1], +1, 4.5e-3, CELL)[0]
+                      for i in range(points.size)])
+    _all_near(monkeypatch)
+    direct = complex_susceptibility(points, +1, 4.5e-3, CELL)
+    for values in (together, alone):
+        assert np.max(np.abs(values - direct) / np.abs(direct)) <= 1e-14
