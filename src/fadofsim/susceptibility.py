@@ -28,15 +28,18 @@ Doppler widths of its centre, the midpoint of their offsets; at every
 point farther than 14 + s from that centre each component is in the
 four-term zone, and their weighted sum is one series
 sum_p A_p (z - centre)^(-p).  A_p re-expands every pole of the four-term
-series about the centre through the weighted offset moments, and the
-order P is the least with C(P, 6) rho^(P - 6) < 1e-17, rho = s / (s + 14),
-which bounds the first dropped term of the z^(-7) pole's expansion.  One
-component gives P = 7, the four-term series itself; a group that would
-need more than 64 terms takes no far field.  Against the direct sum of
-the kernel over random groups of 1-12 components within 2 Doppler widths
-and widths from 1e-6 to 1, the series is within 9.2e-16 relative (3,000
-groups); on the default scan the transmissions moved by at most 4.1e-14.
-Every other point calls the kernel once per component.
+series about the centre through the weighted offset moments.  The order
+P is the least with C(P, 6) rho^(P - 6) < 1e-17, rho = s / (s + 14): that
+bounds the first dropped term of the z^(-7) pole's expansion, and the
+dropped terms of the lower poles are smaller.  One component gives
+P = 7, the four-term series itself; a group that would need more than
+64 terms (s above about 8) takes no far field.  Against the direct sum of
+the kernel over 3,000 random groups of 1-12 components within 2 Doppler
+widths of each other, weights from 1e-3 to 1e3 and widths from 1e-6 to 1,
+the series is within 1.3e-15 relative at all 7.0 million far points; on
+the default 7 x 7 scan and the 160,001-point grid the transmissions
+moved by at most 4.1e-14.  Every other point calls the kernel once per
+component.
 """
 
 from __future__ import annotations
@@ -69,14 +72,17 @@ _SERIES_COEFFS = np.cumprod([1.0] + [(2 * n - 1) / 2.0 for n in range(1, _SERIES
 # A group's far field: the four-term series of each component k, about
 # its own offset delta_k from the group's centre, re-expanded in powers of
 # 1 / (z - centre).  The order P is the least with
-# C(P, 6) rho^(P - 6) < _FAR_TRUNCATION, rho = s / (s + _ASYMPTOTIC_RADIUS),
-# s the largest |delta_k|; _FAR_MARGIN keeps every far point beyond the
-# kernel's own radius after rounding.
+# C(P, m - 1) rho^(P - m + 1) < _FAR_TRUNCATION, the first dropped term of
+# the highest pole z^(-m), m = 7, with rho = s / (s + _ASYMPTOTIC_RADIUS)
+# and s the largest |delta_k|; _FAR_MARGIN keeps every far point beyond
+# the kernel's own radius after rounding.
 _MAX_FAR_ORDER = 64
 _FAR_TRUNCATION = 1e-17
 _FAR_MARGIN = 1e-9
-_FAR_ORDERS = np.arange(2 * _FAR_TERMS - 1, _MAX_FAR_ORDER + 1)
-_FAR_ORDER_BINOMIAL = np.array([math.comb(int(p), 6) for p in _FAR_ORDERS], dtype=float)
+_FAR_BLOCK = 2**14
+_FAR_POLE = 2 * _FAR_TERMS - 1
+_FAR_ORDERS = np.arange(_FAR_POLE, _MAX_FAR_ORDER + 1)
+_FAR_ORDER_BINOMIAL = np.array([math.comb(int(p), _FAR_POLE - 1) for p in _FAR_ORDERS], dtype=float)
 
 
 def _far_basis(max_order):
@@ -225,7 +231,7 @@ def _far_coefficients(delta, weights):
     """
     spread = np.abs(delta).max()
     ratio = spread / (spread + _ASYMPTOTIC_RADIUS)
-    fits = _FAR_ORDER_BINOMIAL * ratio ** (_FAR_ORDERS - 6) < _FAR_TRUNCATION
+    fits = _FAR_ORDER_BINOMIAL * ratio ** (_FAR_ORDERS - _FAR_POLE + 1) < _FAR_TRUNCATION
     if not fits.any():
         return None
     order = _FAR_ORDERS[fits.argmax()]
@@ -233,32 +239,37 @@ def _far_coefficients(delta, weights):
     return (_FAR_BASIS[:order, :order] * moments).sum(axis=1)
 
 
-def _far_field(x, a, offsets, weights):
-    """One group's far field: sum_k weights[k] w(x - offsets[k] + i a).
+def _add_far_field(out, x, a, offsets, weights):
+    """Add one group's far field, sum_k weights[k] w(x - offsets[k] + i a), to ``out``.
 
-    ``x`` and ``offsets`` are in Doppler units.  Returns the mask of the
-    points farther than ``_ASYMPTOTIC_RADIUS + s`` (plus ``_FAR_MARGIN``)
-    from the group's centre, the midpoint of its offsets, and the sum at
-    those points as one series in 1 / (z - centre).  s is the largest
-    offset from the centre.
+    ``x`` (one-dimensional) and ``offsets`` are in Doppler units.  Takes
+    the points farther than ``_ASYMPTOTIC_RADIUS + s`` (plus
+    ``_FAR_MARGIN``) from the group's centre, the midpoint of its
+    offsets, with s the largest offset from it, and returns their mask.
+    The sum there is one series in 1 / (z - centre), evaluated in blocks
+    of ``_FAR_BLOCK`` points so that its temporaries stay in cache.
     """
     centre = 0.5 * (offsets.min() + offsets.max())
     delta = offsets - centre
+    far = np.zeros(x.shape, dtype=bool)
     coeffs = _far_coefficients(delta, weights)
     if coeffs is None:
-        return np.zeros(x.shape, dtype=bool), np.empty(0, dtype=complex)
-    xc = x - centre
-    r2 = xc * xc
-    r2 += a * a
+        return far
     radius = _ASYMPTOTIC_RADIUS + np.abs(delta).max() + _FAR_MARGIN
-    far = r2 > radius**2
-    inv = _reciprocal(xc[far], a, np.divide(1.0, r2[far]))
-    s = inv * coeffs[-1]
-    for c in coeffs[-2::-1]:
-        s += c
-        s *= inv
-    s *= 1j / _SQRT_PI
-    return far, s
+    for start in range(0, x.size, _FAR_BLOCK):
+        block = slice(start, start + _FAR_BLOCK)
+        xc = x[block] - centre
+        r2 = xc * xc
+        r2 += a * a
+        mask = np.greater(r2, radius**2, out=far[block])
+        inv = _reciprocal(xc[mask], a, np.divide(1.0, r2[mask]))
+        s = inv * coeffs[-1]
+        for c in coeffs[-2::-1]:
+            s += c
+            s *= inv
+        s *= 1j / _SQRT_PI
+        out[block][mask] += s
+    return far
 
 
 def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: VaporCell) -> np.ndarray:
@@ -270,12 +281,14 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
     absolute optical frequency; ``polarization`` is +1 or -1 for
     sigma+/sigma-.  The cell length does not enter.  The components of
     one ground level (isotope, F) form a group: its far field is one
-    series (``_far_field``), and every other point calls the kernel once
-    per component.
+    series (``_add_far_field``), and every other point calls the kernel
+    once per component.
     """
     if polarization not in (-1, 1):
         raise ValueError("polarization must be +1 or -1")
     freq = np.asarray(freq_hz, dtype=float)
+    shape = freq.shape
+    freq = freq.ravel()
     table = cell.table
     n_total = vapor_density(cell.temperature_k)
 
@@ -284,10 +297,8 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
     gamma_natural = 2.0 * np.pi * table.natural_fwhm_hz
     # angular Lorentzian HWHM: natural plus collisional
     gamma_l = np.pi * (table.natural_fwhm_hz + cell.buffer_fwhm_hz)
-    # exact for any frequency within a factor of two of the reference
-    detuning = freq - table.reference_frequency_hz
 
-    chi = np.zeros(freq.shape, dtype=complex)
+    chi = np.zeros(freq.size, dtype=complex)
     for iso in table.isotopes.values():
         if iso.abundance == 0.0:
             continue
@@ -305,7 +316,10 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
             * _SQRT_PI
             / (16.0 * np.pi**3 * u * 2.0 * (2.0 * iso.nuclear_spin + 1.0))
         )
-        x = 2.0 * np.pi * detuning / ku
+        # freq - reference is exact within a factor of two of the reference
+        x = freq - table.reference_frequency_hz
+        x *= 2.0 * np.pi
+        x /= ku
         groups: dict[float, tuple[list, list]] = {}
         for line in table.lines:
             if line.isotope == iso.name:
@@ -315,15 +329,13 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
                 weights.append(parts.weights)
         for shifts, weights in groups.values():
             offsets = 2.0 * np.pi * np.concatenate(shifts) / ku
-            weights = prefactor * np.concatenate(weights)
-            far, series = _far_field(x, a, offsets, weights)
-            near = ~far
+            weights = (prefactor * 1j) * np.concatenate(weights)
+            near = ~_add_far_field(chi, x, a, offsets, weights)
             x_near = x[near]
             total = np.zeros(x_near.shape, dtype=complex)
             for offset, weight in zip(offsets, weights):
                 w = complex_voigt(x_near - offset, a)
                 w *= weight
                 total += w
-            chi[far] += series * 1j
-            chi[near] += total * 1j
-    return chi
+            chi[near] += total
+    return chi.reshape(shape)

@@ -296,8 +296,10 @@ def test_far_field_matches_the_kernel_sum(offsets, weights, log_a, shift):
         centre - edge - steps,
         [centre + np.nextafter(edge, np.inf)],
     ])
-    far, series = susceptibility._far_field(x, a, offsets, weights)
-    assert far.sum() > 2000 and series.shape == (far.sum(),)
+    out = np.zeros(x.shape, dtype=complex)
+    far = susceptibility._add_far_field(out, x, a, offsets, weights)
+    assert far.sum() > 2000 and not out[~far].any()
+    series = out[far]
     for offset in offsets:
         assert np.all(_kernel_radius2(x[far] - offset, a) > 14.0**2)
     direct = _kernel_sum(x[far], a, offsets, weights)
@@ -323,15 +325,16 @@ def test_far_field_takes_no_point_beyond_the_largest_order():
     # a group spread too wide for 64 terms: every point goes to the kernel
     offsets = np.array([-10.0, 0.0, 10.0])
     assert susceptibility._far_coefficients(offsets, np.ones(3)) is None
-    far, series = susceptibility._far_field(np.linspace(-200.0, 200.0, 101), 0.01, offsets, np.ones(3))
-    assert not far.any() and series.size == 0
+    out = np.zeros(101, dtype=complex)
+    far = susceptibility._add_far_field(out, np.linspace(-200.0, 200.0, 101), 0.01, offsets, np.ones(3))
+    assert not far.any() and not out.any()
 
 
 def _all_near(monkeypatch):
-    def no_far_field(x, a, offsets, weights):
-        return np.zeros(np.shape(x), dtype=bool), np.empty(0, dtype=complex)
+    def no_far_field(out, x, a, offsets, weights):
+        return np.zeros(x.shape, dtype=bool)
 
-    monkeypatch.setattr(susceptibility, "_far_field", no_far_field)
+    monkeypatch.setattr(susceptibility, "_add_far_field", no_far_field)
 
 
 def test_susceptibility_matches_the_kernel_at_every_point(monkeypatch):
@@ -367,15 +370,15 @@ def test_susceptibility_on_the_outer_boundary_of_a_group(monkeypatch):
     # points at and around 14 + s from each group's centre, alone and
     # together, against the kernel sum
     seen = []
-    far_field = susceptibility._far_field
+    add_far_field = susceptibility._add_far_field
 
-    def spy(x, a, offsets, weights):
+    def spy(out, x, a, offsets, weights):
         seen.append((x, a, offsets))
-        return far_field(x, a, offsets, weights)
+        return add_far_field(out, x, a, offsets, weights)
 
     ref = TABLE.reference_frequency_hz
     probe = np.array([ref + 1e9])
-    monkeypatch.setattr(susceptibility, "_far_field", spy)
+    monkeypatch.setattr(susceptibility, "_add_far_field", spy)
     complex_susceptibility(probe, +1, 4.5e-3, CELL)
     monkeypatch.undo()
     assert len(seen) == 4  # (Rb85, F=2), (Rb85, F=3), (Rb87, F=1), (Rb87, F=2)
