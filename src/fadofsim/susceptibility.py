@@ -83,23 +83,13 @@ _FAR_BLOCK = 2**14
 _FAR_POLE = 2 * _FAR_TERMS - 1
 _FAR_ORDERS = np.arange(_FAR_POLE, _MAX_FAR_ORDER + 1)
 _FAR_ORDER_BINOMIAL = np.array([math.comb(int(p), _FAR_POLE - 1) for p in _FAR_ORDERS], dtype=float)
-
-
-def _far_basis(max_order):
-    """B[p - 1, j] = c_n C(p - 1, 2n) at j = p - 1 - 2n, n < _FAR_TERMS.
-
-    (z - delta)^(-m) = sum_j C(m - 1 + j, j) delta^j z^(-m - j), so
-    A_p = sum_j B[p - 1, j] M_j with the weighted moments
-    M_j = sum_k w_k delta_k^j.
-    """
-    basis = np.zeros((max_order, max_order))
-    for n in range(_FAR_TERMS):
-        for p in range(2 * n + 1, max_order + 1):
-            basis[p - 1, p - 1 - 2 * n] = _SERIES_COEFFS[n] * math.comb(p - 1, 2 * n)
-    return basis
-
-
-_FAR_BASIS = _far_basis(_MAX_FAR_ORDER)
+# C(q, 2n) for q < _MAX_FAR_ORDER and n < _FAR_TERMS: since
+# (z - delta)^(-m) = sum_j C(m - 1 + j, j) delta^j z^(-m - j), the far
+# series has A_(q+1) = sum_n c_n C(q, 2n) M_(q-2n) with the weighted
+# offset moments M_j = sum_k w_k delta_k^j
+_FAR_BINOMIALS = np.array(
+    [[math.comb(q, 2 * n) for n in range(_FAR_TERMS)] for q in range(_MAX_FAR_ORDER)], dtype=float
+)
 
 
 def _rational_coefficients(n_terms):
@@ -236,7 +226,10 @@ def _far_coefficients(delta, weights):
         return None
     order = _FAR_ORDERS[fits.argmax()]
     moments = (delta ** np.arange(order)[:, None] * weights).sum(axis=1)
-    return (_FAR_BASIS[:order, :order] * moments).sum(axis=1)
+    coeffs = np.zeros(order, dtype=moments.dtype)
+    for n in range(_FAR_TERMS):
+        coeffs[2 * n :] += _SERIES_COEFFS[n] * _FAR_BINOMIALS[2 * n : order, n] * moments[: order - 2 * n]
+    return coeffs
 
 
 def _add_far_field(out, x, a, offsets, weights):
