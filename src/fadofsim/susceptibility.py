@@ -240,7 +240,8 @@ def _add_far_field(out, x, a, offsets, weights):
     ``_FAR_MARGIN``) from the group's centre, the midpoint of its
     offsets, with s the largest offset from it, and returns their mask.
     The sum there is one series in 1 / (z - centre), evaluated in blocks
-    of ``_FAR_BLOCK`` points so that its temporaries stay in cache.
+    of ``_FAR_BLOCK`` points so that its temporaries stay in cache and
+    the heap they leave behind does not grow with the grid.
     """
     centre = 0.5 * (offsets.min() + offsets.max())
     delta = offsets - centre
