@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,6 +208,106 @@ def test_generation_memory_is_about_twice_its_output(mode):
     peak, stream = _traced_peak(generate_pair_events, opo, det, mode, seed=49)
     output_bytes = stream.channel1_s.nbytes + stream.channel2_s.nbytes
     assert peak < 2 * output_bytes, f"{peak} bytes traced for {output_bytes} of output"
+
+
+@pytest.mark.parametrize("mode", ["single", "comb"])
+def test_generation_memory_is_its_output_plus_a_few_chunks(mode):
+    chunk = 1 << 12
+    opo = OpoConfig(pair_rate_hz=1e4)
+    det = DetectorConfig(offset_s=50e-9, r1_hz=1.5e4, r2_hz=1.2e4, acquisition_s=10.0)
+    # a first call pays the lazy imports of seeding, which are no working set
+    generate_pair_events(opo, replace(det, acquisition_s=1e-3), mode, seed=1)
+    peak, stream = _traced_peak(_chunked, chunk, generate_pair_events, opo, det, mode, seed=49)
+    output_bytes = stream.channel1_s.nbytes + stream.channel2_s.nbytes
+    # the background reservation's 10 sqrt(mean) + 64 spare slots per
+    # channel (31 kB here) count against the chunks
+    assert peak < output_bytes + 4 * 8 * chunk, f"{peak} bytes traced for {output_bytes} of output"
+
+
+def _digest(array, dtype):
+    return hashlib.sha256(np.asarray(array).astype(dtype).tobytes()).hexdigest()
+
+
+# Short acquisitions: (OPO pair rate, detector, mode, pair survival, seed).
+_GOLDEN_CASES = {
+    "single": (1e4, DetectorConfig(acquisition_s=2.0), "single", 1.0, 3),
+    "comb": (1e4, DetectorConfig(acquisition_s=2.0), "comb", 1.0, 5),
+    "half_survival": (1e4, DetectorConfig(acquisition_s=2.0), "single", 0.5, 7),
+    "no_pairs": (0.0, DetectorConfig(acquisition_s=2.0), "single", 1.0, 11),
+    "no_background": (1e4, DetectorConfig(r1_hz=1e4, r2_hz=1e4, acquisition_s=2.0), "comb", 1.0, 13),
+    # idlers of the first quarter second fall below 0, or of the last past the end
+    "idlers_before_start": (1e4, DetectorConfig(offset_s=-0.25), "single", 1.0, 17),
+    "idlers_after_end": (1e4, DetectorConfig(offset_s=0.25), "comb", 1.0, 19),
+}
+# Event counts, sha256 of the little-endian float64 channels and of the
+# int64 histogram counts (32 side bins), their total, and the pairs drawn.
+# Taken before generation drew into reserved buffers; they hold numpy's
+# Generator algorithms as well as this module's code.
+_GOLDEN_STREAMS = {
+    "single": (29761, 23673, "ab592b39485dd970ba5b3ff518337374371c8494d76bff893ffdd3acd506c7cb",
+               "ed8c54fafd6d30b035a69c9b758958cd728d45f90c450b963489323b732187bd",
+               "6b73727c77b4302d1f080c8d8862ba46a65aa4a737532dc44a9ca99fe691d0d9", 16165, 19766),
+    "comb": (29934, 24135, "a123ca41dd7b3784d5e5383afba2bb04becc91f1c543427aff9e61e8b6bc89ba",
+             "504741336dead9abae1451c4e119c12d9f78220fb97abb44a289551b59affe73",
+             "c040aed15502793704b6f8abaa081103679b042402f529858e6f33ee1d61a56b", 16553, 20137),
+    "half_survival": (20128, 14091, "25406acbc45b0b2ad2ada9a7105e820dfbfe1fc82a0092dbc5865bffabef4b93",
+                      "b687b270ee483355e03c3e37c4f7930f71f05798ea7835a9297111ca09ac8e46",
+                      "ce3bb9479aabda6481c18ed8b9c2e6a350ae0c2cbe8804bdc23c357c3ed9753d", 8218, 10036),
+    "no_pairs": (29774, 24045, "0436c50f238e5f93dd6acac896c570a42a39761fe0c77ef552a1c5dc2dcf2b44",
+                 "7ce90213f6c95eeeb308fd16f2ab8bfdd7d544e177d2c1a5bcb1561621d2d390",
+                 "9821332be8797c8439e57f15ba45e3d258b94d3a1ab752309b92de594dfbd3d6", 21, 0),
+    "no_background": (20179, 20179, "08be2181dfcbf10891c62ac12da25fb947e30527218518797c5a220d35f57622",
+                      "02fdd9ba5fe5e536a924488c472f2378753dc4d2c6a237edfdda16f94fa30451",
+                      "05f6bdef61f7f707bcb4fe4f44395d5dc874f28028086920b35525ca30093ff9", 16633, 20179),
+    "idlers_before_start": (15111, 9611, "f58c593112105d4e6b01512801a9f3abb7bab2b135bad6e9ba7b84ba50337418",
+                            "5be354c3b14289071eecdedfd8ccbbfb2d30f549d8b11d2bfa7fe546ab002f9b",
+                            "9b708e63036c27be4e44da1940caffc08483e36b0e9f5d433b0f9a73c9c91876", 6208, 10115),
+    "idlers_after_end": (14898, 9407, "ada1553142ec7f02c7c74c612e8d73053d24f8af7db377e93e4df53782ee9819",
+                         "2357d957cc602532dfd55834e78eab49a264d87ac862d8af687d500b81c26430",
+                         "8d5a618498ceea3cb4d5068f4d0fdf8686dd2c1503e0bdd92096d58805963862", 6155, 9977),
+}
+
+
+def _golden_digests(case):
+    rate, det, mode, survival, seed = _GOLDEN_CASES[case]
+    stream = generate_pair_events(OpoConfig(pair_rate_hz=rate), det, mode, seed, survival)
+    hist = mc_histogram(stream, det, n_side_bins=32)
+    return (
+        stream.channel1_s.size,
+        stream.channel2_s.size,
+        _digest(stream.channel1_s, "<f8"),
+        _digest(stream.channel2_s, "<f8"),
+        _digest(hist.counts, "<i8"),
+        int(hist.counts.sum()),
+        stream.meta["n_pairs_generated"],
+    )
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_CASES))
+def test_streams_and_histograms_match_their_golden_digests(case):
+    assert _golden_digests(case) == _GOLDEN_STREAMS[case]
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_CASES))
+def test_a_background_count_beyond_the_reservation_grows_the_buffer(case, monkeypatch):
+    # no slot reserved: every channel with background grows its buffer once
+    monkeypatch.setattr(montecarlo, "_background_reserve", lambda mean: 0)
+    assert _golden_digests(case) == _GOLDEN_STREAMS[case]
+
+
+@pytest.mark.parametrize("mode", ["single", "comb"])
+def test_chunked_draws_give_the_unchunked_streams(mode):
+    # the signs are drawn in chunks of _CHUNK_EVENTS, the comb delays in
+    # eighths of it; both loops meet their edges around n_pairs
+    opo = OpoConfig(pair_rate_hz=1e4)
+    det = DetectorConfig(acquisition_s=0.2)
+    whole = _chunked(1 << 62, generate_pair_events, opo, det, mode, seed=23)
+    n = whole.meta["n_pairs_generated"]
+    assert n > 1000
+    for chunk in (1, 7, n - 1, n, n + 1, 8 * (n - 1), 8 * n, 8 * (n + 1)):
+        stream = _chunked(chunk, generate_pair_events, opo, det, mode, seed=23)
+        for got, want in ((stream.channel1_s, whole.channel1_s), (stream.channel2_s, whole.channel2_s)):
+            assert got.tobytes() == want.tobytes(), f"chunk of {chunk}"
 
 
 def test_pair_separations_follow_two_sided_exponential():
