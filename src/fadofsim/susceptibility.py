@@ -180,10 +180,11 @@ def complex_voigt(x, a):
     r2 = x * x
     r2 += a * a
     near = r2 <= _SERIES_RADIUS**2
-    mid = (r2 <= _ASYMPTOTIC_RADIUS**2) ^ near
+    far = r2 > _ASYMPTOTIC_RADIUS**2
+    mid = ~(near | far)
     d = np.divide(1.0, r2, out=r2)
-    # the far series on every point, then the inner zones overwritten
-    out = _asymptotic_series(x, a, d, _FAR_TERMS)
+    out = np.empty(x.shape, dtype=complex)
+    out[far] = _asymptotic_series(x[far], a, d[far], _FAR_TERMS)
     out[mid] = _asymptotic_series(x[mid], a, d[mid], _SERIES_TERMS)
     out[near] = _rational(x[near], a)
     return out.reshape(shape)

@@ -127,6 +127,24 @@ def test_voigt_input_shape_and_order():
         assert scalar == pytest.approx(ref[i], rel=1e-14)
 
 
+def test_voigt_evaluates_each_point_in_its_own_zone_only(monkeypatch):
+    x = np.linspace(-20.0, 20.0, 4001)
+    ref = complex_voigt(x, A_HOT_CELL)
+    sizes = []
+    for name in ("_asymptotic_series", "_rational"):
+        zone = getattr(susceptibility, name)
+        monkeypatch.setattr(susceptibility, name,
+                            lambda x, *args, zone=zone: sizes.append(x.size) or zone(x, *args))
+    out = complex_voigt(x, A_HOT_CELL)
+    # the far, mid and near points, each zone evaluated once on its own
+    assert sizes == [1202, 1400, 1399]
+    assert out.tobytes() == ref.tobytes()
+    # a zone's values do not depend on the other zones' points
+    r2 = x * x + A_HOT_CELL**2
+    for inside in (r2 <= 49.0, (r2 > 49.0) & (r2 <= 196.0), r2 > 196.0):
+        assert complex_voigt(x[inside], A_HOT_CELL).tobytes() == ref[inside].tobytes()
+
+
 def test_voigt_raises_no_floating_point_warnings():
     x = np.concatenate([np.linspace(-30.0, 30.0, 6001), [0.0, 7.0, 14.0, 1e6]])
     with warnings.catch_warnings():
