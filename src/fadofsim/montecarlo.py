@@ -23,13 +23,15 @@ leaves the generator where one call leaves it.  Each channel is sorted in
 place, and channel 2's in-window events are the slice between two
 bisections, so generation holds its output plus one chunk of draws.
 
-Before this, generation concatenated the pair and background arrays and
-copied channel 2 through a mask, which peaked at 1.5 times its output.
-glibc's allocator kept the freed 24-29 MB temporaries on its heap, so the
-memory a later stream of the same process found resident depended on the
-earlier streams' counts: the peak RSS of the 300 s ``mc_stream`` benchmark
-ranged from 146.7 to 169.3 MB over the seeds, against 112-115 MB with one
-buffer per channel.
+Stream-sized temporaries cost more resident memory than their own
+bytes.  Concatenating the pair and background arrays and copying
+channel 2 through a mask peaked at 1.5 times the output, and glibc's
+allocator kept the freed 24-29 MB temporaries on its heap, so what a
+later stream of the same process found resident depended on the earlier
+streams' counts: the peak RSS of the 300 s ``mc_stream`` benchmark then
+ranged from 146.6 to 169.4 MB over the seeds, against 111.9-113.7 MB
+with one buffer per channel.  Growing an array in place is no way out:
+``ndarray.resize`` copies.
 """
 
 from __future__ import annotations
