@@ -63,27 +63,36 @@ def _delta_comb_flags(cfg: ExperimentConfig) -> list[str]:
 
 
 def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> list[str]:
-    """Filter, mirrored-filter, product, source, and filtered-source spectra."""
+    """Filter, mirrored-filter, product, source, and filtered-source spectra.
+
+    Each CSV is written as soon as its values exist, in the order filter,
+    mirror, product, source, filtered source, and every array that no
+    later file needs is dropped once written; only the grid and the
+    filter values live through the whole command.
+    """
     fadof, comb = _filter_on_grid(cfg)
     grid = fadof.frequency_hz
-    center = cfg.opo.degenerate_frequency_hz
-    # mirror partner of each grid frequency about the source center,
-    # evaluated directly (not interpolated)
-    mirrored = fadof_transmission(cfg.filter, (2.0 * center - grid)[::-1])
-    mirror_vals = mirrored.value[::-1]
-    product = Spectrum(grid, fadof.value * mirror_vals, kind="transmission")
-
-    source = output_spectrum(comb, cfg.opo, grid)
-    filtered = Spectrum(grid, source.value * fadof.value, kind="density_per_hz")
-
     hdr = _hash_header(cfg)
     fadof.to_csv(out / "fadof_spectrum.csv", header_lines=hdr)
-    Spectrum(grid, mirror_vals, kind="transmission").to_csv(
-        out / "mirror_spectrum.csv", header_lines=hdr
-    )
+
+    center = cfg.opo.degenerate_frequency_hz
+    # mirror partner of each grid frequency about the source center,
+    # evaluated directly (not interpolated), in grid order
+    mirrored = fadof_transmission(cfg.filter, (2.0 * center - grid)[::-1])
+    mirror = Spectrum(grid, mirrored.value[::-1].copy())
+    del mirrored
+    mirror.to_csv(out / "mirror_spectrum.csv", header_lines=hdr)
+    product = Spectrum(grid, fadof.value * mirror.value)
+    del mirror
     product.to_csv(out / "pair_product_spectrum.csv", header_lines=hdr)
+    del product
+
+    source = output_spectrum(comb, cfg.opo, grid)
     source.to_csv(out / "opo_spectrum.csv", header_lines=hdr)
+    filtered = Spectrum(grid, source.value * fadof.value, kind="density_per_hz")
+    del source
     filtered.to_csv(out / "filtered_opo_spectrum.csv", header_lines=hdr)
+    del filtered
 
     dirty: list[str] = []
     payload: dict = {

@@ -168,6 +168,13 @@ def output_spectrum(comb: ModeComb, cfg: OpoConfig, freq_hz) -> Spectrum:
     freq = np.asarray(freq_hz, dtype=float)
     hwhm = 0.5 * cfg.mode_fwhm_hz
     psd = np.zeros(freq.shape)
+    # one reused scratch array; the operations keep the order of
+    # psd += w * (hwhm / pi) / ((freq - f0)**2 + hwhm**2)
+    term = np.empty(freq.shape)
     for f0, w in zip(comb.frequencies_hz, comb.weights):
-        psd += w * (hwhm / np.pi) / ((freq - f0) ** 2 + hwhm**2)
+        np.subtract(freq, f0, out=term)
+        np.square(term, out=term)
+        term += hwhm**2
+        np.divide(w * (hwhm / np.pi), term, out=term)
+        psd += term
     return Spectrum(frequency_hz=freq, value=psd, kind="density_per_hz")

@@ -83,17 +83,18 @@ def write_csv(path, header_lines, columns: dict) -> None:
 
     Rows are formatted in chunks of ``_CSV_CHUNK_ROWS``, which keeps memory
     flat on large grids, and laid out in a NUL-padded byte matrix whose
-    NULs are dropped on writing.  ``%.Ne`` and ``%.Nf`` columns of real
-    numbers (1 <= N <= 12) are formatted by numpy: the decimal mantissa is
-    ``rint`` of the value scaled by a power of ten, and its digits come
-    from a table of 4-digit groups.  A value goes through ``fmt % value``
-    instead when the double arithmetic cannot settle its rounding, that is
-    when the scaled value lies within ``2**-50`` of itself of a half-unit
-    tie (the scaling errs by at most ``4 * 2**-53``); when ``%.Ne``
-    rounding would carry into the next decade, or ``log10`` put it in the
-    wrong decade; when its ``%.Ne`` exponent has three digits; when it is
-    not finite, ±0 or subnormal; or when its integer part is outside the
-    int64 range.  Columns of any other format or type, ``%d`` included, go
+    NULs are dropped on writing; the file is opened in binary mode, so no
+    text layer decodes and re-encodes each chunk.  ``%.Ne`` and ``%.Nf``
+    columns of real numbers (1 <= N <= 12) are formatted by numpy: the
+    decimal mantissa is ``rint`` of the value scaled by a power of ten,
+    and its digits come from a table of 4-digit groups.  A value goes
+    through ``fmt % value`` instead when the double arithmetic cannot
+    settle its rounding, that is when the scaled value lies within
+    ``2**-50`` of itself of a half-unit tie (the scaling errs by at most
+    ``4 * 2**-53``); when ``%.Ne`` rounding would carry into the next
+    decade, or ``log10`` put it in the wrong decade; when its ``%.Ne``
+    exponent has three digits; when it is not finite, ±0 or subnormal; or
+    when its integer part is outside the int64 range.  Columns of any other format or type, ``%d`` included, go
     through ``fmt % value`` whole.
     """
     values = [np.ravel(v) for v, _ in columns.values()]
@@ -102,9 +103,9 @@ def write_csv(path, header_lines, columns: dict) -> None:
         raise ValueError(f"CSV columns differ in length: {lengths}")
     n_rows = values[0].size if values else 0
     fmts = [fmt for _, fmt in columns.values()]
-    with open(path, "w") as fh:
-        fh.writelines(f"# {line}\n" for line in header_lines)
-        fh.write(",".join(columns) + "\n")
+    with open(path, "wb") as fh:
+        head = [f"# {line}\n" for line in header_lines] + [",".join(columns) + "\n"]
+        fh.write("".join(head).encode())
         for start in range(0, n_rows, _CSV_CHUNK_ROWS):
             chunk = slice(start, start + _CSV_CHUNK_ROWS)
             pieces = []
@@ -112,7 +113,7 @@ def write_csv(path, header_lines, columns: dict) -> None:
                 pieces += [_cells(v[chunk], fmt), _COMMA]
             pieces[-1] = _NEWLINE
             n = min(_CSV_CHUNK_ROWS, n_rows - start)
-            fh.write(_hstack(pieces, n).tobytes().replace(b"\0", b"").decode())
+            fh.write(_hstack(pieces, n).tobytes().replace(b"\0", b""))
 
 
 def _hstack(pieces, n: int) -> np.ndarray:

@@ -9,6 +9,23 @@ rejecting everything else down to the polarizer extinction floor.
 The blocking cell is the same vapor without polarizers or field, heated
 until it is opaque over the filter passband; buffer-gas collisions give
 its absorption Lorentzian wings wide enough to swallow the passband.
+
+``fadof_transmission`` evaluates the filter in blocks of the grid, so its
+working set is one block's susceptibilities and amplitudes whatever the
+grid's length.  A grid of n points is split evenly into
+ceil(n / ``_GRID_BLOCK``) blocks of consecutive points, whose lengths
+differ by at most one.  Every value is computed point by point, so the
+blocks change no rule, only which points share an array.  Splitting
+evenly keeps every block of a longer grid above half ``_GRID_BLOCK``, so
+no block holds a single point: numpy rounds the in-place complex
+products of a one-element array differently from the same point in a
+longer one, and a lone last block would move its value in the last
+bits.  ``_GRID_BLOCK`` is 2**15 so that the 20,001-point
+spectra of ``optimize`` and ``simulate`` stay one block, computed on the
+same arrays as one whole-grid call.  On a 160,001-point grid (2 vCPU, numpy
+2.4, medians of 11 in one process) blocks of 2**15 took 0.21-0.22 s, the
+whole grid at once 0.22 s and blocks of 2**13 0.27-0.29 s, about 30 %
+slower, as the per-call cost of the component loop comes to dominate.
 """
 
 from __future__ import annotations
@@ -20,6 +37,9 @@ import numpy as np
 from .lines import AtomicLineTable
 from .spectrum import Spectrum
 from .susceptibility import complex_susceptibility, wavevector
+
+# Most grid points per block of fadof_transmission (see the module docstring).
+_GRID_BLOCK = 2**15
 
 
 @dataclass
@@ -80,16 +100,36 @@ def circular_amplitudes(cfg: FilterConfig, freq_hz) -> tuple[np.ndarray, np.ndar
     return amps[0], amps[1]
 
 
+def _grid_blocks(n: int) -> list[slice]:
+    """ceil(n / ``_GRID_BLOCK``) slices of consecutive points covering ``range(n)``.
+
+    Their lengths differ by at most one, so a grid longer than one block
+    gives no block below half ``_GRID_BLOCK``.
+    """
+    count = max(1, -(-n // _GRID_BLOCK))
+    edges = [n * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
 def fadof_transmission(cfg: FilterConfig, freq_hz) -> Spectrum:
     """Crossed-polarizer Faraday filter intensity transmission spectrum.
 
     T = |t+ - t-|^2 / 4, with the finite polarizer extinction folded in
-    incoherently: T_total = T + extinction * (1 - T).
+    incoherently: T_total = T + extinction * (1 - T), clipped to [0, 1].
+    t+- and T are computed one block of the grid at a time
+    (``_grid_blocks``) into one preallocated output, so the working set is
+    one block's whatever the grid's length; a grid of at most
+    ``_GRID_BLOCK`` points is one block.
     """
-    t_plus, t_minus = circular_amplitudes(cfg, freq_hz)
-    t_pol = 0.25 * np.abs(t_plus - t_minus) ** 2
-    total = t_pol + cfg.extinction * (1.0 - t_pol)
-    return Spectrum(np.asarray(freq_hz, dtype=float), np.clip(total, 0.0, 1.0))
+    freq = np.asarray(freq_hz, dtype=float)
+    points = freq.reshape(-1)
+    total = np.empty(points.size)
+    for block in _grid_blocks(points.size):
+        t_plus, t_minus = circular_amplitudes(cfg, points[block])
+        t_pol = 0.25 * np.abs(t_plus - t_minus) ** 2
+        total[block] = t_pol + cfg.extinction * (1.0 - t_pol)
+    np.clip(total, 0.0, 1.0, out=total)
+    return Spectrum(freq, total.reshape(freq.shape))
 
 
 def optical_depth(cfg: HotCellConfig, freq_hz) -> np.ndarray:

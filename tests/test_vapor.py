@@ -1,9 +1,11 @@
 """Faraday filter and blocking-cell transmission physics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fadofsim import susceptibility
+from fadofsim import susceptibility, vapor
 from fadofsim.opo import DEFAULT_OPERATING_OFFSET_HZ, OpoConfig
 from fadofsim.spectrum import filter_metrics, make_frequency_grid
 from fadofsim.vapor import (
@@ -17,6 +19,7 @@ from fadofsim.vapor import (
 )
 
 REF_HZ = FilterConfig().table.reference_frequency_hz
+BLOCK = vapor._GRID_BLOCK
 
 
 def test_default_center_is_reference_plus_operating_offset():
@@ -161,3 +164,46 @@ def test_config_validation():
         FilterConfig(extinction=1.0)
     with pytest.raises(ValueError, match="extinction"):
         FilterConfig(extinction=-1e-9)
+
+
+def _whole_grid_transmission(cfg, freq):
+    """The filter from one ``circular_amplitudes`` call over the whole grid."""
+    t_plus, t_minus = circular_amplitudes(cfg, freq)
+    t_pol = 0.25 * np.abs(t_plus - t_minus) ** 2
+    return np.clip(t_pol + cfg.extinction * (1.0 - t_pol), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 5 * BLOCK + 3])
+def test_blocked_transmission_matches_the_whole_grid(n):
+    cfg = FilterConfig()
+    freq = np.linspace(REF_HZ - 20e9, REF_HZ + 20e9, n)
+    blocked = fadof_transmission(cfg, freq)
+    assert blocked.frequency_hz.shape == (n,)
+    assert np.abs(blocked.value - _whole_grid_transmission(cfg, freq)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 5 * BLOCK + 3, 1_600_001])
+def test_grid_blocks_split_evenly(n):
+    blocks = vapor._grid_blocks(n)
+    sizes = [b.stop - b.start for b in blocks]
+    assert len(blocks) == -(-n // BLOCK)
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert max(sizes) <= BLOCK and max(sizes) - min(sizes) <= 1
+    assert min(sizes) >= min(n, BLOCK // 2)
+
+
+def test_transmission_memory_is_its_output_plus_a_few_blocks():
+    cfg = FilterConfig()
+    freq = np.linspace(REF_HZ - 20e9, REF_HZ + 20e9, 8 * BLOCK)
+    fadof_transmission(cfg, freq[:2])
+    tracemalloc.start()
+    try:
+        spec = fadof_transmission(cfg, freq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block's chi, amplitudes and kernel temporaries came to at most
+    # 15 complex blocks on any span; the whole 8-block grid at once to 38
+    block_bytes = 16 * BLOCK
+    assert peak < spec.value.nbytes + 20 * block_bytes, f"{peak} bytes traced"
