@@ -66,9 +66,11 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> list[str]:
     """Filter, mirrored-filter, product, source, and filtered-source spectra.
 
     Each CSV is written as soon as its values exist, in the order filter,
-    mirror, product, source, filtered source, and every array that no
-    later file needs is dropped once written; only the grid and the
-    filter values live through the whole command.
+    mirror, pair product, source, filtered source.  The pair product
+    overwrites the written mirror values and the filtered source the
+    written source (the same products, bit for bit), and each array is
+    dropped once written; only the grid and the filter values live
+    through the whole command.
     """
     fadof, comb = _filter_on_grid(cfg)
     grid = fadof.frequency_hz
@@ -77,22 +79,20 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> list[str]:
 
     center = cfg.opo.degenerate_frequency_hz
     # mirror partner of each grid frequency about the source center,
-    # evaluated directly (not interpolated), in grid order
-    mirrored = fadof_transmission(cfg.filter, (2.0 * center - grid)[::-1])
-    mirror = Spectrum(grid, mirrored.value[::-1].copy())
-    del mirrored
-    mirror.to_csv(out / "mirror_spectrum.csv", header_lines=hdr)
-    product = Spectrum(grid, fadof.value * mirror.value)
-    del mirror
-    product.to_csv(out / "pair_product_spectrum.csv", header_lines=hdr)
-    del product
+    # evaluated directly (not interpolated), copied into grid order
+    values = fadof_transmission(cfg.filter, (2.0 * center - grid)[::-1]).value[::-1].copy()
+    Spectrum(grid, values).to_csv(out / "mirror_spectrum.csv", header_lines=hdr)
+    values *= fadof.value
+    Spectrum(grid, values).to_csv(out / "pair_product_spectrum.csv", header_lines=hdr)
+    del values
 
     source = output_spectrum(comb, cfg.opo, grid)
     source.to_csv(out / "opo_spectrum.csv", header_lines=hdr)
-    filtered = Spectrum(grid, source.value * fadof.value, kind="density_per_hz")
+    source.value *= fadof.value
+    Spectrum(grid, source.value, kind="density_per_hz").to_csv(
+        out / "filtered_opo_spectrum.csv", header_lines=hdr
+    )
     del source
-    filtered.to_csv(out / "filtered_opo_spectrum.csv", header_lines=hdr)
-    del filtered
 
     dirty: list[str] = []
     payload: dict = {

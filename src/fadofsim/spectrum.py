@@ -94,8 +94,9 @@ def write_csv(path, header_lines, columns: dict) -> None:
     ``4 * 2**-53``); when ``%.Ne`` rounding would carry into the next
     decade, or ``log10`` put it in the wrong decade; when its ``%.Ne``
     exponent has three digits; when it is not finite, ±0 or subnormal; or
-    when its integer part is outside the int64 range.  Columns of any other format or type, ``%d`` included, go
-    through ``fmt % value`` whole.
+    when its integer part is outside the int64 range.  Columns of any
+    other format or type, ``%d`` included, go through ``fmt % value``
+    whole.
     """
     values = [np.ravel(v) for v, _ in columns.values()]
     lengths = {name: v.size for name, v in zip(columns, values)}

@@ -10,19 +10,19 @@ The blocking cell is the same vapor without polarizers or field, heated
 until it is opaque over the filter passband; buffer-gas collisions give
 its absorption Lorentzian wings wide enough to swallow the passband.
 
-``fadof_transmission`` evaluates the filter in blocks of the grid, so its
-working set is one block's susceptibilities and amplitudes whatever the
-grid's length.  A grid of n points is split evenly into
+``fadof_transmission`` evaluates the filter in blocks of the grid, so
+its working set is one block's susceptibilities and amplitudes whatever
+the grid's length.  A grid of n points is split evenly into
 ceil(n / ``_GRID_BLOCK``) blocks of consecutive points, whose lengths
-differ by at most one.  Every value is computed point by point, so the
-blocks change no rule, only which points share an array.  Splitting
-evenly keeps every block of a longer grid above half ``_GRID_BLOCK``, so
-no block holds a single point: numpy rounds the in-place complex
-products of a one-element array differently from the same point in a
-longer one, and a lone last block would move its value in the last
-bits.  ``_GRID_BLOCK`` is 2**15 so that the 20,001-point
-spectra of ``optimize`` and ``simulate`` stay one block, computed on the
-same arrays as one whole-grid call.  On a 160,001-point grid (2 vCPU, numpy
+differ by at most one.  Every value is computed point by point, so the blocks
+change no rule, only which points share an array.  Splitting evenly
+keeps every block of a longer grid above half ``_GRID_BLOCK``, so no
+block holds a single point: numpy rounds the in-place complex products
+of a one-element array differently from the same point in a longer one,
+and a lone last block would move its value in the last bits.
+``_GRID_BLOCK`` is 2**15 so that the 20,001-point spectra of
+``optimize`` and ``simulate`` stay one block, computed on the same
+arrays as one whole-grid call.  On a 160,001-point grid (2 vCPU, numpy
 2.4, medians of 11 in one process) blocks of 2**15 took 0.21-0.22 s, the
 whole grid at once 0.22 s and blocks of 2**13 0.27-0.29 s, about 30 %
 slower, as the per-call cost of the component loop comes to dominate.
