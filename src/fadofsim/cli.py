@@ -259,16 +259,16 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
 
     # purity branch: analytic resonant fraction sets the hot-cell pair
     # survival; two Monte Carlo runs close the loop through the counters
-    pmap = pairs.pair_transmission_map(fadof, comb, cfg.opo)
-    resonant = pairs.resonant_degenerate_fraction(pmap)
+    eta = pairs.pair_transmission_map(fadof, comb, cfg.opo)
+    resonant = pairs.resonant_degenerate_fraction(comb, eta)
     leakage = cfg.out_of_band_leakage
     if leakage is None:
-        leakage = pairs.extinction_leakage_estimate(pmap, cfg.filter.extinction)
+        leakage = pairs.extinction_leakage_estimate(comb, eta, cfg.filter.extinction)
     payload: dict = {
         "resonant_degenerate_fraction": resonant,
         "out_of_band_leakage": leakage,
         "overall_degenerate_fraction": pairs.overall_degenerate_fraction(resonant, leakage),
-        "retained_modes_per_side": int(pmap.mode_indices.max()),
+        "retained_modes_per_side": comb.n_max,
         "hot_cell_enabled": cfg.hot_cell_enabled,
     }
     if cfg.hot_cell_enabled:

@@ -59,6 +59,8 @@ class OpoConfig:
             raise ValueError("round-trip time and FSR must be positive")
         if self.pair_rate_hz < 0:
             raise ValueError("pair rate cannot be negative")
+        if not self.envelope_fwhm_hz > 0:
+            raise ValueError("phase-matching envelope FWHM must be positive")
         product = self.fsr_hz * self.roundtrip_s
         if abs(product - 1.0) > 0.01:
             raise ValueError(
@@ -84,11 +86,14 @@ class ModeComb:
 
     @property
     def n_max(self) -> int:
-        return int(self.indices.max())
+        return self.indices.size // 2
 
     def __post_init__(self):
-        w0 = self.weights[self.indices == 0]
-        if w0.size != 1 or w0[0] != 1.0:
+        # mode n sits at position n + n_max, so a reversed per-mode array
+        # holds the mirror modes -n
+        if not np.array_equal(self.indices, np.arange(-self.n_max, self.n_max + 1)):
+            raise ValueError("mode indices must be symmetric and ordered -N..N")
+        if self.weights[self.n_max] != 1.0:
             raise ValueError("degenerate-mode weight must be 1")
 
 

@@ -3,10 +3,13 @@
 Signal and idler of a pair sit in mirror modes +n/-n about the degenerate
 mode.  The filter transmits a pair with probability eta_n * eta_{-n},
 where eta_n is the filter transmission averaged over the Lorentzian
-profile of mode n.  These per-pair transmissions give the fraction of
-transmitted pairs that are degenerate, and a figure of merit for tuning
-the filter: degenerate-pair transmission against total non-degenerate
-pair leakage.
+profile of mode n.  The per-mode record is the comb (indices -N..N and
+weights w_n) and the eta array in the same order.  The weighted pair
+transmissions w_n * eta_n * eta_{-n} give the fraction of transmitted
+pairs that are degenerate, and the figure of merit for tuning the filter,
+degenerate-pair transmission against total non-degenerate pair leakage:
+
+    FOM = w_0 * eta_0^2 / sum_{n != 0} w_n * eta_n * eta_{-n}
 """
 
 from __future__ import annotations
@@ -28,40 +31,11 @@ from .vapor import FilterConfig, fadof_transmission
 MAX_PEAK_OFFSET_HZ = 6e9
 
 
-@dataclass
-class PairTransmissionMap:
-    mode_indices: np.ndarray
-    mode_eta: np.ndarray
-    weights: np.ndarray
+def pair_transmission_map(spectrum: Spectrum, comb: ModeComb, opo: OpoConfig) -> np.ndarray:
+    """Mode-averaged filter transmission eta_n of every comb mode.
 
-    def __post_init__(self):
-        if not np.array_equal(self.mode_indices[::-1], -self.mode_indices):
-            raise ValueError("mode indices must be symmetric and ordered -N..N")
-
-    def eta(self, n: int) -> float:
-        pos = np.nonzero(self.mode_indices == n)[0]
-        if pos.size != 1:
-            raise KeyError(f"mode {n} not in map")
-        return float(self.mode_eta[pos[0]])
-
-    def pair_transmission(self, n: int) -> float:
-        return self.eta(n) * self.eta(-n)
-
-    def weighted_pair_sum(self, include_degenerate: bool = True) -> float:
-        """Sum over signed mode index of w_n * eta_n * eta_{-n}."""
-        eta_mirror = self.mode_eta[::-1]  # index order is -N..N
-        terms = self.weights * self.mode_eta * eta_mirror
-        if include_degenerate:
-            return float(terms.sum())
-        mask = self.mode_indices != 0
-        return float(terms[mask].sum())
-
-
-def pair_transmission_map(
-    spectrum: Spectrum, comb: ModeComb, opo: OpoConfig
-) -> PairTransmissionMap:
-    """Mode-averaged filter transmission for every retained comb mode.
-
+    Returns a float64 array in comb order, modes -N..N, so eta_n sits at
+    index n + comb.n_max and eta[::-1] holds the mirror partners eta_-n.
     eta_n is the transmission weighted by the unit-area mode Lorentzian,
     truncated at +-50 linewidths and renormalized over the truncation
     window, integrated by the trapezoid rule on the spectrum grid.  When
@@ -71,8 +45,7 @@ def pair_transmission_map(
     """
     freq = spectrum.frequency_hz
     vals = spectrum.value
-    degenerate = comb.frequencies_hz[comb.indices == 0][0]
-    if modes_within_grid(opo, freq, degenerate) < comb.n_max:
+    if modes_within_grid(opo, freq, comb.frequencies_hz[comb.n_max]) < comb.n_max:
         raise ModeOutsideGridError(-comb.n_max)
     hwhm = 0.5 * opo.mode_fwhm_hz
     half_window = MODE_WINDOW_LINEWIDTHS * opo.mode_fwhm_hz
@@ -85,19 +58,22 @@ def pair_transmission_map(
         f = freq[sl]
         lor = hwhm / np.pi / ((f - f0) ** 2 + hwhm**2)
         etas[j] = np.trapezoid(lor * vals[sl], f) / np.trapezoid(lor, f)
-    return PairTransmissionMap(
-        mode_indices=comb.indices.copy(),
-        mode_eta=etas,
-        weights=comb.weights.copy(),
-    )
+    return etas
 
 
-def resonant_degenerate_fraction(pmap: PairTransmissionMap) -> float:
+def weighted_pair_terms(comb: ModeComb, eta: np.ndarray) -> np.ndarray:
+    """w_n * eta_n * eta_-n for every comb mode, in comb order; the
+    degenerate term w_0 * eta_0^2 sits at index comb.n_max."""
+    return comb.weights * eta * eta[::-1]
+
+
+def resonant_degenerate_fraction(comb: ModeComb, eta: np.ndarray) -> float:
     """Fraction of transmitted pairs that belong to the degenerate mode."""
-    total = pmap.weighted_pair_sum(include_degenerate=True)
+    terms = weighted_pair_terms(comb, eta)
+    total = terms.sum()
     if total <= 0:
         raise ValueError("no transmitted pairs")
-    return pmap.pair_transmission(0) * pmap.weights[pmap.mode_indices == 0][0] / total
+    return terms[comb.n_max] / total
 
 
 def spectral_purity(hot_cell_counts: float, filtered_counts: float) -> float:
@@ -140,7 +116,7 @@ def overall_degenerate_fraction(resonant_fraction: float, leakage: float) -> flo
     return resonant_fraction * (1.0 - leakage)
 
 
-def extinction_leakage_estimate(pmap: PairTransmissionMap, extinction: float) -> float:
+def extinction_leakage_estimate(comb: ModeComb, eta: np.ndarray, extinction: float) -> float:
     """Out-of-band pair leakage implied by the polarizer extinction alone.
 
     Broadband pairs reach the blocked port with probability extinction
@@ -148,10 +124,10 @@ def extinction_leakage_estimate(pmap: PairTransmissionMap, extinction: float) ->
     extinction^2 * sum(w) / (w0 * eta0^2).  Real setups are typically
     dominated by technical leakage well above this bound.
     """
-    degenerate = pmap.pair_transmission(0)
+    degenerate = float(weighted_pair_terms(comb, eta)[comb.n_max])
     if degenerate <= 0:
         raise ValueError("degenerate-pair transmission vanishes")
-    return min(1.0, extinction**2 * float(pmap.weights.sum()) / degenerate)
+    return min(1.0, extinction**2 * float(comb.weights.sum()) / degenerate)
 
 
 @dataclass
@@ -244,11 +220,11 @@ def optimize_filter(
             # peak escaped the central margin; comb would leave the grid
             return invalid
         comb = mode_comb(replace(opo, degenerate_frequency_hz=peak), max_modes=max_modes)
-        pmap = pair_transmission_map(spec, comb, opo)
-        e0 = pmap.pair_transmission(0)
-        s_nd = pmap.weighted_pair_sum(include_degenerate=False)
-        f = e0 / s_nd if s_nd > 0 else np.inf
-        return peak - base.table.reference_frequency_hz, pmap.eta(0), s_nd, f
+        eta = pair_transmission_map(spec, comb, opo)
+        terms = weighted_pair_terms(comb, eta)
+        s_nd = np.delete(terms, comb.n_max).sum()
+        f = terms[comb.n_max] / s_nd if s_nd > 0 else np.inf
+        return peak - base.table.reference_frequency_hz, eta[comb.n_max], s_nd, f
 
     points = itertools.product(b_values_t.tolist(), temperatures_k.tolist())
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -423,6 +423,38 @@ def test_every_tracer_target_resolves_after_importing_the_cli():
     assert result["missing"] == []
 
 
+def test_traced_optimize_writes_the_untraced_bytes_and_counts_the_scan(tmp_path):
+    # bench/tracer.py counts the scan from optimize_filter's positional
+    # B and temperature arrays and result.meta["n_invalid"], and one
+    # pair_transmission_map call per valid point; the file is only run
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(
+        "[optimize]\n"
+        "b_min_mT = 0\nb_max_mT = 4.5\nb_points = 2\n"
+        "temperature_min_K = 360\ntemperature_max_K = 370\ntemperature_points = 2\n"
+        "half_span_GHz = 8\nstep_MHz = 4\n"
+    )
+    args = ["--config", str(cfg), "--threads", "2", "optimize"]
+    plain, traced, spans = tmp_path / "plain", tmp_path / "traced", tmp_path / "spans.json"
+    # zero field leaves no usable peak: two of the four points are flagged
+    assert main(["--out", str(plain), *args]) == 1
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "tracer.py"), str(spans), "--",
+         "--out", str(traced), *args],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    names = sorted(p.name for p in plain.iterdir())
+    assert names == ["fom_surface.csv", "optimize_result.json"]
+    assert sorted(p.name for p in traced.iterdir()) == names
+    for name in names:
+        assert (traced / name).read_bytes() == (plain / name).read_bytes()
+    recorded = json.loads(spans.read_text())["spans"]
+    scan = [(s["points"], s["valid"]) for s in recorded if s["name"] == "pairs.optimize_filter"]
+    assert scan == [(4, 2)]
+    assert sum(s["name"] == "pairs.pair_transmission_map" for s in recorded) == 2
+
+
 def test_chi_square_sf_against_chdtrc():
     worst = 0.0
     for dof in range(1, 301):

@@ -124,6 +124,8 @@ def test_errors_name_section_and_key(tmp_path):
         ("[filter]\ntemperature_K = nan\n", r"\[filter\] temperature_K: not a finite number"),
         ("[filter]\ncenter_offset_GHz = inf\n", r"\[filter\] center_offset_GHz: not a finite"),
         ("[opo]\nenvelope_fwhm_GHz = 1e300\n", r"\[opo\] envelope_fwhm_GHz: not a finite"),
+        ("[opo]\nenvelope_fwhm_GHz = 0\n", r"\[opo\] phase-matching envelope FWHM must be positive"),
+        ("[opo]\nenvelope_fwhm_GHz = -150\n", r"\[opo\] phase-matching envelope FWHM must be positive"),
         ("[noise]\nfield_noise = nan+1j\n", r"\[noise\] field_noise: not a finite number"),
         ("[output]\ndirectory = 50%\n", r"\[output\] directory"),
         ("[purity]\nout_of_band_leakage = 1.5\n", r"\[purity\] out_of_band_leakage"),

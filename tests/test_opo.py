@@ -96,6 +96,12 @@ def test_mode_comb_requires_unit_degenerate_weight():
         ModeComb(indices=idx, frequencies_hz=idx * 5e8, weights=np.array([0.5, 0.9, 0.5]))
 
 
+def test_mode_comb_requires_symmetric_ordered_indices():
+    for idx in (np.array([-1, 0, 2]), np.array([1, 0, -1]), np.array([-2, 0, 2])):
+        with pytest.raises(ValueError, match="symmetric"):
+            ModeComb(indices=idx, frequencies_hz=idx * 5e8, weights=np.ones(3))
+
+
 def test_output_spectrum_single_mode_lorentzian():
     cfg = OpoConfig()
     comb = mode_comb(cfg, max_modes=0)

@@ -1,5 +1,6 @@
 """Per-mode pair transmission, purity bookkeeping, and filter optimization."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +9,12 @@ from _oracles import modes_off_grid
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fadofsim.cli import _filter_on_grid
 from fadofsim.config import load_config
-from fadofsim.opo import MODE_WINDOW_LINEWIDTHS, OpoConfig, mode_comb, modes_within_grid
+from fadofsim.opo import MODE_WINDOW_LINEWIDTHS, ModeComb, OpoConfig, mode_comb, modes_within_grid
 from fadofsim.pairs import (
     MAX_PEAK_OFFSET_HZ,
     ModeOutsideGridError,
-    PairTransmissionMap,
     extinction_leakage_estimate,
     optimize_filter,
     overall_degenerate_fraction,
@@ -21,6 +22,7 @@ from fadofsim.pairs import (
     resonant_degenerate_fraction,
     spectral_purity,
     spectral_purity_stderr,
+    weighted_pair_terms,
 )
 from fadofsim.spectrum import Spectrum, make_frequency_grid
 from fadofsim.vapor import FilterConfig
@@ -29,46 +31,46 @@ OPO = OpoConfig()
 REF_HZ = FilterConfig().table.reference_frequency_hz
 
 
-def _toy_map():
-    return PairTransmissionMap(
-        mode_indices=np.arange(-2, 3),
-        mode_eta=np.array([0.1, 0.2, 0.5, 0.3, 0.4]),
-        weights=np.array([0.25, 0.5, 1.0, 0.5, 0.25]),
-    )
+def _sha256(values):
+    """sha256 of an array's float64 bytes in C order."""
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+def _toy_comb(weights):
+    idx = np.arange(-(len(weights) // 2), len(weights) // 2 + 1)
+    return ModeComb(indices=idx, frequencies_hz=idx * 5e8, weights=np.array(weights))
+
+
+# a five-mode comb and its eta array, both in comb order -2..2
+TOY_COMB = _toy_comb([0.25, 0.5, 1.0, 0.5, 0.25])
+TOY_ETA = np.array([0.1, 0.2, 0.5, 0.3, 0.4])
 
 
 def test_map_mirror_pair_arithmetic():
-    pmap = _toy_map()
-    assert pmap.eta(1) == 0.3
-    assert pmap.eta(-1) == 0.2
-    assert pmap.pair_transmission(1) == pytest.approx(0.06, rel=1e-15)
-    assert pmap.pair_transmission(-1) == pmap.pair_transmission(1)
-    assert pmap.pair_transmission(0) == pytest.approx(0.25, rel=1e-15)
-    assert pmap.weighted_pair_sum() == pytest.approx(0.33, rel=1e-12)
-    assert pmap.weighted_pair_sum(include_degenerate=False) == pytest.approx(0.08, rel=1e-12)
-    assert resonant_degenerate_fraction(pmap) == pytest.approx(0.25 / 0.33, rel=1e-12)
-
-
-def test_map_unknown_mode_and_asymmetric_indices():
-    pmap = _toy_map()
-    with pytest.raises(KeyError, match="mode 3"):
-        pmap.eta(3)
-    with pytest.raises(ValueError, match="symmetric"):
-        PairTransmissionMap(
-            mode_indices=np.array([-1, 0, 2]),
-            mode_eta=np.ones(3),
-            weights=np.ones(3),
-        )
+    comb, eta = TOY_COMB, TOY_ETA
+    n0 = comb.n_max
+    assert eta[n0 + 1] == 0.3
+    assert eta[n0 - 1] == 0.2
+    pair = eta * eta[::-1]
+    assert pair[n0 + 1] == pytest.approx(0.06, rel=1e-15)
+    assert pair[n0 - 1] == pair[n0 + 1]
+    assert pair[n0] == pytest.approx(0.25, rel=1e-15)
+    terms = weighted_pair_terms(comb, eta)
+    assert np.array_equal(terms, comb.weights * pair)
+    assert terms.sum() == pytest.approx(0.33, rel=1e-12)
+    assert np.delete(terms, n0).sum() == pytest.approx(0.08, rel=1e-12)
+    assert resonant_degenerate_fraction(comb, eta) == pytest.approx(0.25 / 0.33, rel=1e-12)
 
 
 def test_transparent_filter_passes_every_mode():
     grid = make_frequency_grid(OPO.degenerate_frequency_hz, 5e9, 1e6)
     spec = Spectrum(frequency_hz=grid, value=np.ones(grid.size))
     comb = mode_comb(OPO, max_modes=5)
-    pmap = pair_transmission_map(spec, comb, OPO)
-    assert np.allclose(pmap.mode_eta, 1.0, rtol=1e-12)
+    eta = pair_transmission_map(spec, comb, OPO)
+    assert eta.shape == comb.indices.shape
+    assert np.allclose(eta, 1.0, rtol=1e-12)
     # with every eta equal the degenerate share is w0 over the weight sum
-    assert resonant_degenerate_fraction(pmap) == pytest.approx(
+    assert resonant_degenerate_fraction(comb, eta) == pytest.approx(
         1.0 / comb.weights.sum(), rel=1e-12
     )
 
@@ -79,13 +81,16 @@ def test_top_hat_filter_blocks_neighbor_modes():
     f0 = OPO.degenerate_frequency_hz
     grid = make_frequency_grid(f0, 5e9, 1e6)
     vals = (np.abs(grid - f0) <= 0.5 * OPO.fsr_hz).astype(float)
-    pmap = pair_transmission_map(Spectrum(frequency_hz=grid, value=vals), mode_comb(OPO, max_modes=5), OPO)
-    assert pmap.eta(0) > 0.99
-    assert pmap.eta(1) < 5e-3
-    assert pmap.eta(2) == 0.0
-    ratio = pmap.weighted_pair_sum(include_degenerate=False) / pmap.pair_transmission(0)
+    comb = mode_comb(OPO, max_modes=5)
+    eta = pair_transmission_map(Spectrum(frequency_hz=grid, value=vals), comb, OPO)
+    n0 = comb.n_max
+    assert eta[n0] > 0.99
+    assert eta[n0 + 1] < 5e-3
+    assert eta[n0 + 2] == 0.0
+    terms = weighted_pair_terms(comb, eta)
+    ratio = np.delete(terms, n0).sum() / (eta[n0] * eta[n0])
     assert ratio < 1e-4
-    assert resonant_degenerate_fraction(pmap) > 0.9999
+    assert resonant_degenerate_fraction(comb, eta) > 0.9999
 
 
 def test_scaling_filter_leaves_resonant_fraction_unchanged():
@@ -95,9 +100,9 @@ def test_scaling_filter_leaves_resonant_fraction_unchanged():
     comb = mode_comb(OPO, max_modes=4)
     full = pair_transmission_map(Spectrum(frequency_hz=grid, value=base_vals), comb, OPO)
     half = pair_transmission_map(Spectrum(frequency_hz=grid, value=0.5 * base_vals), comb, OPO)
-    assert np.allclose(half.mode_eta, 0.5 * full.mode_eta, rtol=1e-12)
-    assert resonant_degenerate_fraction(half) == pytest.approx(
-        resonant_degenerate_fraction(full), rel=1e-12
+    assert np.allclose(half, 0.5 * full, rtol=1e-12)
+    assert resonant_degenerate_fraction(comb, half) == pytest.approx(
+        resonant_degenerate_fraction(comb, full), rel=1e-12
     )
 
 
@@ -212,26 +217,38 @@ def test_overall_fraction_discounts_leakage():
 
 
 def test_extinction_leakage_estimate_behaviour():
-    pmap = _toy_map()
-    lo = extinction_leakage_estimate(pmap, 1e-6)
-    hi = extinction_leakage_estimate(pmap, 1e-4)
+    lo = extinction_leakage_estimate(TOY_COMB, TOY_ETA, 1e-6)
+    hi = extinction_leakage_estimate(TOY_COMB, TOY_ETA, 1e-4)
     assert 0 < lo < hi < 1
     assert hi == pytest.approx(lo * 1e4, rel=1e-9)
-    assert extinction_leakage_estimate(pmap, 1.0) == 1.0
-    dead = PairTransmissionMap(
-        mode_indices=np.arange(-1, 2),
-        mode_eta=np.array([0.5, 0.0, 0.5]),
-        weights=np.ones(3),
-    )
+    assert extinction_leakage_estimate(TOY_COMB, TOY_ETA, 1.0) == 1.0
     with pytest.raises(ValueError, match="vanishes"):
-        extinction_leakage_estimate(dead, 1e-6)
+        extinction_leakage_estimate(_toy_comb([1.0, 1.0, 1.0]), np.array([0.5, 0.0, 0.5]), 1e-6)
 
 
 def test_purity_fractions_composition():
-    pmap = _toy_map()
-    resonant = resonant_degenerate_fraction(pmap)
+    resonant = resonant_degenerate_fraction(TOY_COMB, TOY_ETA)
     assert resonant == pytest.approx(0.25 / 0.33, rel=1e-12)
     assert overall_degenerate_fraction(resonant, 0.02) == pytest.approx(resonant * 0.98, rel=1e-15)
+
+
+def test_per_mode_record_matches_its_golden_values():
+    # at the default config's filter and comb: the eta array, the two
+    # fractions read from it, and a 2x2 optimize scan, as computed when
+    # the per-mode bookkeeping was still a map object; a change in any
+    # operation or summation order moves these digests
+    cfg = load_config(None)
+    spec, comb = _filter_on_grid(cfg)
+    eta = pair_transmission_map(spec, comb, cfg.opo)
+    assert eta.dtype == np.float64 and eta.size == 63
+    assert _sha256(eta) == "01176d27c697bb48a37065c1adb3b53716d2d9e600d7a8d5928ab0f5acd8b55d"
+    assert repr(resonant_degenerate_fraction(comb, eta)) == "np.float64(0.9690176659400804)"
+    assert repr(extinction_leakage_estimate(comb, eta, cfg.filter.extinction)) == "4.133315696046615e-10"
+    scan = optimize_filter(FilterConfig(), OPO, [4.0e-3, 5.0e-3], [360.0, 370.0], 8e9, 4e6)
+    assert _sha256(scan.fom) == "574367caa589e65a88234575019d708261fc90d6dae2e583cfc0075487992296"
+    assert _sha256(scan.eta0) == "7252ffa8411b189f689f362ab9740ff2c9cbba1402161263ef3002a99b8f6daa"
+    assert _sha256(scan.sum_nondegenerate) == (
+        "9b8948225fc46a8d6e31e9fdcb27141f0a547cc274876c461a935f09436e7506")
 
 
 def test_optimize_single_point_matches_defaults():
