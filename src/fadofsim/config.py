@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,9 +33,11 @@ def _fail(section: str, key: str, message: str):
 
 
 # One row per INI key: (section, key, field, default in the key's unit,
-# scale to SI).  The value takes the default's type (float, int, complex,
-# bool or str); only floats are scaled.  Each field names the argument the
-# loader passes on, mostly a dataclass field.
+# scale to SI), plus an operator and a limit in the key's unit where the
+# loader itself bounds the key.  The value takes the default's type (float,
+# int, complex, bool or str); only floats are scaled.  Each field names the
+# argument the loader passes on, mostly a dataclass field; a dataclass
+# checks its own fields, so only keys that fill none carry a bound.
 _KEYS = [
     ("filter", "line_data", "line_data", "", 1),
     ("filter", "center_offset_GHz", "center_offset_hz", np.nan, 1e9),
@@ -58,33 +61,30 @@ _KEYS = [
     ("detector", "singles1_hz", "r1_hz", 1.5e4, 1),
     ("detector", "singles2_hz", "r2_hz", 1.2e4, 1),
     ("detector", "acquisition_s", "acquisition_s", 1.0, 1),
-    ("montecarlo", "duration_s", "duration_s", 1.0, 1),
-    ("montecarlo", "seed", "seed", 20260816, 1),
+    ("montecarlo", "duration_s", "duration_s", 1.0, 1, ">", 0),
+    ("montecarlo", "seed", "seed", 20260816, 1, ">=", 0),
     ("noise", "transmission_amplitude", "mean_transmission", 0.842 + 0j, 1),
     ("noise", "transmission_noise", "transmission_noise", 0.01 + 0j, 1),
     ("noise", "field_amplitude", "mean_field", 1.0 + 0j, 1),
     ("noise", "field_noise", "field_noise", 0.005 + 0j, 1),
-    ("noise", "tnd_points", "tnd_points", 21, 1),
+    ("noise", "tnd_points", "tnd_points", 21, 1, ">=", 3),
     ("noise", "squeezing_table", "squeezing_table", "6:0.70, 6:1.0, 3:0.70", 1),
     ("spectrum", "half_span_GHz", "half_span_hz", 20.0, 1e9),
-    ("spectrum", "step_MHz", "step_hz", 2.0, 1e6),
+    ("spectrum", "step_MHz", "step_hz", 2.0, 1e6, ">", 0),
     ("optimize", "b_min_mT", "b_min_t", 3.0, 1e-3),
     ("optimize", "b_max_mT", "b_max_t", 6.0, 1e-3),
-    ("optimize", "b_points", "b_points", 7, 1),
-    ("optimize", "temperature_min_K", "t_min_k", 350.0, 1),
+    ("optimize", "b_points", "b_points", 7, 1, ">=", 1),
+    ("optimize", "temperature_min_K", "t_min_k", 350.0, 1, ">", 0),
     ("optimize", "temperature_max_K", "t_max_k", 380.0, 1),
-    ("optimize", "temperature_points", "t_points", 7, 1),
+    ("optimize", "temperature_points", "t_points", 7, 1, ">=", 1),
     ("optimize", "half_span_GHz", "half_span_hz", 20.0, 1e9),
-    ("optimize", "step_MHz", "step_hz", 2.0, 1e6),
+    ("optimize", "step_MHz", "step_hz", 2.0, 1e6, ">", 0),
     ("purity", "out_of_band_leakage", "out_of_band_leakage", "0.02", 1),
     ("output", "directory", "directory", "fadofsim_out", 1),
 ]
 
 _KINDS = {float: "a number", int: "an integer", complex: "a complex number", bool: "a boolean"}
-_BOOLEANS = {
-    "1": True, "true": True, "yes": True, "on": True,
-    "0": False, "false": False, "no": False, "off": False,
-}
+_BOUNDS = {">": operator.gt, ">=": operator.ge}
 
 
 def _read(parser: configparser.ConfigParser, section: str, key: str, default, scale):
@@ -102,7 +102,7 @@ def _read(parser: configparser.ConfigParser, section: str, key: str, default, sc
         return raw
     try:
         if kind is bool:
-            return _BOOLEANS[raw.lower()]
+            return parser.BOOLEAN_STATES[raw.lower()]
         if kind is int:
             return int(raw)
         value = complex(raw.replace(" ", "")) if kind is complex else float(raw) * scale
@@ -120,8 +120,10 @@ def _read_keys(parser: configparser.ConfigParser) -> tuple[dict, dict]:
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     resolved: dict = {}
-    for section, key, name, default, scale in _KEYS:
+    for section, key, name, default, scale, *bound in _KEYS:
         value = _read(parser, section, key, default, scale)
+        if bound and not _BOUNDS[bound[0]](value, bound[1] * scale):
+            _fail(section, key, f"must be {bound[0]} {bound[1]}")
         values[section][name] = value
         resolved[f"{section}.{key}"] = value if isinstance(value, str) else repr(value)
     # configparser lower-cases option names and copies [DEFAULT] into every
@@ -236,30 +238,17 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
     for key, rate in (("singles1_hz", det.r1_hz), ("singles2_hz", det.r2_hz)):
         if rate < opo.pair_rate_hz:
             _fail("detector", key, "channel singles rate cannot be below the pair rate")
-    if mc["duration_s"] <= 0:
-        _fail("montecarlo", "duration_s", "must be positive")
-    if mc["seed"] < 0:
-        _fail("montecarlo", "seed", "must be non-negative")
     tnd_points = noise.pop("tnd_points")
     table_raw = noise.pop("squeezing_table")
     noise = _build("noise", NoiseModel, **noise)
-    if tnd_points < 3:
-        _fail("noise", "tnd_points", "need at least 3 sweep points")
     squeezing_table = _parse_squeezing_table(table_raw)
     for section, grid in (("spectrum", spec), ("optimize", opt)):
-        if not grid["step_hz"] > 0:
-            _fail(section, "step_MHz", "must be positive")
         if not grid["step_hz"] <= grid["half_span_hz"]:
             _fail(section, "half_span_GHz", "must be at least the step")
     if opt["b_min_t"] > opt["b_max_t"]:
         _fail("optimize", "b_min_mT", "minimum exceeds maximum")
     if opt["t_min_k"] > opt["t_max_k"]:
         _fail("optimize", "temperature_min_K", "minimum exceeds maximum")
-    if opt["t_min_k"] <= 0:
-        _fail("optimize", "temperature_min_K", "must be positive")
-    for key, name in (("b_points", "b_points"), ("temperature_points", "t_points")):
-        if opt[name] < 1:
-            _fail("optimize", key, "must be at least 1")
     leak_raw = values["purity"]["out_of_band_leakage"]
     if leak_raw.lower() == "auto":
         leakage = None

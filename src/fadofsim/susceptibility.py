@@ -80,7 +80,6 @@ _SERIES_COEFFS = np.cumprod([1.0] + [(2 * n - 1) / 2.0 for n in range(1, _SERIES
 _MAX_FAR_ORDER = 64
 _FAR_TRUNCATION = 1e-17
 _FAR_MARGIN = 1e-9
-_FAR_BLOCK = 2**14
 _FAR_POLE = 2 * _FAR_TERMS - 1
 _FAR_ORDERS = np.arange(_FAR_POLE, _MAX_FAR_ORDER + 1)
 _FAR_ORDER_BINOMIAL = np.array([math.comb(int(p), _FAR_POLE - 1) for p in _FAR_ORDERS], dtype=float)
@@ -241,30 +240,27 @@ def _add_far_field(out, x, a, offsets, weights):
     the points farther than ``_ASYMPTOTIC_RADIUS + s`` (plus
     ``_FAR_MARGIN``) from the group's centre, the midpoint of its
     offsets, with s the largest offset from it, and returns their mask.
-    The sum there is one series in 1 / (z - centre), evaluated in blocks
-    of ``_FAR_BLOCK`` points so that its temporaries stay in cache and
-    the heap they leave behind does not grow with the grid.
+    The sum there is one series in 1 / (z - centre), evaluated on all of
+    ``x`` at once: ``vapor.fadof_transmission`` hands over one grid block
+    at a time, and that block bounds the series' temporaries.
     """
     centre = 0.5 * (offsets.min() + offsets.max())
     delta = offsets - centre
-    far = np.zeros(x.shape, dtype=bool)
     coeffs = _far_coefficients(delta, weights)
     if coeffs is None:
-        return far
+        return np.zeros(x.shape, dtype=bool)
     radius = _ASYMPTOTIC_RADIUS + np.abs(delta).max() + _FAR_MARGIN
-    for start in range(0, x.size, _FAR_BLOCK):
-        block = slice(start, start + _FAR_BLOCK)
-        xc = x[block] - centre
-        r2 = xc * xc
-        r2 += a * a
-        mask = np.greater(r2, radius**2, out=far[block])
-        inv = _reciprocal(xc[mask], a, np.divide(1.0, r2[mask]))
-        s = inv * coeffs[-1]
-        for c in coeffs[-2::-1]:
-            s += c
-            s *= inv
-        s *= 1j / _SQRT_PI
-        out[block][mask] += s
+    xc = x - centre
+    r2 = xc * xc
+    r2 += a * a
+    far = r2 > radius**2
+    inv = _reciprocal(xc[far], a, np.divide(1.0, r2[far]))
+    s = inv * coeffs[-1]
+    for c in coeffs[-2::-1]:
+        s += c
+        s *= inv
+    s *= 1j / _SQRT_PI
+    out[far] += s
     return far
 
 

@@ -117,19 +117,18 @@ def fadof_transmission(cfg: FilterConfig, freq_hz) -> Spectrum:
     T = |t+ - t-|^2 / 4, with the finite polarizer extinction folded in
     incoherently: T_total = T + extinction * (1 - T), clipped to [0, 1].
     t+- and T are computed one block of the grid at a time
-    (``_grid_blocks``) into one preallocated output, so the working set is
-    one block's whatever the grid's length; a grid of at most
-    ``_GRID_BLOCK`` points is one block.
+    (``_grid_blocks``) into one preallocated output, so the working set,
+    the susceptibility's temporaries included, is one block's whatever the
+    grid's length; a grid of at most ``_GRID_BLOCK`` points is one block.
     """
     freq = np.asarray(freq_hz, dtype=float)
-    points = freq.reshape(-1)
-    total = np.empty(points.size)
-    for block in _grid_blocks(points.size):
-        t_plus, t_minus = circular_amplitudes(cfg, points[block])
+    total = np.empty(freq.size)
+    for block in _grid_blocks(freq.size):
+        t_plus, t_minus = circular_amplitudes(cfg, freq[block])
         t_pol = 0.25 * np.abs(t_plus - t_minus) ** 2
         total[block] = t_pol + cfg.extinction * (1.0 - t_pol)
     np.clip(total, 0.0, 1.0, out=total)
-    return Spectrum(freq, total.reshape(freq.shape))
+    return Spectrum(freq, total)
 
 
 def optical_depth(cfg: HotCellConfig, freq_hz) -> np.ndarray:
