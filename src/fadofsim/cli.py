@@ -118,7 +118,6 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> list[str]:
         payload["boundary_peak"] = True
         payload["detail"] = str(exc)
         dirty.append("spectrum has no interior transmission peak")
-        print("warning: spectrum has no interior transmission peak", file=sys.stderr)
     _write_json(out / "filter_metrics.json", cfg, payload)
     return dirty
 
@@ -239,7 +238,9 @@ def _purity_flags(cfg: ExperimentConfig, fadof: Spectrum, true_filtered: float,
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
     """Monte Carlo streams, their histograms, model cross-check, purity."""
-    # the operating-point check comes before any stream is written
+    # the purity window and operating-point checks come before any stream is written
+    if cfg.hot_cell_enabled and cfg.detector.offset_s < 0:
+        raise ConfigError("[detector] offset_ns: the hot-cell purity window cannot be negative")
     fadof, comb = _filter_on_grid(cfg)
     det = replace(cfg.detector, acquisition_s=cfg.mc_duration_s)
     children = np.random.SeedSequence(seed).generate_state(4)
@@ -342,9 +343,12 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
 
 def cmd_noise(cfg: ExperimentConfig, out: Path) -> list[str]:
     """Attenuation sweep of the quadrature noise plus the loss table."""
+    amplitude = abs(cfg.noise.mean_field)
+    if not 0.0 < amplitude * amplitude < math.inf:
+        raise ConfigError("[noise] field_amplitude: the probe power is not a positive finite number")
     t_nd = np.linspace(1.0 / cfg.noise_tnd_points, 1.0, cfg.noise_tnd_points)
     variances = 1.0 + excess_noise(replace(cfg.noise, attenuation_amplitude=t_nd))
-    power_proxy = (t_nd * abs(cfg.noise.mean_field)) ** 2
+    power_proxy = (t_nd * amplitude) ** 2
     write_csv(out / "noise_sweep.csv", _hash_header(cfg), {
         "t_nd": (t_nd, "%.6f"), "power_proxy": (power_proxy, "%.9e"),
         "variance": (variances, "%.9e"),
@@ -411,7 +415,6 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out) if args.out else Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else cfg.seed
     # commands are looked up when called, so rebinding a cmd_* takes effect
     commands = {
@@ -422,8 +425,11 @@ def main(argv=None) -> int:
         "noise": lambda: cmd_noise(cfg, out),
     }
     try:
-        dirty = commands[args.command]()
-    except (ConfigError, ValueError, OSError) as exc:
+        out.mkdir(parents=True, exist_ok=True)
+        # an overflow or an invalid operation ends the command with its message
+        with np.errstate(over="raise", invalid="raise"):
+            dirty = commands[args.command]()
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for flag in dirty:

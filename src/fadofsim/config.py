@@ -197,6 +197,14 @@ def _parse_squeezing_table(raw: str) -> list[tuple[float, float]]:
     return pairs
 
 
+def _scan(key: str, low: float, high: float, points: int) -> np.ndarray:
+    """The ``[optimize]`` scan axis of ``points`` values; one numpy cannot hold names ``key``."""
+    try:
+        return np.linspace(low, high, points)
+    except (ValueError, MemoryError) as exc:
+        _fail("optimize", key, str(exc))
+
+
 def load_config(path: str | Path | None = None) -> ExperimentConfig:
     """Read an INI file (or defaults when ``path`` is None)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -219,7 +227,10 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
             table_path = path.parent / table_path
         if not table_path.is_file():
             _fail("filter", "line_data", f"file not found: {table_path}")
-        table = AtomicLineTable.from_file(table_path)
+        try:
+            table = AtomicLineTable.from_file(table_path)
+        except (OSError, ValueError) as exc:
+            _fail("filter", "line_data", f"{table_path}: {exc}")
     else:
         table = AtomicLineTable.rubidium_d1()
     # operating point (pair degeneracy frequency); unset selects the default
@@ -273,8 +284,9 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
         grid_step_hz=spec["step_hz"],
         mc_duration_s=mc["duration_s"],
         seed=mc["seed"],
-        optimize_b_t=np.linspace(opt["b_min_t"], opt["b_max_t"], opt["b_points"]),
-        optimize_temperatures_k=np.linspace(opt["t_min_k"], opt["t_max_k"], opt["t_points"]),
+        optimize_b_t=_scan("b_points", opt["b_min_t"], opt["b_max_t"], opt["b_points"]),
+        optimize_temperatures_k=_scan("temperature_points", opt["t_min_k"], opt["t_max_k"],
+                                      opt["t_points"]),
         optimize_half_span_hz=opt["half_span_hz"],
         optimize_step_hz=opt["step_hz"],
         out_of_band_leakage=leakage,

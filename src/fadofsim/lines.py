@@ -90,49 +90,59 @@ class AtomicLineTable:
 
     @classmethod
     def from_text(cls, text: str) -> "AtomicLineTable":
+        """Parse a line table; a bad record raises ``LineDataError`` naming its line."""
         version = None
         ref = None
         fwhm = None
         isotopes: dict[str, Isotope] = {}
         lines: list[LineComponent] = []
-        for raw in text.splitlines():
+        for number, raw in enumerate(text.splitlines(), 1):
             stripped = raw.split("#", 1)[0].strip()
             if not stripped:
                 continue
             tok = stripped.split()
             key = tok[0]
-            if key == "format_version":
-                version = int(tok[1])
-            elif key == "reference_frequency_hz":
-                ref = float(tok[1])
-            elif key == "natural_linewidth_fwhm_hz":
-                fwhm = float(tok[1])
-            elif key == "isotope":
-                fields = dict(zip(tok[2::2], tok[3::2]))
-                isotopes[tok[1]] = Isotope(
-                    name=tok[1],
-                    abundance=float(fields["abundance"]),
-                    mass_kg=float(fields["mass_amu"]) * ATOMIC_MASS,
-                    nuclear_spin=float(fields["nuclear_spin"]),
-                )
-            elif key == "line":
-                if len(tok) != 8:
-                    raise LineDataError(f"malformed line record: {stripped!r}")
-                lines.append(
-                    LineComponent(
-                        isotope=tok[1],
-                        fg=float(tok[2]),
-                        fe=float(tok[3]),
-                        offset_hz=float(tok[4]),
-                        strength=float(tok[5]),
-                        gf_ground=float(tok[6]),
-                        gf_excited=float(tok[7]),
+            try:
+                if key == "format_version":
+                    version = int(tok[1])
+                    if version not in _SUPPORTED_VERSIONS:
+                        raise LineDataError(f"unsupported format_version {version}")
+                elif key == "reference_frequency_hz":
+                    ref = float(tok[1])
+                elif key == "natural_linewidth_fwhm_hz":
+                    fwhm = float(tok[1])
+                elif key == "isotope":
+                    fields = dict(zip(tok[2::2], tok[3::2]))
+                    isotopes[tok[1]] = Isotope(
+                        name=tok[1],
+                        abundance=float(fields["abundance"]),
+                        mass_kg=float(fields["mass_amu"]) * ATOMIC_MASS,
+                        nuclear_spin=float(fields["nuclear_spin"]),
                     )
-                )
-            else:
-                raise LineDataError(f"unknown statement {key!r}")
-        if version not in _SUPPORTED_VERSIONS:
-            raise LineDataError(f"unsupported or missing format_version: {version}")
+                elif key == "line":
+                    if len(tok) != 8:
+                        raise LineDataError(f"malformed line record, {len(tok)} fields, not 8")
+                    lines.append(
+                        LineComponent(
+                            isotope=tok[1],
+                            fg=float(tok[2]),
+                            fe=float(tok[3]),
+                            offset_hz=float(tok[4]),
+                            strength=float(tok[5]),
+                            gf_ground=float(tok[6]),
+                            gf_excited=float(tok[7]),
+                        )
+                    )
+                else:
+                    raise LineDataError(f"unknown statement {key!r}")
+            except IndexError as exc:
+                raise LineDataError(f"line {number}: {key} record has no value") from exc
+            except KeyError as exc:
+                raise LineDataError(f"line {number}: {key} record has no {exc}") from exc
+            except ValueError as exc:
+                raise LineDataError(f"line {number}: {exc}: {stripped!r}") from exc
+        if version is None:
+            raise LineDataError("missing format_version")
         if ref is None or fwhm is None:
             raise LineDataError("missing reference frequency or natural linewidth")
         return cls(ref, fwhm, isotopes, lines)

@@ -191,8 +191,8 @@ def optimize_filter(
     MAX_PEAK_OFFSET_HZ above the reference; the grid is symmetric about
     the reference, so those windows fit for any peak within that bound
     and every point sees the same mode set.  Points whose spectrum has no
-    usable peak, or whose peak lies beyond that bound, are flagged
-    invalid (NaN) and excluded from the maximum; ties resolve to the
+    usable peak, whose filter overflows, or whose peak lies beyond that
+    bound, are flagged invalid (NaN) and excluded from the maximum; ties resolve to the
     first point in scan order (B outer, temperature inner).  The
     frequency grid, reference +- ``grid_half_span_hz`` in steps of
     ``grid_step_hz``, comes from the caller.  The points run on a pool of
@@ -210,10 +210,11 @@ def optimize_filter(
 
     def evaluate(point):
         cfg = replace(base, b_field_t=point[0], temperature_k=point[1])
-        spec = fadof_transmission(cfg, grid)
         try:
+            with np.errstate(over="raise", invalid="raise"):
+                spec = fadof_transmission(cfg, grid)
             metrics = filter_metrics(spec)
-        except BoundaryPeakError:
+        except (BoundaryPeakError, FloatingPointError):
             return invalid
         peak = metrics.peak_frequency_hz
         if abs(peak - base.table.reference_frequency_hz) > MAX_PEAK_OFFSET_HZ:

@@ -20,6 +20,8 @@ from fadofsim.config import load_config
 from fadofsim.cvnoise import squeezing_through_loss
 from fadofsim.montecarlo import coincidences_in_window, mc_histogram, read_stream
 
+from test_lines import BAD_RECORDS, MINIMAL_TABLE
+
 HASH = load_config(None).config_hash
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -125,6 +127,55 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert "center_offset_GHz" in err
         assert "grid half span of 20 GHz" in err
         assert "Traceback" not in err
+
+
+def _one_error_line(capsys, *names):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(("config error: ", "error: ")), err
+    for name in names:
+        assert name in err, err
+
+
+def test_malformed_line_tables_exit_2_naming_the_path(tmp_path, capsys):
+    for i, (old, new, message) in enumerate(BAD_RECORDS):
+        table = tmp_path / f"lines{i}.txt"
+        table.write_text(MINIMAL_TABLE.replace(old, new))
+        cfg = tmp_path / f"c{i}.cfg"
+        cfg.write_text(f"[filter]\nline_data = {table.name}\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "spectrum"]) == 2
+        _one_error_line(capsys, f"config error: [filter] line_data: {table}: {message}")
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    existing = tmp_path / "results"
+    existing.write_text("")
+    for out in (existing, existing / "sub"):
+        assert main(["--out", str(out), "noise"]) == 2
+        _one_error_line(capsys, "error: ", str(existing))
+
+
+def test_negative_hot_cell_window_exits_2_before_any_stream(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[detector]\noffset_ns = -50\n[montecarlo]\nduration_s = 0.05\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 2
+    _one_error_line(capsys, "error: [detector] offset_ns: ")
+    assert not any(out.iterdir())
+    # g2 and a simulate without the hot cell read no purity window
+    assert main(["--config", str(cfg), "--out", str(out), "g2"]) == 0
+    cfg.write_text(cfg.read_text() + "[hot_cell]\nenabled = off\n")
+    assert main(["--config", str(cfg), "--out", str(out), "simulate"]) in (0, 1)
+    assert "offset_ns" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("amplitude", ["0", "0j", "1e-200", "1e200"])
+def test_probe_without_a_usable_power_exits_2_naming_the_key(tmp_path, capsys, amplitude):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[noise]\nfield_amplitude = {amplitude}\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "noise"]) == 2
+    _one_error_line(capsys, "error: [noise] field_amplitude: ")
+    assert not any(out.iterdir())
 
 
 def test_g2_mode_selection(tmp_path):

@@ -11,7 +11,7 @@ from fadofsim.correlations import DetectorConfig
 from fadofsim.opo import OpoConfig
 from fadofsim.vapor import FilterConfig, HotCellConfig
 
-from test_lines import MINIMAL_TABLE
+from test_lines import BAD_RECORDS, MINIMAL_TABLE
 
 
 def test_defaults_without_file():
@@ -89,6 +89,17 @@ def test_line_data_relative_to_config(tmp_path):
     missing.write_text("[filter]\nline_data = nowhere.txt\n")
     with pytest.raises(ConfigError, match="nowhere.txt"):
         load_config(missing)
+
+
+@pytest.mark.parametrize("old, new, message", BAD_RECORDS)
+def test_malformed_line_data_names_the_key_the_file_and_the_line(tmp_path, old, new, message):
+    table = tmp_path / "lines.txt"
+    table.write_text(MINIMAL_TABLE.replace(old, new))
+    path = tmp_path / "exp.cfg"
+    path.write_text("[filter]\nline_data = lines.txt\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value).startswith(f"[filter] line_data: {table}: {message}")
 
 
 def test_errors_name_section_and_key(tmp_path):

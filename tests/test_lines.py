@@ -92,6 +92,24 @@ def test_malformed_tables_rejected(mangle, match):
         AtomicLineTable.from_text(mangle(MINIMAL_TABLE))
 
 
+# a bad record of each kind, as (text, replacement) in MINIMAL_TABLE, and
+# the message that names its line
+BAD_RECORDS = [
+    ("nuclear_spin 2.5", "", "line 5: isotope record has no 'nuclear_spin'"),
+    ("format_version 1", "format_version 2", "line 2: unsupported format_version 2"),
+    ("3.771e14", "abc", "line 3: could not convert string to float: 'abc'"),
+    ("-0.3 0.1", "-0.3", "line 7: malformed line record, 7 fields, not 8"),
+    ("format_version 1", "format_version", "line 2: format_version record has no value"),
+]
+
+
+@pytest.mark.parametrize("old, new, message", BAD_RECORDS)
+def test_bad_records_name_their_line(old, new, message):
+    with pytest.raises(LineDataError) as info:
+        AtomicLineTable.from_text(MINIMAL_TABLE.replace(old, new))
+    assert str(info.value).startswith(message)
+
+
 def test_empty_table_rejected():
     header = "\n".join(MINIMAL_TABLE.strip().splitlines()[:5])
     with pytest.raises(LineDataError, match="no transitions"):
