@@ -198,7 +198,7 @@ def _parse_squeezing_table(raw: str) -> list[tuple[float, float]]:
 
 
 def _scan(key: str, low: float, high: float, points: int) -> np.ndarray:
-    """The ``[optimize]`` scan axis of ``points`` values; one numpy cannot hold names ``key``."""
+    """``points`` scan values from ``low`` to ``high``; a count numpy cannot allocate names ``key``."""
     try:
         return np.linspace(low, high, points)
     except (ValueError, MemoryError) as exc:

@@ -190,10 +190,11 @@ def optimize_filter(
     The comb is truncated by modes_within_grid with its center
     MAX_PEAK_OFFSET_HZ above the reference; the grid is symmetric about
     the reference, so those windows fit for any peak within that bound
-    and every point sees the same mode set.  Points whose spectrum has no
-    usable peak, whose filter overflows, or whose peak lies beyond that
-    bound, are flagged invalid (NaN) and excluded from the maximum; ties resolve to the
-    first point in scan order (B outer, temperature inner).  The
+    and every point sees the same mode set.  Points whose filter
+    overflows, whose spectrum has no usable peak, or whose peak lies
+    beyond that bound, are flagged invalid (NaN) and excluded from the
+    maximum; ties resolve to the first point in scan order (B outer,
+    temperature inner).  The
     frequency grid, reference +- ``grid_half_span_hz`` in steps of
     ``grid_step_hz``, comes from the caller.  The points run on a pool of
     ``threads`` worker threads.
