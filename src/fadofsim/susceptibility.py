@@ -45,6 +45,7 @@ wings, makes no kernel call.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING
 
@@ -90,6 +91,17 @@ _FAR_ORDER_BINOMIAL = np.array([math.comb(int(p), _FAR_POLE - 1) for p in _FAR_O
 _FAR_BINOMIALS = np.array(
     [[math.comb(q, 2 * n) for n in range(_FAR_TERMS)] for q in range(_MAX_FAR_ORDER)], dtype=float
 )
+
+
+# The lattice table (see the module docstring): nodes at most
+# _TABLE_SPACING Doppler widths apart, at most _TABLE_MAX_NODES of them
+# (1 MB), and the stencil's taps, the nodes m + _FIRST_TAP..m + _LAST_TAP
+# for a point at m + theta, 0 <= theta < 1.
+_TABLE_SPACING = 0.012
+_TABLE_MAX_NODES = 2**16
+_FIRST_TAP, _LAST_TAP = -3, 4
+_TAPS = np.arange(_FIRST_TAP, _LAST_TAP + 1)
+_TAP_DENOMINATORS = np.array([math.prod(float(t - s) for s in _TAPS if s != t) for t in _TAPS])
 
 
 def _rational_coefficients(n_terms):
@@ -167,6 +179,27 @@ def _asymptotic_series(x, a, d, terms):
     return s
 
 
+def _voigt_zones(x, a):
+    """w(x + i a) on one-dimensional ``x``, each zone's series on its own points.
+
+    A zone that holds no point is not evaluated.
+    """
+    r2 = x * x
+    r2 += a * a
+    near = r2 <= _SERIES_RADIUS**2
+    far = r2 > _ASYMPTOTIC_RADIUS**2
+    mid = ~(near | far)
+    d = np.divide(1.0, r2, out=r2)
+    out = np.empty(x.shape, dtype=complex)
+    if far.any():
+        out[far] = _asymptotic_series(x[far], a, d[far], _FAR_TERMS)
+    if mid.any():
+        out[mid] = _asymptotic_series(x[mid], a, d[mid], _SERIES_TERMS)
+    if near.any():
+        out[near] = _rational(x[near], a)
+    return out
+
+
 def complex_voigt(x, a):
     """Complex Voigt kernel w(x + i a) for Lorentzian half-width ``a``.
 
@@ -175,19 +208,7 @@ def complex_voigt(x, a):
     ``x``), Im the dispersion shape.  Requires a > 0.
     """
     x = np.asarray(x, dtype=float)
-    shape = x.shape
-    x = x.ravel()
-    r2 = x * x
-    r2 += a * a
-    near = r2 <= _SERIES_RADIUS**2
-    far = r2 > _ASYMPTOTIC_RADIUS**2
-    mid = ~(near | far)
-    d = np.divide(1.0, r2, out=r2)
-    out = np.empty(x.shape, dtype=complex)
-    out[far] = _asymptotic_series(x[far], a, d[far], _FAR_TERMS)
-    out[mid] = _asymptotic_series(x[mid], a, d[mid], _SERIES_TERMS)
-    out[near] = _rational(x[near], a)
-    return out.reshape(shape)
+    return _voigt_zones(x.ravel(), a).reshape(x.shape)
 
 
 def vapor_pressure_torr(temperature_k: float) -> float:
@@ -264,6 +285,142 @@ def _add_far_field(out, x, a, offsets, weights):
     return far
 
 
+def _lattice_step(freq):
+    """The common difference of one-dimensional ``freq``, or None.
+
+    None unless ``freq`` has at least two points and all its consecutive
+    differences are bitwise equal, finite and non-zero.
+    """
+    if freq.size < 2:
+        return None
+    diff = np.diff(freq)
+    step = diff[0]
+    if step == 0.0 or not np.isfinite(step) or not (diff == step).all():
+        return None
+    return float(step)
+
+
+def _exact_divmod(value, step):
+    """(n, r) with value = n step + r exactly and 0 <= r < step; r rounded once."""
+    vn, vd = value.as_integer_ratio()
+    sn, sd = step.as_integer_ratio()
+    n, rem = divmod(vn * sd, sn * vd)
+    return n, rem / (vd * sd)
+
+
+def _table_reach(a, spacing):
+    """The largest J with every node j spacing, |j| <= J, in the kernel's radius.
+
+    The kernel's own test, y^2 + a^2 <= 14^2, decides.  None where the
+    table would hold more than ``_TABLE_MAX_NODES`` nodes or too few for
+    one stencil.
+    """
+    room = _ASYMPTOTIC_RADIUS**2 - a * a
+    if room <= 0.0:
+        return None
+    reach = int(math.sqrt(room) / spacing) + 1
+    if 2 * reach + 1 > _TABLE_MAX_NODES:
+        return None
+    while reach >= 0:
+        y = reach * spacing
+        if y * y + a * a <= _ASYMPTOTIC_RADIUS**2:
+            break
+        reach -= 1
+    return reach if 2 * reach + 1 >= _TAPS.size else None
+
+
+@functools.lru_cache(maxsize=16)
+def _lattice_table(a, spacing, reach):
+    """i w(j spacing + i a) for j = -reach..reach, as a read-only (2 reach + 1, 2) float array.
+
+    One kernel call.  The table is a pure function of its arguments and
+    is kept for the next calls with the same ones: the blocks of one grid
+    and both polarizations read one table.
+    """
+    table = complex_voigt(np.arange(-reach, reach + 1) * spacing, a)
+    table *= 1j
+    table = table.view(float).reshape(-1, 2)
+    table.flags.writeable = False
+    return table
+
+
+def _stencil_weights(theta):
+    """Lagrange weights (K, 8) of the nodes ``_TAPS`` at the points ``theta`` (K,).
+
+    The weight of tap t is the product of (theta - s) over the other taps
+    s, the products left and right of t, over its denominator; at
+    theta = 0 the weights are exactly 0 and 1.
+    """
+    diff = theta[:, None] - _TAPS
+    ones = np.ones((theta.size, 1))
+    left = np.cumprod(np.hstack([ones, diff[:, :-1]]), axis=1)
+    right = np.cumprod(np.hstack([ones, diff[:, :0:-1]]), axis=1)[:, ::-1]
+    return left * right / _TAP_DENOMINATORS
+
+
+def _add_table_groups(chi, x, a, groups, spacing, reach, q):
+    """Add one isotope's groups to ``chi`` on an ascending lattice ``x``.
+
+    Each group is (offsets, weights, base, theta): the component offsets
+    in Doppler units, their real weights (chi gains weight * i w), and
+    for each component the table node base and the fraction theta with
+    point i at theta past node base + q i.  A group's far field is
+    ``_add_far_field``'s; of its other points, the near set, each
+    component takes those whose taps all lie in the table from the
+    stencil and the rest, its ring, from one ``_voigt_zones`` call for
+    the whole isotope.
+    """
+    todo = []
+    ring = []
+    for offsets, weights, base, theta in groups:
+        near = ~_add_far_field(chi, x, a, offsets, 1j * weights)
+        lo = int(near.argmax())
+        hi = lo + int(np.count_nonzero(near))
+        if hi == lo:
+            continue
+        spans = []
+        for offset, b in zip(offsets, base.tolist()):
+            # the points whose taps all lie in -reach..reach
+            start = max(lo, -((reach + _FIRST_TAP + b) // q))
+            stop = min(hi, (reach - _LAST_TAP - b) // q + 1)
+            if start >= stop:
+                start = stop = hi
+            spans.append((start, stop))
+            ring += [x[s:e] - offset for s, e in ((lo, start), (stop, hi)) if e > s]
+        todo.append((lo, hi, spans, weights, base, theta))
+    if not todo:
+        return
+    if ring:
+        ring = _voigt_zones(np.concatenate(ring), a)
+        ring *= 1j
+        ring = ring.view(float).reshape(-1, 2)
+        at = 0
+    table = _lattice_table(a, spacing, reach)
+    for lo, hi, spans, weights, base, theta in todo:
+        total = np.zeros(hi - lo, dtype=complex)
+        sums = total.view(float).reshape(-1, 2)
+        acc = np.empty_like(sums)
+        tmp = np.empty_like(sums)
+        taps = _stencil_weights(theta) * weights[:, None]
+        for (start, stop), weight, b, tap in zip(spans, weights.tolist(), base.tolist(), taps):
+            for s, e in ((lo, start), (stop, hi)):
+                if e > s:
+                    np.multiply(ring[at : at + e - s], weight, out=tmp[: e - s])
+                    sums[s - lo : e - lo] += tmp[: e - s]
+                    at += e - s
+            n = stop - start
+            if not n:
+                continue
+            first = reach + b + q * start + _FIRST_TAP
+            for t in range(_TAPS.size):
+                nodes = table[first + t : first + t + q * (n - 1) + 1 : q]
+                np.multiply(nodes, tap[t], out=acc[:n] if t == 0 else tmp[:n])
+                if t:
+                    acc[:n] += tmp[:n]
+            sums[start - lo : stop - lo] += acc[:n]
+        chi[lo:hi] += total
+
+
 def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: VaporCell) -> np.ndarray:
     """Linear susceptibility chi(nu) of ``cell`` for one circular polarization.
 
@@ -273,8 +430,9 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
     absolute optical frequency; ``polarization`` is +1 or -1 for
     sigma+/sigma-.  The cell length does not enter.  The components of
     one ground level (isotope, F) form a group: its far field is one
-    series (``_add_far_field``), and every other point calls the kernel
-    once per component.
+    series (``_add_far_field``).  On a lattice (``_lattice_step``) each
+    isotope's other points read its table (``_add_table_groups``);
+    elsewhere they call the kernel once per component.
     """
     if polarization not in (-1, 1):
         raise ValueError("polarization must be +1 or -1")
@@ -282,9 +440,21 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
     shape = freq.shape
     freq = freq.ravel()
     table = cell.table
+    ref = table.reference_frequency_hz
+    step = _lattice_step(freq)
+    descending = step is not None and step < 0.0
+    if descending:
+        freq, step = freq[::-1], -step
+    if step is not None:
+        # point i sits at phase + (i + shift) step from the reference,
+        # exactly: read at the point nearest the reference, whose offset
+        # from it is exact
+        nearest = int(np.clip(np.rint((ref - freq[0]) / step), 0, freq.size - 1))
+        n_nearest, phase = _exact_divmod(float(freq[nearest] - ref), step)
+        shift = n_nearest - nearest
     n_total = vapor_density(cell.temperature_k)
 
-    lam = SPEED_OF_LIGHT / table.reference_frequency_hz
+    lam = SPEED_OF_LIGHT / ref
     k_wave = wavevector(table)
     gamma_natural = 2.0 * np.pi * table.natural_fwhm_hz
     # angular Lorentzian HWHM: natural plus collisional
@@ -309,7 +479,7 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
             / (16.0 * np.pi**3 * u * 2.0 * (2.0 * iso.nuclear_spin + 1.0))
         )
         # freq - reference is exact within a factor of two of the reference
-        x = freq - table.reference_frequency_hz
+        x = freq - ref
         x *= 2.0 * np.pi
         x /= ku
         groups: dict[float, tuple[list, list]] = {}
@@ -319,6 +489,26 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
                 shifts, weights = groups.setdefault(line.fg, ([], []))
                 shifts.append(line.offset_hz + parts.offsets_hz)
                 weights.append(parts.weights)
+        reach = None
+        if step is not None:
+            q = max(1, math.ceil(step * 2.0 * np.pi / ku / _TABLE_SPACING))
+            spacing = float(step / q * 2.0 * np.pi / ku)
+            reach = _table_reach(float(a), spacing)
+        if reach is not None:
+            lattice_groups = []
+            for shifts, weights in groups.values():
+                shifts = np.concatenate(shifts)
+                # each component's position in table nodes at point -shift
+                nodes = (phase - shifts) / (step / q)
+                base = np.floor(nodes)
+                lattice_groups.append((
+                    2.0 * np.pi * shifts / ku,
+                    prefactor * np.concatenate(weights),
+                    base.astype(np.int64) + q * shift,
+                    nodes - base,
+                ))
+            _add_table_groups(chi, x, float(a), lattice_groups, spacing, reach, q)
+            continue
         for shifts, weights in groups.values():
             offsets = 2.0 * np.pi * np.concatenate(shifts) / ku
             weights = (prefactor * 1j) * np.concatenate(weights)
@@ -332,4 +522,6 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
                 w *= weight
                 total += w
             chi[near] += total
+    if descending:
+        chi = chi[::-1]
     return chi.reshape(shape)
