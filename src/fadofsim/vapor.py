@@ -26,6 +26,17 @@ arrays as one whole-grid call.  On a 160,001-point grid (2 vCPU, numpy
 2.4, medians of 11 in one process) blocks of 2**15 took 0.21-0.22 s, the
 whole grid at once 0.22 s and blocks of 2**13 0.27-0.29 s, about 30 %
 slower, as the per-call cost of the component loop comes to dominate.
+
+Every block of a lattice grid, one whose consecutive differences are
+bitwise equal, is a lattice too: ``make_frequency_grid``'s grids and the
+mirror grid of ``cmd_spectrum``, read in ascending order, are.  On a
+lattice ``complex_susceptibility`` reads each isotope's kernel values
+from one table (see ``susceptibility``), which the blocks and both
+polarizations share, so the kernel runs once per isotope per filter
+evaluation; a point gets the same value in any block.  A grid with
+unequal differences, a single point, or a lattice finer than a table
+allows (steps below about 140 kHz at 365 K) calls the kernel once per
+component.
 """
 
 from __future__ import annotations

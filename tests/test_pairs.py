@@ -235,20 +235,20 @@ def test_purity_fractions_composition():
 def test_per_mode_record_matches_its_golden_values():
     # at the default config's filter and comb: the eta array, the two
     # fractions read from it, and a 2x2 optimize scan, as computed when
-    # the per-mode bookkeeping was still a map object; a change in any
-    # operation or summation order moves these digests
+    # the filter first read its Voigt values from the lattice table; a
+    # change in any operation or summation order moves these digests
     cfg = load_config(None)
     spec, comb = _filter_on_grid(cfg)
     eta = pair_transmission_map(spec, comb, cfg.opo)
     assert eta.dtype == np.float64 and eta.size == 63
-    assert _sha256(eta) == "01176d27c697bb48a37065c1adb3b53716d2d9e600d7a8d5928ab0f5acd8b55d"
-    assert repr(resonant_degenerate_fraction(comb, eta)) == "np.float64(0.9690176659400804)"
-    assert repr(extinction_leakage_estimate(comb, eta, cfg.filter.extinction)) == "4.133315696046615e-10"
+    assert _sha256(eta) == "0dd4e0aa3c175017f395fe067f33f8fda68014e42b21ad89925433c3f59c848c"
+    assert repr(resonant_degenerate_fraction(comb, eta)) == "np.float64(0.9690176659400805)"
+    assert repr(extinction_leakage_estimate(comb, eta, cfg.filter.extinction)) == "4.133315696046601e-10"
     scan = optimize_filter(FilterConfig(), OPO, [4.0e-3, 5.0e-3], [360.0, 370.0], 8e9, 4e6)
-    assert _sha256(scan.fom) == "574367caa589e65a88234575019d708261fc90d6dae2e583cfc0075487992296"
-    assert _sha256(scan.eta0) == "7252ffa8411b189f689f362ab9740ff2c9cbba1402161263ef3002a99b8f6daa"
+    assert _sha256(scan.fom) == "ae2763f9216fcdeec84458c870bf961d70a7c3534bddc7f07c5e7f32bb98c88a"
+    assert _sha256(scan.eta0) == "3acb68d838ca7270403fe8631e0ea07503a6f3800e6da8548c1bff0861b1066c"
     assert _sha256(scan.sum_nondegenerate) == (
-        "9b8948225fc46a8d6e31e9fdcb27141f0a547cc274876c461a935f09436e7506")
+        "bb088f1141e884ddd15770988bdce0bdfb64d031c6152f318cd40826a85ca14e")
 
 
 def test_optimize_single_point_matches_defaults():

@@ -1,6 +1,7 @@
 """Voigt kernel accuracy, vapor thermodynamics, and susceptibility structure."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import wofz
 
-from fadofsim import susceptibility
+from fadofsim import susceptibility, vapor
 from fadofsim.lines import AtomicLineTable
 from fadofsim.susceptibility import (
     complex_susceptibility,
@@ -18,7 +19,8 @@ from fadofsim.susceptibility import (
     vapor_density,
     vapor_pressure_torr,
 )
-from fadofsim.vapor import VaporCell
+from fadofsim.spectrum import make_frequency_grid
+from fadofsim.vapor import FilterConfig, VaporCell, fadof_transmission
 
 from _oracles import faddeeva_by_quadrature
 
@@ -143,6 +145,21 @@ def test_voigt_evaluates_each_point_in_its_own_zone_only(monkeypatch):
     r2 = x * x + A_HOT_CELL**2
     for inside in (r2 <= 49.0, (r2 > 49.0) & (r2 <= 196.0), r2 > 196.0):
         assert complex_voigt(x[inside], A_HOT_CELL).tobytes() == ref[inside].tobytes()
+
+
+def test_voigt_skips_a_zone_with_no_point(monkeypatch):
+    # an all-far input calls neither the rational zone nor the 18-term series
+    x = np.linspace(-40.0, -20.0, 201)
+    ref = complex_voigt(x, A_HOT_CELL)
+    calls = []
+    for name in ("_asymptotic_series", "_rational"):
+        zone = getattr(susceptibility, name)
+        monkeypatch.setattr(susceptibility, name,
+                            lambda x, *args, zone=zone, name=name: calls.append((name, args[-1:]))
+                            or zone(x, *args))
+    out = complex_voigt(x, A_HOT_CELL)
+    assert calls == [("_asymptotic_series", (4,))]
+    assert out.tobytes() == ref.tobytes()
 
 
 def test_voigt_raises_no_floating_point_warnings():
@@ -416,3 +433,112 @@ def test_susceptibility_on_the_outer_boundary_of_a_group(monkeypatch):
     direct = complex_susceptibility(points, +1, 4.5e-3, CELL)
     for values in (together, alone):
         assert np.max(np.abs(values - direct) / np.abs(direct)) <= 1e-14
+
+
+# ---- one kernel table per isotope on a frequency lattice
+
+
+def _per_component(freq, polarization, b_field_t, cell):
+    """The susceptibility through the per-component kernel: the points permuted, so no lattice."""
+    order = np.random.default_rng(0).permutation(freq.size)
+    out = np.empty(freq.size, dtype=complex)
+    out[order] = complex_susceptibility(freq[order], polarization, b_field_t, cell)
+    return out
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    log_step=st.floats(4.0, 8.0),
+    origin=st.integers(-12_000_000_000, 8_000_000_000),
+    n=st.integers(2, 3000),
+    descending=st.booleans(),
+    b_field_t=st.floats(0.0, 0.05),
+    temperature_k=st.floats(300.0, 450.0),
+    buffer_fwhm_hz=st.floats(0.0, 500e6),
+    polarization=st.sampled_from([1, -1]),
+    isotope=st.sampled_from([None, "Rb85", "Rb87"]),
+)
+@example(log_step=math.log10(2e6), origin=-10_000_000_000, n=10_001, descending=False,
+         b_field_t=4.5e-3, temperature_k=365.0, buffer_fwhm_hz=0.0, polarization=1, isotope=None)
+@example(log_step=math.log10(250e3), origin=-3_000_000_000, n=20_000, descending=True,
+         b_field_t=0.05, temperature_k=450.0, buffer_fwhm_hz=500e6, polarization=-1, isotope="Rb87")
+@example(log_step=8.0, origin=-12_000_000_000, n=300, descending=False,
+         b_field_t=0.0, temperature_k=300.0, buffer_fwhm_hz=0.0, polarization=1, isotope="Rb85")
+def test_lattice_table_matches_the_per_component_kernel(
+    log_step, origin, n, descending, b_field_t, temperature_k, buffer_fwhm_hz, polarization, isotope
+):
+    # integer-Hz lattices from 10 kHz to 100 MHz: the table path against
+    # the per-component kernel on the same points
+    step = float(round(10.0**log_step))
+    freq = TABLE.reference_frequency_hz + origin + step * np.arange(n)
+    if descending:
+        freq = freq[::-1]
+    cell = VaporCell(temperature_k=temperature_k, length_m=0.1, buffer_fwhm_hz=buffer_fwhm_hz,
+                     table=TABLE if isotope is None else _pure(isotope).table)
+    table = complex_susceptibility(freq, polarization, b_field_t, cell)
+    kernel = _per_component(freq, polarization, b_field_t, cell)
+    assert np.abs(table - kernel).max() <= 1e-13 * np.abs(kernel).max()
+
+
+def test_lattice_ring_is_evaluated_in_bounded_chunks(monkeypatch):
+    # at 0.3 T a group's components spread over the whole grid and it
+    # takes no far field: its ring runs through the kernel's zones in
+    # chunks of at most _RING_CHUNK points, against the per-component sum
+    freq = _grid(40.0, 2.5)
+    kernel = _per_component(freq, +1, 0.3, CELL)
+    sizes = []
+    zones = susceptibility._voigt_zones
+    monkeypatch.setattr(susceptibility, "_voigt_zones", lambda x, a: sizes.append(x.size) or zones(x, a))
+    table = complex_susceptibility(freq, +1, 0.3, CELL)
+    assert len(sizes) > 4 and max(sizes) <= susceptibility._RING_CHUNK
+    assert np.abs(table - kernel).max() <= 1e-13 * np.abs(kernel).max()
+
+
+def test_lattice_values_do_not_depend_on_the_slice():
+    # every slice of a lattice reads the same nodes with the same weights
+    freq = _grid(12.0, 3.0) + 17.0
+    whole = complex_susceptibility(freq, +1, 4.5e-3, CELL)
+    for lo, hi in ((0, 2000), (1234, 4567), (3999, 4001), (5000, freq.size)):
+        assert complex_susceptibility(freq[lo:hi], +1, 4.5e-3, CELL).tobytes() == whole[lo:hi].tobytes()
+    assert complex_susceptibility(freq[::-1], +1, 4.5e-3, CELL).tobytes() == whole[::-1].tobytes()
+
+
+def test_lattice_table_is_one_kernel_call_per_isotope_per_filter(monkeypatch):
+    cfg = FilterConfig(temperature_k=361.5)
+    voigt = susceptibility.complex_voigt
+    sizes = []
+    monkeypatch.setattr(susceptibility, "complex_voigt",
+                        lambda x, a: sizes.append(np.size(x)) or voigt(x, a))
+    susceptibility._lattice_table.cache_clear()
+    # five blocks, two polarizations, two isotopes: one table each
+    fadof_transmission(cfg, make_frequency_grid(TABLE.reference_frequency_hz, 20e9, 250e3))
+    assert len(sizes) == 2 and min(sizes) > 2**15
+    # unequal differences: no table, the kernel once per component
+    tables = []
+    lattice_table = susceptibility._lattice_table
+    monkeypatch.setattr(susceptibility, "_lattice_table",
+                        lambda *args: tables.append(args) or lattice_table(*args))
+    sizes.clear()
+    freq = make_frequency_grid(TABLE.reference_frequency_hz, 20e9, 2e6)
+    freq[7] += 1.0
+    fadof_transmission(cfg, freq)
+    assert not tables and len(sizes) > 2
+
+
+def test_lattice_transmission_memory_is_its_output_plus_a_few_blocks():
+    # the bound of tests/test_vapor.py, on an integer-Hz lattice of eight
+    # blocks whose two tables are computed inside the traced call
+    block = vapor._GRID_BLOCK
+    cfg = FilterConfig()
+    freq = make_frequency_grid(TABLE.reference_frequency_hz, (4 * block - 1) * 150e3, 150e3)
+    assert freq.size == 8 * block - 1
+    fadof_transmission(cfg, freq[:2])
+    susceptibility._lattice_table.cache_clear()
+    tracemalloc.start()
+    try:
+        spec = fadof_transmission(cfg, freq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert susceptibility._lattice_table.cache_info().misses == 2
+    assert peak < spec.value.nbytes + 20 * 16 * block, f"{peak} bytes traced"
