@@ -54,16 +54,17 @@ evaluated once, on the table nodes y = j h_t for every j with
 least integer giving h_t <= 0.012.  The table depends on a and h_t
 alone.  A point's offset from the reference frequency is phase + N D,
 with N an integer and 0 <= phase < D the same at every point, exactly
-within a factor of two of the reference, so at every near point; so
-component k's point N sits at the fraction theta_k past node
+within a factor of two of the reference, where every near point lies.
+Component k's point N then sits at the fraction theta_k past node
 m_k + q N, with m_k and theta_k fixed per component and found the same
 way in every slice of the lattice.  Where all eight taps m - 3 .. m + 4
 are table nodes, the component's value is the sum of the eight taps
 with its Lagrange weights: eight strided slices of the table, no
 gather.  Every node lies inside |z| <= 14, so no stencil reaches across
 the four-term seam.  The rest of the near set, the ring within the
-stencil's reach of |z| = 14 or beyond it, takes the kernel's zones in
-one call per isotope.  The stencil is within 1.3e-15 of the kernel and
+stencil's reach of |z| = 14 or beyond it, takes the kernel's zones,
+batched over the isotope in calls of at most 2**15 points
+(``_ring_values``): one call on the default grids.  The stencil is within 1.3e-15 of the kernel and
 1.9e-15 of ``wofz`` (absolute, 400 random points for each of ten widths
 from 1e-6 to 13 and spacings from 0.001 to 0.012); on the default 7 x 7
 scan the transmissions moved by at most 2.7e-14.  A table holds at most
@@ -395,10 +396,10 @@ def _stencil_weights(theta):
 def _ring_values(x, a, pieces):
     """i w(x[s:e] - offset + i a) for each piece (s, e, offset) in turn.
 
-    The kernel's zones run on the pieces of about ``_RING_CHUNK`` points
-    at a time, concatenated: one call for a lattice's usual ring, and a
-    bounded working set where a strong field spreads a group's components
-    over the whole grid.
+    The kernel's zones run on consecutive pieces concatenated, at most
+    ``_RING_CHUNK`` points at a time (or one longer piece): one call for
+    a lattice's usual ring, and a bounded working set where a strong
+    field spreads a group's components over the whole grid.
     """
     first = 0
     while first < len(pieces):
@@ -551,7 +552,8 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
             lattice_groups = []
             for shifts, weights in groups.values():
                 shifts = np.concatenate(shifts)
-                # each component's position in table nodes at point -shift
+                # component k at lattice point N lies nodes[k] + q N table
+                # nodes from its line; grid point i is N = i + shift
                 nodes = (phase - shifts) / (step / q)
                 base = np.floor(nodes)
                 lattice_groups.append((

@@ -23,9 +23,10 @@ and a lone last block would move its value in the last bits.
 ``_GRID_BLOCK`` is 2**15 so that the 20,001-point spectra of
 ``optimize`` and ``simulate`` stay one block, computed on the same
 arrays as one whole-grid call.  On a 160,001-point grid (2 vCPU, numpy
-2.4, medians of 11 in one process) blocks of 2**15 took 0.21-0.22 s, the
-whole grid at once 0.22 s and blocks of 2**13 0.27-0.29 s, about 30 %
-slower, as the per-call cost of the component loop comes to dominate.
+2.4, medians of 11 in one process, before the lattice table below)
+blocks of 2**15 took 0.21-0.22 s, the whole grid at once 0.22 s and
+blocks of 2**13 0.27-0.29 s, about 30 % slower, as the per-call cost of
+the component loop comes to dominate.
 
 Every block of a lattice grid, one whose consecutive differences are
 bitwise equal, is a lattice too: ``make_frequency_grid``'s grids and the

@@ -501,6 +501,14 @@ def test_lattice_values_do_not_depend_on_the_slice():
     for lo, hi in ((0, 2000), (1234, 4567), (3999, 4001), (5000, freq.size)):
         assert complex_susceptibility(freq[lo:hi], +1, 4.5e-3, CELL).tobytes() == whole[lo:hi].tobytes()
     assert complex_susceptibility(freq[::-1], +1, 4.5e-3, CELL).tobytes() == whole[::-1].tobytes()
+    # and the filter's blocks give the whole grid's transmission
+    cfg = FilterConfig()
+    grid = make_frequency_grid(TABLE.reference_frequency_hz, 20e9, 250e3)
+    t_plus, t_minus = vapor.circular_amplitudes(cfg, grid)
+    t_pol = 0.25 * np.abs(t_plus - t_minus) ** 2
+    whole = np.clip(t_pol + cfg.extinction * (1.0 - t_pol), 0.0, 1.0)
+    assert len(vapor._grid_blocks(grid.size)) == 5
+    assert fadof_transmission(cfg, grid).value.tobytes() == whole.tobytes()
 
 
 def test_lattice_table_is_one_kernel_call_per_isotope_per_filter(monkeypatch):
