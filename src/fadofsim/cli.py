@@ -187,13 +187,16 @@ def chi_square_sf(stat: float, dof: int) -> float:
 
 
 def _chi_square(mc_hist, an_hist) -> dict:
-    """Pearson chi-square over the bins expecting at least CHI_SQUARE_MIN_EXPECTED counts."""
+    """Pearson chi-square over the bins expecting at least CHI_SQUARE_MIN_EXPECTED counts.
+
+    With no such bin the p-value is None (JSON ``null``).
+    """
     expected = an_hist.counts
     observed = mc_hist.counts
     usable = expected >= CHI_SQUARE_MIN_EXPECTED
     dof = int(usable.sum())
     stat = float(np.sum((observed[usable] - expected[usable]) ** 2 / expected[usable]))
-    p = chi_square_sf(stat, dof) if dof else float("nan")
+    p = chi_square_sf(stat, dof) if dof else None
     return {
         "chi_square": stat,
         "bins_used": dof,
@@ -254,7 +257,10 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
         an_hist = correlations.detected_histogram(cfg.opo, det, mode=gen_mode)
         check = _chi_square(mc_hist, an_hist)
         report[label] = check
-        if not check["p_value"] > 0.001:
+        if check["p_value"] is None:
+            dirty.append(f"chi-square cross-check not possible for filter-{label} case: "
+                         f"no bin expects {CHI_SQUARE_MIN_EXPECTED:g} counts")
+        elif not check["p_value"] > 0.001:
             dirty.append(f"chi-square cross-check failed for filter-{label} case")
     _write_json(out / "chi_square_report.json", cfg, report)
 

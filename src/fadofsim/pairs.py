@@ -190,9 +190,10 @@ def optimize_filter(
     The comb is truncated by modes_within_grid with its center
     MAX_PEAK_OFFSET_HZ above the reference; the grid is symmetric about
     the reference, so those windows fit for any peak within that bound
-    and every point sees the same mode set.  Points whose filter
-    overflows, whose spectrum has no usable peak, or whose peak lies
-    beyond that bound, are flagged invalid (NaN) and excluded from the
+    and every point sees the same mode set.  Points where any stage
+    overflows or meets an invalid operation, whose spectrum has no usable
+    peak, or whose peak lies beyond that bound, are flagged invalid (NaN)
+    and excluded from the
     maximum; ties resolve to the first point in scan order (B outer,
     temperature inner).  The
     frequency grid, reference +- ``grid_half_span_hz`` in steps of
@@ -211,21 +212,23 @@ def optimize_filter(
 
     def evaluate(point):
         cfg = replace(base, b_field_t=point[0], temperature_k=point[1])
+        # worker threads do not inherit the caller's errstate, so each
+        # point states the policy: an overflow or invalid operation in any
+        # stage makes the point invalid
         try:
             with np.errstate(over="raise", invalid="raise"):
                 spec = fadof_transmission(cfg, grid)
-            metrics = filter_metrics(spec)
+                peak = filter_metrics(spec).peak_frequency_hz
+                if abs(peak - base.table.reference_frequency_hz) > MAX_PEAK_OFFSET_HZ:
+                    # peak escaped the central margin; comb would leave the grid
+                    return invalid
+                comb = mode_comb(replace(opo, degenerate_frequency_hz=peak), max_modes=max_modes)
+                eta = pair_transmission_map(spec, comb, opo)
+                terms = weighted_pair_terms(comb, eta)
+                s_nd = np.delete(terms, comb.n_max).sum()
+                f = terms[comb.n_max] / s_nd if s_nd > 0 else np.inf
         except (BoundaryPeakError, FloatingPointError):
             return invalid
-        peak = metrics.peak_frequency_hz
-        if abs(peak - base.table.reference_frequency_hz) > MAX_PEAK_OFFSET_HZ:
-            # peak escaped the central margin; comb would leave the grid
-            return invalid
-        comb = mode_comb(replace(opo, degenerate_frequency_hz=peak), max_modes=max_modes)
-        eta = pair_transmission_map(spec, comb, opo)
-        terms = weighted_pair_terms(comb, eta)
-        s_nd = np.delete(terms, comb.n_max).sum()
-        f = terms[comb.n_max] / s_nd if s_nd > 0 else np.inf
         return peak - base.table.reference_frequency_hz, eta[comb.n_max], s_nd, f
 
     points = itertools.product(b_values_t.tolist(), temperatures_k.tolist())

@@ -39,16 +39,20 @@ widths of each other, weights from 1e-3 to 1e3 and widths from 1e-6 to 1,
 the series is within 1.3e-15 relative at all 7.0 million far points; on
 the default 7 x 7 scan and the 160,001-point grid the transmissions
 moved by at most 4.1e-14.  Every other point of a group, its near set,
-takes each component's kernel value, read from a table on a lattice and
-computed once per component elsewhere; a group with no near point, as
-in a block of the grid's far wings, makes no kernel call.
+takes each component's kernel value; a group with no near point, as in
+a block of the grid's far wings, makes no kernel call.  The points are
+evaluated in ascending order, sorted once when they are not already and
+returned in the caller's order, so that every near set is one slice and
+a permutation of any finite input permutes its values bit for bit.  One
+routine (``_add_groups``) adds every input's groups: first each group's
+far field, then the near sets.
 
 A lattice is an input of at least two points whose consecutive
-differences are bitwise equal (``_lattice_step``), as every CLI grid
-is.  All components of an isotope share its Lorentzian width a, so on a
-lattice of step D Hz each component k needs w at the points
-x_i - delta_k + i a of one lattice of spacing h = 2 pi D / ku, shifted by
-the same fraction of h at every point.  Per isotope the kernel is
+differences, in ascending order, are bitwise equal (``_lattice_step``),
+as every CLI grid is.  All components of an isotope share its
+Lorentzian width a, so on a lattice of step D Hz each component k needs
+w at the points x_i - delta_k + i a of one lattice of spacing
+h = 2 pi D / ku, shifted by the same fraction of h at every point.  Per isotope the kernel is
 evaluated once, on the table nodes y = j h_t for every j with
 (j h_t)^2 + a^2 <= 14^2, by the kernel's own test: h_t = h / q with q the
 least integer giving h_t <= 0.012.  The table depends on a and h_t
@@ -64,16 +68,17 @@ gather.  Every node lies inside |z| <= 14, so no stencil reaches across
 the four-term seam.  The rest of the near set, the ring within the
 stencil's reach of |z| = 14 or beyond it, takes the kernel's zones,
 batched over the isotope in calls of at most 2**15 points
-(``_ring_values``): one call on the default grids.  The stencil is within 1.3e-15 of the kernel and
-1.9e-15 of ``wofz`` (absolute, 400 random points for each of ten widths
-from 1e-6 to 13 and spacings from 0.001 to 0.012); on the default 7 x 7
-scan the transmissions moved by at most 2.7e-14.  A table holds at most
-2**16 nodes, 1 MB: finer lattices (steps below about 140 kHz at 365 K)
-call the kernel per component.  Tables are kept for their (a, h_t)
-(``_lattice_table``), so the blocks of one grid, both polarizations and
-the scan points of one temperature read one.  Other inputs give the
-per-component values bit for bit.  The kernel evaluates a zone only
-when it holds a point.
+(``_ring_values``): one call on the default grids.  The stencil is
+within 1.3e-15 of the kernel and 1.9e-15 of ``wofz`` (absolute, 400
+random points for each of ten widths from 1e-6 to 13 and spacings from
+0.001 to 0.012); on the default 7 x 7 scan the transmissions moved by at
+most 2.7e-14.  A table holds at most
+2**16 nodes, 1 MB: on finer lattices (steps below about 140 kHz at
+365 K), and on every input that is no lattice, the whole near set is
+ring.  Tables are kept for their (a, h_t) (``_lattice_table``), so the
+blocks of one grid, both polarizations and the scan points of one
+temperature read one.  The kernel evaluates a zone only when it holds a
+point.
 """
 
 from __future__ import annotations
@@ -398,8 +403,9 @@ def _ring_values(x, a, pieces):
 
     The kernel's zones run on consecutive pieces concatenated, at most
     ``_RING_CHUNK`` points at a time (or one longer piece): one call for
-    a lattice's usual ring, and a bounded working set where a strong
-    field spreads a group's components over the whole grid.
+    a lattice's usual ring, and a bounded working set where the whole
+    near set is ring, on an input with no table or where a strong field
+    spreads a group's components over the whole grid.
     """
     first = 0
     while first < len(pieces):
@@ -417,18 +423,20 @@ def _ring_values(x, a, pieces):
         first = last
 
 
-def _add_table_groups(chi, x, a, groups, spacing, reach, q):
-    """Add one isotope's groups to ``chi`` on an ascending lattice ``x``.
+def _add_groups(chi, x, a, groups, lattice):
+    """Add one isotope's groups to ``chi`` on ascending ``x``.
 
     Each group is (offsets, weights, base, theta): the component offsets
-    in Doppler units, their real weights (chi gains weight * i w), and
-    for each component the table node base and the fraction theta with
-    point i at theta past node base + q i.  A group's far field is
-    ``_add_far_field``'s; of its other points, the near set, each
-    component takes those whose taps all lie in the table from the
-    stencil and the rest, its ring, from ``_ring_values`` for the whole
-    isotope.
+    in Doppler units and their real weights (chi gains weight * i w).
+    ``lattice`` is the isotope's table as (spacing, reach, q), or None;
+    with a table, base and theta give each component's node and fraction,
+    point i lying theta past node base + q i.  A group's far field is
+    ``_add_far_field``'s.  Its other points, the near set, are one slice
+    of the ascending ``x``: each component takes those whose taps all lie
+    in the table from the stencil and the rest, its ring, from
+    ``_ring_values`` for the whole isotope.
     """
+    spacing, reach, q = lattice or (None, None, None)
     todo = []
     pieces = []
     for offsets, weights, base, theta in groups:
@@ -437,27 +445,29 @@ def _add_table_groups(chi, x, a, groups, spacing, reach, q):
         hi = lo + int(np.count_nonzero(near))
         if hi == lo:
             continue
-        spans = []
-        for offset, b in zip(offsets, base.tolist()):
-            # the points whose taps all lie in -reach..reach
-            start = max(lo, -((reach + _FIRST_TAP + b) // q))
-            stop = min(hi, (reach - _LAST_TAP - b) // q + 1)
-            if start >= stop:
-                start = stop = hi
-            spans.append((start, stop))
+        spans = [(hi, hi)] * offsets.size
+        taps = None
+        if lattice is not None:
+            spans = []
+            for b in base.tolist():
+                # the points whose taps all lie in -reach..reach
+                start = max(lo, -((reach + _FIRST_TAP + b) // q))
+                stop = min(hi, (reach - _LAST_TAP - b) // q + 1)
+                spans.append((start, stop) if start < stop else (hi, hi))
+            taps = _stencil_weights(theta) * weights[:, None]
+        for (start, stop), offset in zip(spans, offsets):
             pieces += [(s, e, offset) for s, e in ((lo, start), (stop, hi)) if e > s]
-        todo.append((lo, hi, spans, weights, base, theta))
+        todo.append((lo, hi, spans, weights, base, taps))
     if not todo:
         return
     ring = _ring_values(x, a, pieces)
-    table = _lattice_table(a, spacing, reach)
-    for lo, hi, spans, weights, base, theta in todo:
+    table = None if lattice is None else _lattice_table(a, spacing, reach)
+    for lo, hi, spans, weights, base, taps in todo:
         total = np.zeros(hi - lo, dtype=complex)
         sums = total.view(float).reshape(-1, 2)
         acc = np.empty_like(sums)
         tmp = np.empty_like(sums)
-        taps = _stencil_weights(theta) * weights[:, None]
-        for (start, stop), weight, b, tap in zip(spans, weights.tolist(), base.tolist(), taps):
+        for k, ((start, stop), weight) in enumerate(zip(spans, weights.tolist())):
             for s, e in ((lo, start), (stop, hi)):
                 if e > s:
                     np.multiply(next(ring), weight, out=tmp[: e - s])
@@ -465,10 +475,10 @@ def _add_table_groups(chi, x, a, groups, spacing, reach, q):
             n = stop - start
             if not n:
                 continue
-            first = reach + b + q * start + _FIRST_TAP
+            first = reach + int(base[k]) + q * start + _FIRST_TAP
             for t in range(_TAPS.size):
                 nodes = table[first + t : first + t + q * (n - 1) + 1 : q]
-                np.multiply(nodes, tap[t], out=acc[:n] if t == 0 else tmp[:n])
+                np.multiply(nodes, taps[k, t], out=acc[:n] if t == 0 else tmp[:n])
                 if t:
                     acc[:n] += tmp[:n]
             sums[start - lo : stop - lo] += acc[:n]
@@ -481,24 +491,27 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
     Sums Voigt responses of every Zeeman-shifted hyperfine component,
     weighted by transition strength and isotope abundance, at the
     saturated vapor density of the cell temperature.  ``freq_hz`` is
-    absolute optical frequency; ``polarization`` is +1 or -1 for
-    sigma+/sigma-.  The cell length does not enter.  The components of
-    one ground level (isotope, F) form a group: its far field is one
-    series (``_add_far_field``).  On a lattice (``_lattice_step``) each
-    isotope's other points read its table (``_add_table_groups``);
-    elsewhere they call the kernel once per component.
+    absolute optical frequency, finite at every point; ``polarization``
+    is +1 or -1 for sigma+/sigma-.  The cell length does not enter.  The
+    points are evaluated in ascending order and returned in the caller's.
+    The components of one ground level (isotope, F) form a group, added
+    by ``_add_groups``; on a lattice (``_lattice_step``) each isotope's
+    near sets read its table where one fits.
     """
     if polarization not in (-1, 1):
         raise ValueError("polarization must be +1 or -1")
     freq = np.asarray(freq_hz, dtype=float)
     shape = freq.shape
     freq = freq.ravel()
+    if not np.isfinite(freq).all():
+        raise ValueError("frequencies must be finite")
+    order = None
+    if (freq[1:] < freq[:-1]).any():
+        order = np.argsort(freq, kind="stable")
+        freq = freq[order]
     table = cell.table
     ref = table.reference_frequency_hz
     step = _lattice_step(freq)
-    descending = step is not None and step < 0.0
-    if descending:
-        freq, step = freq[::-1], -step
     if step is not None:
         # point i sits at phase + (i + shift) step from the reference,
         # exactly: read at the point nearest the reference, whose offset
@@ -521,7 +534,7 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
         n_iso = iso.abundance * n_total
         u = np.sqrt(2.0 * BOLTZMANN * cell.temperature_k / iso.mass_kg)
         ku = k_wave * u
-        a = gamma_l / ku
+        a = float(gamma_l / ku)
         # strength * N * d^2 * sqrt(pi) / (2*(2I+1) * hbar * eps0 * k * u),
         # with the D1 reduced dipole moment d^2 = 9*eps0*hbar*Gamma*lam^3/(8*pi^2)
         prefactor = (
@@ -536,47 +549,32 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
         x = freq - ref
         x *= 2.0 * np.pi
         x /= ku
-        groups: dict[float, tuple[list, list]] = {}
-        for line in table.lines:
-            if line.isotope == iso.name:
-                parts = zeeman_components(line, b_field_t, polarization)
-                shifts, weights = groups.setdefault(line.fg, ([], []))
-                shifts.append(line.offset_hz + parts.offsets_hz)
-                weights.append(parts.weights)
-        reach = None
+        lattice = None
         if step is not None:
             q = max(1, math.ceil(step * 2.0 * np.pi / ku / _TABLE_SPACING))
             spacing = float(step / q * 2.0 * np.pi / ku)
-            reach = _table_reach(float(a), spacing)
-        if reach is not None:
-            lattice_groups = []
-            for shifts, weights in groups.values():
-                shifts = np.concatenate(shifts)
+            reach = _table_reach(a, spacing)
+            if reach is not None:
+                lattice = (spacing, reach, q)
+        levels: dict[float, tuple[list, list]] = {}
+        for line in table.lines:
+            if line.isotope == iso.name:
+                parts = zeeman_components(line, b_field_t, polarization)
+                shifts, weights = levels.setdefault(line.fg, ([], []))
+                shifts.append(line.offset_hz + parts.offsets_hz)
+                weights.append(parts.weights)
+        groups = []
+        for shifts, weights in levels.values():
+            shifts = np.concatenate(shifts)
+            base = theta = None
+            if lattice is not None:
                 # component k at lattice point N lies nodes[k] + q N table
                 # nodes from its line; grid point i is N = i + shift
                 nodes = (phase - shifts) / (step / q)
                 base = np.floor(nodes)
-                lattice_groups.append((
-                    2.0 * np.pi * shifts / ku,
-                    prefactor * np.concatenate(weights),
-                    base.astype(np.int64) + q * shift,
-                    nodes - base,
-                ))
-            _add_table_groups(chi, x, float(a), lattice_groups, spacing, reach, q)
-            continue
-        for shifts, weights in groups.values():
-            offsets = 2.0 * np.pi * np.concatenate(shifts) / ku
-            weights = (prefactor * 1j) * np.concatenate(weights)
-            near = ~_add_far_field(chi, x, a, offsets, weights)
-            x_near = x[near]
-            if not x_near.size:
-                continue
-            total = np.zeros(x_near.shape, dtype=complex)
-            for offset, weight in zip(offsets, weights):
-                w = complex_voigt(x_near - offset, a)
-                w *= weight
-                total += w
-            chi[near] += total
-    if descending:
-        chi = chi[::-1]
+                base, theta = base.astype(np.int64) + q * shift, nodes - base
+            groups.append((2.0 * np.pi * shifts / ku, prefactor * np.concatenate(weights), base, theta))
+        _add_groups(chi, x, a, groups, lattice)
+    if order is not None:
+        chi[order] = chi.copy()
     return chi.reshape(shape)

@@ -29,15 +29,16 @@ blocks of 2**13 0.27-0.29 s, about 30 % slower, as the per-call cost of
 the component loop comes to dominate.
 
 Every block of a lattice grid, one whose consecutive differences are
-bitwise equal, is a lattice too: ``make_frequency_grid``'s grids and the
-mirror grid of ``cmd_spectrum``, read in ascending order, are.  On a
-lattice ``complex_susceptibility`` reads each isotope's kernel values
-from one table (see ``susceptibility``), which the blocks and both
-polarizations share, so the kernel runs once per isotope per filter
-evaluation; a point gets the same value in any block.  A grid with
-unequal differences, a single point, or a lattice finer than a table
-allows (steps below about 140 kHz at 365 K) calls the kernel once per
-component.
+bitwise equal in ascending order, is a lattice too:
+``make_frequency_grid``'s grids and the mirror grid of ``cmd_spectrum``
+are.  On a lattice ``complex_susceptibility`` reads each isotope's
+kernel values from one table (see ``susceptibility``), which the blocks
+and both polarizations share, so the kernel runs once per isotope per
+filter evaluation; a point gets the same value in any block.  A grid
+with unequal differences, a single point, or a lattice finer than a
+table allows (steps below about 140 kHz at 365 K) takes the kernel's
+zones at every near point, batched per isotope, through the same
+routine.
 """
 
 from __future__ import annotations

@@ -235,6 +235,27 @@ def quick_cfg_text():
     return "[montecarlo]\nduration_s = 0.25\n"
 
 
+def test_simulate_at_zero_pair_rate_writes_strict_json(tmp_path, capsys):
+    # no bin expects 5 counts: the p-value is null and the flag says why
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text("[opo]\npair_rate_hz = 0\n[montecarlo]\nduration_s = 2\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 1
+    err = capsys.readouterr().err
+    assert "chi-square cross-check failed" not in err
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    for path in sorted(out.glob("*.json")):
+        json.loads(path.read_text(), parse_constant=no_constant)
+    report = json.loads((out / "chi_square_report.json").read_text())
+    for label in ("on", "off"):
+        assert report[label]["bins_used"] == 0 and report[label]["p_value"] is None
+        assert (f"validity flag: chi-square cross-check not possible for filter-{label} case: "
+                "no bin expects 5 counts") in err
+
+
 def test_simulate_outputs_and_cross_checks(tmp_path, quick_cfg_text, capsys):
     cfg = tmp_path / "quick.cfg"
     cfg.write_text(quick_cfg_text)

@@ -1,6 +1,7 @@
 """Per-mode pair transmission, purity bookkeeping, and filter optimization."""
 
 import hashlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from _oracles import modes_off_grid
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fadofsim import pairs
 from fadofsim.cli import _filter_on_grid
 from fadofsim.config import load_config
 from fadofsim.opo import MODE_WINDOW_LINEWIDTHS, ModeComb, OpoConfig, mode_comb, modes_within_grid
@@ -294,6 +296,36 @@ def test_optimize_flags_flat_spectrum_points():
     assert res.meta["n_invalid"] == 1
     assert np.isnan(res.fom[0, 0])
     assert res.best_b_t == 4.5e-3
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("stage", ["fadof_transmission", "filter_metrics", "pair_transmission_map"])
+def test_optimize_overflow_in_any_stage_makes_the_point_invalid(monkeypatch, stage, threads):
+    # an overflow in one stage of the second point: that point alone is
+    # invalid, with either pool size, and no warning escapes
+    fadof_transmission = pairs.fadof_transmission
+
+    def tagged(cfg, grid):
+        spec = fadof_transmission(cfg, grid)
+        spec.overflows = cfg.b_field_t == 5.0e-3
+        return spec
+
+    monkeypatch.setattr(pairs, "fadof_transmission", tagged)
+    inner = getattr(pairs, stage)
+
+    def overflowing(*args):
+        out = inner(*args)
+        if (out if stage == "fadof_transmission" else args[0]).overflows:
+            np.array([1e300]) * 1e300
+        return out
+
+    monkeypatch.setattr(pairs, stage, overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = optimize_filter(FilterConfig(), OPO, [4.0e-3, 5.0e-3], [365.0],
+                              grid_half_span_hz=8e9, grid_step_hz=4e6, threads=threads)
+    assert res.meta["n_invalid"] == 1
+    assert np.isnan(res.fom[1, 0]) and np.isnan(res.eta0[1, 0]) and np.isfinite(res.fom[0, 0])
 
 
 def test_optimize_all_invalid_raises():

@@ -286,6 +286,11 @@ def test_susceptibility_input_validation():
     grid = _grid(1.0, 100.0)
     with pytest.raises(ValueError, match="polarization"):
         complex_susceptibility(grid, 0, 0.0, CELL)
+    # a non-finite point would split a group's near set
+    for bad in (np.nan, np.inf, -np.inf):
+        grid[7] = bad
+        with pytest.raises(ValueError, match="frequencies must be finite"):
+            complex_susceptibility(grid, +1, 4.5e-3, CELL)
 
 
 # ---- one far-field series per group of components
@@ -385,13 +390,20 @@ def test_susceptibility_matches_the_kernel_at_every_point(monkeypatch):
 
 
 def test_susceptibility_does_not_depend_on_the_order_of_the_points():
+    # the points are evaluated sorted, so any order of them, a lattice's
+    # too, gives the same values bit for bit
     rng = np.random.default_rng(3)
+    lattice = _grid(12.0, 3.0)
+    whole = complex_susceptibility(lattice, +1, 4.5e-3, CELL)
+    order = rng.permutation(lattice.size)
+    assert complex_susceptibility(lattice[order], +1, 4.5e-3, CELL).tobytes() == whole[order].tobytes()
     grid = TABLE.reference_frequency_hz + rng.uniform(-25e9, 25e9, 5000)
+    grid[:100] = grid[-100:]
     grid.sort()
     ref = complex_susceptibility(grid, +1, 4.5e-3, CELL)
     order = rng.permutation(grid.size)
-    assert np.array_equal(complex_susceptibility(grid[order], +1, 4.5e-3, CELL), ref[order])
-    assert np.array_equal(complex_susceptibility(grid[::-1], +1, 4.5e-3, CELL), ref[::-1])
+    assert complex_susceptibility(grid[order], +1, 4.5e-3, CELL).tobytes() == ref[order].tobytes()
+    assert complex_susceptibility(grid[::-1], +1, 4.5e-3, CELL).tobytes() == ref[::-1].tobytes()
     # numpy's in-place complex product of one-element arrays rounds
     # differently from longer ones, in the kernel as well
     for i in (0, 1234, 4999):
@@ -439,11 +451,11 @@ def test_susceptibility_on_the_outer_boundary_of_a_group(monkeypatch):
 
 
 def _per_component(freq, polarization, b_field_t, cell):
-    """The susceptibility through the per-component kernel: the points permuted, so no lattice."""
-    order = np.random.default_rng(0).permutation(freq.size)
-    out = np.empty(freq.size, dtype=complex)
-    out[order] = complex_susceptibility(freq[order], polarization, b_field_t, cell)
-    return out
+    """The susceptibility with every point of every component through the kernel: no table, no far field."""
+    with pytest.MonkeyPatch.context() as m:
+        _all_near(m)
+        m.setattr(susceptibility, "_table_reach", lambda a, spacing: None)
+        return complex_susceptibility(freq, polarization, b_field_t, cell)
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -521,16 +533,30 @@ def test_lattice_table_is_one_kernel_call_per_isotope_per_filter(monkeypatch):
     # five blocks, two polarizations, two isotopes: one table each
     fadof_transmission(cfg, make_frequency_grid(TABLE.reference_frequency_hz, 20e9, 250e3))
     assert len(sizes) == 2 and min(sizes) > 2**15
-    # unequal differences: no table, the kernel once per component
+    # unequal differences: no table; every near point of every component
+    # goes through the kernel's zones once, in each isotope's ring
     tables = []
     lattice_table = susceptibility._lattice_table
     monkeypatch.setattr(susceptibility, "_lattice_table",
                         lambda *args: tables.append(args) or lattice_table(*args))
+    near = []
+    add_far_field = susceptibility._add_far_field
+
+    def spy(out, x, a, offsets, weights):
+        far = add_far_field(out, x, a, offsets, weights)
+        near.append(offsets.size * np.count_nonzero(~far))
+        return far
+
+    monkeypatch.setattr(susceptibility, "_add_far_field", spy)
+    rings = []
+    zones = susceptibility._voigt_zones
+    monkeypatch.setattr(susceptibility, "_voigt_zones", lambda x, a: rings.append(x.size) or zones(x, a))
     sizes.clear()
     freq = make_frequency_grid(TABLE.reference_frequency_hz, 20e9, 2e6)
     freq[7] += 1.0
     fadof_transmission(cfg, freq)
-    assert not tables and len(sizes) > 2
+    assert not tables and not sizes
+    assert sum(rings) == sum(near) and max(rings) <= susceptibility._RING_CHUNK
 
 
 def test_lattice_transmission_memory_is_its_output_plus_a_few_blocks():
