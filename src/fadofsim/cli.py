@@ -342,9 +342,8 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path, threads: int) -> list[str]:
         f"best figure of merit {result.best_fom:.3g} at "
         f"B = {result.best_b_t * 1e3:.2f} mT, T = {result.best_temperature_k:.1f} K"
     )
-    return [] if result.meta["n_invalid"] == 0 else [
-        f"{result.meta['n_invalid']} scan points had no usable transmission peak"
-    ]
+    reasons = ", ".join(f"{n} {reason}" for reason, n in result.meta["invalid_reasons"].items())
+    return [f"{result.meta['n_invalid']} scan points invalid: {reasons}"] if reasons else []
 
 
 def cmd_noise(cfg: ExperimentConfig, out: Path) -> list[str]:

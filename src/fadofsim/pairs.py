@@ -14,7 +14,9 @@ degenerate-pair transmission against total non-degenerate pair leakage:
 
 from __future__ import annotations
 
+import contextvars
 import itertools
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -193,12 +195,13 @@ def optimize_filter(
     and every point sees the same mode set.  Points where any stage
     overflows or meets an invalid operation, whose spectrum has no usable
     peak, or whose peak lies beyond that bound, are flagged invalid (NaN)
-    and excluded from the
-    maximum; ties resolve to the first point in scan order (B outer,
-    temperature inner).  The
-    frequency grid, reference +- ``grid_half_span_hz`` in steps of
-    ``grid_step_hz``, comes from the caller.  The points run on a pool of
-    ``threads`` worker threads.
+    and excluded from the maximum; ``meta["invalid_reasons"]`` counts the
+    points that failed for each reason that occurred.  Ties resolve to the
+    first point in scan order (B outer, temperature inner).  The frequency
+    grid, reference +- ``grid_half_span_hz`` in steps of ``grid_step_hz``,
+    comes from the caller.  The points run on a pool of ``threads`` worker
+    threads, each in a copy of the caller's context under one
+    floating-point policy.
     """
     b_values_t = np.asarray(b_values_t, dtype=float)
     temperatures_k = np.asarray(temperatures_k, dtype=float)
@@ -212,30 +215,32 @@ def optimize_filter(
 
     def evaluate(point):
         cfg = replace(base, b_field_t=point[0], temperature_k=point[1])
-        # worker threads do not inherit the caller's errstate, so each
-        # point states the policy: an overflow or invalid operation in any
-        # stage makes the point invalid
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                spec = fadof_transmission(cfg, grid)
-                peak = filter_metrics(spec).peak_frequency_hz
-                if abs(peak - base.table.reference_frequency_hz) > MAX_PEAK_OFFSET_HZ:
-                    # peak escaped the central margin; comb would leave the grid
-                    return invalid
-                comb = mode_comb(replace(opo, degenerate_frequency_hz=peak), max_modes=max_modes)
-                eta = pair_transmission_map(spec, comb, opo)
-                terms = weighted_pair_terms(comb, eta)
-                s_nd = np.delete(terms, comb.n_max).sum()
-                f = terms[comb.n_max] / s_nd if s_nd > 0 else np.inf
-        except (BoundaryPeakError, FloatingPointError):
-            return invalid
-        return peak - base.table.reference_frequency_hz, eta[comb.n_max], s_nd, f
+            spec = fadof_transmission(cfg, grid)
+            peak = filter_metrics(spec).peak_frequency_hz
+            if abs(peak - base.table.reference_frequency_hz) > MAX_PEAK_OFFSET_HZ:
+                # peak escaped the central margin; comb would leave the grid
+                return invalid, f"had their peak more than {MAX_PEAK_OFFSET_HZ / 1e9:g} GHz from the reference"
+            comb = mode_comb(replace(opo, degenerate_frequency_hz=peak), max_modes=max_modes)
+            eta = pair_transmission_map(spec, comb, opo)
+            terms = weighted_pair_terms(comb, eta)
+            s_nd = np.delete(terms, comb.n_max).sum()
+            f = terms[comb.n_max] / s_nd if s_nd > 0 else np.inf
+        except BoundaryPeakError:
+            return invalid, "had no usable transmission peak"
+        except FloatingPointError:
+            return invalid, "overflowed or met an invalid operation"
+        return (peak - base.table.reference_frequency_hz, eta[comb.n_max], s_nd, f), None
 
     points = itertools.product(b_values_t.tolist(), temperatures_k.tolist())
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = np.array(list(pool.map(evaluate, points)))
+    # numpy's error state is a context variable; one context cannot be
+    # entered by two threads at once, so each point runs in its own copy
+    with np.errstate(over="raise", invalid="raise"), ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, evaluate, point) for point in points]
+        results = [future.result() for future in futures]
     shape = (b_values_t.size, temperatures_k.size, 4)
-    peak_off, eta0, nondeg, fom = np.moveaxis(results.reshape(shape), -1, 0)
+    values = np.array([row for row, _ in results]).reshape(shape)
+    peak_off, eta0, nondeg, fom = np.moveaxis(values, -1, 0)
     if np.all(np.isnan(fom)):
         raise ValueError("no valid points in the optimization range")
     return OptimizationResult(
@@ -245,5 +250,6 @@ def optimize_filter(
         eta0=eta0,
         sum_nondegenerate=nondeg,
         peak_offset_hz=peak_off,
-        meta={"n_invalid": int(np.isnan(fom).sum()), "max_modes": max_modes},
+        meta={"n_invalid": int(np.isnan(fom).sum()), "max_modes": max_modes,
+              "invalid_reasons": Counter(reason for _, reason in results if reason)},
     )

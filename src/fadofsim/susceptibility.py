@@ -3,23 +3,27 @@
 The lineshape kernel is the complex Voigt profile expressed through the
 Faddeeva function w(z); its real part is the Doppler-broadened absorption
 profile and its imaginary part the matching dispersion.  The kernel
-evaluates w(z) in three zones of |z|, all on one code path:
+evaluates w(z) in two zones of |z|, on one code path:
 
+- |z| <= 14: Weideman's rational approximation with N = 40 terms (SIAM J.
+  Numer. Anal. 31, 1497 (1994)), within 1.8e-14 of ``scipy.special.wofz``
+  for |z| <= 7 and 2.7e-14 for 7 < |z| <= 14 (random points, Lorentzian
+  widths from 1e-6 to 13.9 Doppler widths);
 - |z| > 14: the four-term asymptotic series (Abramowitz & Stegun 7.1.23),
-  4.5e-9 relative to ``scipy.special.wofz``;
-- 7 < |z| <= 14: the same series to 18 terms, within 2.6e-14 of ``wofz``
-  for every Lorentzian width tested from 1e-6 to 13.9 Doppler widths;
-- |z| <= 7: Weideman's rational approximation with N = 40 terms (SIAM J.
-  Numer. Anal. 31, 1497 (1994)), within 1.8e-14 of ``wofz`` on 200,000
-  random points with Lorentzian widths from 1e-6 to 7 Doppler widths.
+  4.5e-9 relative to ``wofz``.
 
-The zones use numpy alone.  Both series are several times cheaper per
-point than ``wofz`` and are evaluated without complex division; the
-rational zone is no slower than ``wofz``.  The far zone keeps its 4.5e-9
-truncation because the filter transmissions pinned by the benchmark
-reference were taken with it: a more accurate far series moves them by
-more than the reference's 1e-9 tolerance, so that upgrade waits for a
-re-take of the reference.
+Both zones use numpy alone, need no complex division and run their
+polynomials through one in-place Horner routine (``_horner``).  The far
+zone keeps its 4.5e-9 truncation because the filter transmissions pinned
+by the benchmark reference were taken with it: the rational is within
+2.5e-15 of ``wofz`` for 14 < |z| <= 1e4, but a kernel exact there moves
+10 of the 801 sampled rows of the 160,001-point spectrum by up to 4.1e-9,
+beyond the reference's 1e-9 tolerance, so that change waits for a re-take
+of the reference.  numpy rounds an in-place complex product on a
+one-element array differently from the same product inside a longer
+array, so a zone, or a group's far set below, that holds exactly one
+point is evaluated on two copies of it (``_points``): every point gets
+the same value bit for bit in any array that holds it.
 
 The susceptibility groups the Zeeman components by their line's ground
 level (isotope, F).  Offsets are formed from the reference frequency,
@@ -95,20 +99,16 @@ from .lines import AtomicLineTable, zeeman_components
 if TYPE_CHECKING:
     from .vapor import VaporCell
 
-# Zone radii, compared as x^2 + a^2 against their squares.  Beyond
-# _ASYMPTOTIC_RADIUS the four-term series is within 4.5e-9 of wofz, and
-# between the radii the 18-term series within 2.6e-14.  Inside
-# _SERIES_RADIUS that series drifts past 1e-13 (1.9e-13 at |z| = 6), so
-# the rational approximation is evaluated there.
+# The zone radius, compared as x^2 + a^2 against its square: beyond it
+# the four-term series is within 4.5e-9 of wofz, inside it the rational
+# approximation within 2.7e-14.
 _ASYMPTOTIC_RADIUS = 14.0
-_SERIES_RADIUS = 7.0
 _FAR_TERMS = 4
-_SERIES_TERMS = 18
 _RATIONAL_TERMS = 40
 _SQRT_PI = np.sqrt(np.pi)
 # w(z) ~ (i / (sqrt(pi) z)) sum_n c_n z^(-2n) with c_n = (2n-1)!! / 2^n
 # (Abramowitz & Stegun 7.1.23)
-_SERIES_COEFFS = np.cumprod([1.0] + [(2 * n - 1) / 2.0 for n in range(1, _SERIES_TERMS)])
+_SERIES_COEFFS = np.cumprod([1.0] + [(2 * n - 1) / 2.0 for n in range(1, _FAR_TERMS)])
 # A group's far field: the four-term series of each component k, about
 # its own offset delta_k from the group's centre, re-expanded in powers of
 # 1 / (z - centre).  The order P is the least with
@@ -164,13 +164,27 @@ def _rational_coefficients(n_terms):
 _RATIONAL_COEFFS, _RATIONAL_L = _rational_coefficients(_RATIONAL_TERMS)
 
 
+def _horner(z, coeffs):
+    """(((coeffs[0] z + coeffs[1]) z + ...) + coeffs[-1]) z, in place after the first product."""
+    s = z * coeffs[0]
+    for c in coeffs[1:]:
+        s += c
+        s *= z
+    return s
+
+
+def _points(mask):
+    """``mask``, or the index of its point twice where it holds one (see the module docstring)."""
+    return np.repeat(mask.nonzero()[0], 2) if np.count_nonzero(mask) == 1 else mask
+
+
 def _rational(x, a):
     """Weideman's N-term rational approximation of w(x + i a), a > 0.
 
     w(z) = 2 p(Z) / (L - i z)^2 + 1 / (sqrt(pi) (L - i z)) with
     Z = (L + i z) / (L - i z) and p of degree N - 1 (SIAM J. Numer. Anal.
     31, 1497 (1994)).  L - i z = (L + a) - i x, so 1 / (L - i z) needs
-    only a real division.  Horner runs in place.
+    only a real division.
     """
     u = np.empty(x.shape, dtype=complex)
     d = x * x
@@ -182,10 +196,8 @@ def _rational(x, a):
     z_map.real = _RATIONAL_L - a
     z_map.imag = x
     z_map *= u
-    p = np.full(x.shape, _RATIONAL_COEFFS[0], dtype=complex)
-    for c in _RATIONAL_COEFFS[1:]:
-        p *= z_map
-        p += c
+    p = _horner(z_map, _RATIONAL_COEFFS[:-1])
+    p += _RATIONAL_COEFFS[-1]
     p *= u
     p *= 2.0
     p += 1.0 / _SQRT_PI
@@ -201,18 +213,13 @@ def _reciprocal(x, a, d):
     return inv
 
 
-def _asymptotic_series(x, a, d, terms):
-    """First ``terms`` terms of the A&S 7.1.23 series of w(x + i a).
+def _asymptotic_series(x, a, d):
+    """The four-term A&S 7.1.23 series of w(x + i a).
 
-    ``d`` is 1 / (x^2 + a^2), so 1/z needs no complex division.  Horner
-    runs in place.
+    ``d`` is 1 / (x^2 + a^2), so 1/z needs no complex division.
     """
     inv = _reciprocal(x, a, d)
-    inv2 = inv * inv
-    s = inv2 * _SERIES_COEFFS[terms - 1]
-    for c in _SERIES_COEFFS[terms - 2 : 0 : -1]:
-        s += c
-        s *= inv2
+    s = _horner(inv * inv, _SERIES_COEFFS[:0:-1])
     s += _SERIES_COEFFS[0]
     s *= inv
     s *= 1j / _SQRT_PI
@@ -226,17 +233,15 @@ def _voigt_zones(x, a):
     """
     r2 = x * x
     r2 += a * a
-    near = r2 <= _SERIES_RADIUS**2
     far = r2 > _ASYMPTOTIC_RADIUS**2
-    mid = ~(near | far)
     d = np.divide(1.0, r2, out=r2)
     out = np.empty(x.shape, dtype=complex)
     if far.any():
-        out[far] = _asymptotic_series(x[far], a, d[far], _FAR_TERMS)
-    if mid.any():
-        out[mid] = _asymptotic_series(x[mid], a, d[mid], _SERIES_TERMS)
-    if near.any():
-        out[near] = _rational(x[near], a)
+        at = _points(far)
+        out[at] = _asymptotic_series(x[at], a, d[at])
+    if not far.all():
+        at = _points(~far)
+        out[at] = _rational(x[at], a)
     return out
 
 
@@ -315,13 +320,11 @@ def _add_far_field(out, x, a, offsets, weights):
     r2 = xc * xc
     r2 += a * a
     far = r2 > radius**2
-    inv = _reciprocal(xc[far], a, np.divide(1.0, r2[far]))
-    s = inv * coeffs[-1]
-    for c in coeffs[-2::-1]:
-        s += c
-        s *= inv
+    # a lone far point is indexed twice; out[at] += s adds its value once
+    at = _points(far)
+    s = _horner(_reciprocal(xc[at], a, np.divide(1.0, r2[at])), coeffs[::-1])
     s *= 1j / _SQRT_PI
-    out[far] += s
+    out[at] += s
     return far
 
 

@@ -17,9 +17,10 @@ ceil(n / ``_GRID_BLOCK``) blocks of consecutive points, whose lengths
 differ by at most one.  Every value is computed point by point, so the blocks
 change no rule, only which points share an array.  Splitting evenly
 keeps every block of a longer grid above half ``_GRID_BLOCK``, so no
-block holds a single point: numpy rounds the in-place complex products
-of a one-element array differently from the same point in a longer one,
-and a lone last block would move its value in the last bits.
+block holds a single point: a one-point block is no lattice, so it would
+take the kernel's zones in place of the table and move that point's
+value in the last bits.  (The kernel itself gives a lone point the value
+it gets in any array; see ``susceptibility``.)
 ``_GRID_BLOCK`` is 2**15 so that the 20,001-point spectra of
 ``optimize`` and ``simulate`` stay one block, computed on the same
 arrays as one whole-grid call.  On a 160,001-point grid (2 vCPU, numpy

@@ -391,6 +391,19 @@ def test_optimize_grid_too_narrow_names_the_key(tmp_path, capsys):
             assert json.loads((out / "optimize_result.json").read_text())["modes_per_side"] == 0
 
 
+def test_optimize_flag_names_why_the_points_are_invalid(tmp_path, capsys):
+    # the point at 1e300 mT overflows; it has a peak no more than any other
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("[optimize]\nb_min_mT = 4.5\nb_max_mT = 1e300\nb_points = 2\n"
+                   "temperature_min_K = 365\ntemperature_max_K = 365\ntemperature_points = 1\n")
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["--config", str(cfg), "--out", str(out), "--threads", threads, "optimize"]) == 1
+        err = capsys.readouterr().err
+        assert err == "validity flag: 1 scan points invalid: 1 overflowed or met an invalid operation\n"
+        assert json.loads((out / "optimize_result.json").read_text())["invalid_points"] == 1
+
+
 def test_simulate_on_a_half_span_off_the_step_multiples(tmp_path, capsys):
     # 6.8511 GHz rounds to a 6.85 GHz grid at 2.5 MHz steps; the comb is cut
     # to the modes whose windows fit that grid, not the configured span

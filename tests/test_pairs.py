@@ -236,21 +236,21 @@ def test_purity_fractions_composition():
 
 def test_per_mode_record_matches_its_golden_values():
     # at the default config's filter and comb: the eta array, the two
-    # fractions read from it, and a 2x2 optimize scan, as computed when
-    # the filter first read its Voigt values from the lattice table; a
-    # change in any operation or summation order moves these digests
+    # fractions read from it, and a 2x2 optimize scan, as computed with
+    # the two-zone kernel; a change in any operation or summation order
+    # moves these digests
     cfg = load_config(None)
     spec, comb = _filter_on_grid(cfg)
     eta = pair_transmission_map(spec, comb, cfg.opo)
     assert eta.dtype == np.float64 and eta.size == 63
-    assert _sha256(eta) == "0dd4e0aa3c175017f395fe067f33f8fda68014e42b21ad89925433c3f59c848c"
-    assert repr(resonant_degenerate_fraction(comb, eta)) == "np.float64(0.9690176659400805)"
-    assert repr(extinction_leakage_estimate(comb, eta, cfg.filter.extinction)) == "4.133315696046601e-10"
+    assert _sha256(eta) == "234a188d3391a6361c3408bb31857e5bbce2baf37d78e416780726a19bdb7676"
+    assert repr(resonant_degenerate_fraction(comb, eta)) == "np.float64(0.96901766594008)"
+    assert repr(extinction_leakage_estimate(comb, eta, cfg.filter.extinction)) == "4.133315696046668e-10"
     scan = optimize_filter(FilterConfig(), OPO, [4.0e-3, 5.0e-3], [360.0, 370.0], 8e9, 4e6)
-    assert _sha256(scan.fom) == "ae2763f9216fcdeec84458c870bf961d70a7c3534bddc7f07c5e7f32bb98c88a"
-    assert _sha256(scan.eta0) == "3acb68d838ca7270403fe8631e0ea07503a6f3800e6da8548c1bff0861b1066c"
+    assert _sha256(scan.fom) == "534525c8b112121e475ab969b3b370d208566135ca4d3d5355a955d0eeaa4000"
+    assert _sha256(scan.eta0) == "161db1d8e3b814211fb22a80a4405c05dbd5fff16ff52125dd3d783234198b04"
     assert _sha256(scan.sum_nondegenerate) == (
-        "bb088f1141e884ddd15770988bdce0bdfb64d031c6152f318cd40826a85ca14e")
+        "2f2ff5a89e0d8f66776773b562e56a2ba094857ed62997ae616dd53c7d24fa18")
 
 
 def test_optimize_single_point_matches_defaults():
@@ -326,6 +326,21 @@ def test_optimize_overflow_in_any_stage_makes_the_point_invalid(monkeypatch, sta
                               grid_half_span_hz=8e9, grid_step_hz=4e6, threads=threads)
     assert res.meta["n_invalid"] == 1
     assert np.isnan(res.fom[1, 0]) and np.isnan(res.eta0[1, 0]) and np.isfinite(res.fom[0, 0])
+
+
+def test_optimize_counts_each_reason_a_point_is_invalid(monkeypatch):
+    # zero field leaves no usable peak, 1e300 T overflows, and with the
+    # margin cut to 3 GHz the 4.5 mT peak near -3.9 GHz lies beyond it
+    monkeypatch.setattr(pairs, "MAX_PEAK_OFFSET_HZ", 3e9)
+    res = optimize_filter(FilterConfig(), OPO, [0.0, 2e-3, 4.5e-3, 1e300], [365.0],
+                          grid_half_span_hz=8e9, grid_step_hz=4e6)
+    assert res.meta["n_invalid"] == 3
+    assert dict(res.meta["invalid_reasons"]) == {
+        "had no usable transmission peak": 1,
+        "had their peak more than 3 GHz from the reference": 1,
+        "overflowed or met an invalid operation": 1,
+    }
+    assert np.isfinite(res.fom[1, 0]) and np.isnan(res.fom[[0, 2, 3], 0]).all()
 
 
 def test_optimize_all_invalid_raises():
