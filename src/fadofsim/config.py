@@ -37,17 +37,30 @@ def _fail(section: str, key: str, message: str):
 # loader itself bounds the key.  The value takes the default's type (float,
 # int, complex, bool or str); only floats are scaled.  Each field names the
 # argument the loader passes on, mostly a dataclass field; a dataclass
-# checks its own fields, so only keys that fill none carry a bound.
+# checks its own fields, so a lower bound sits only on keys that fill none.
+# An upper bound, or a lower one beyond a dataclass's own check, marks
+# where the model or its arithmetic stops:
+# - magnetic_field_mT within 1 T: the Zeeman shifts are linear in B, off
+#   the Breit-Rabi levels by 6.3 GHz at 0.3 T already (ROADMAP item 10);
+#   far beyond, the component offsets overflow the lattice's node indices
+# - temperature_K up to 961 K, the normal boiling point of rubidium: the
+#   vapour-pressure fit is for saturated vapour over the liquid, and the
+#   dilute-vapour susceptibility has long stopped holding there
+# - bin_ns at least 1e-3, one 1 ps timestamp tick (montecarlo
+#   TIMESTAMP_UNIT_S): a finer bin cannot be resolved
+# - offset_ns within 1e15 (1e6 s): with bins of at least one tick the
+#   offset's bin index stays below 2**60, inside the int64 keys of
+#   montecarlo._merged_counts
 _KEYS = [
     ("filter", "line_data", "line_data", "", 1),
     ("filter", "center_offset_GHz", "center_offset_hz", np.nan, 1e9),
-    ("filter", "magnetic_field_mT", "b_field_t", 4.5, 1e-3),
-    ("filter", "temperature_K", "temperature_k", 365.0, 1),
+    ("filter", "magnetic_field_mT", "b_field_t", 4.5, 1e-3, "within", 1000.0),
+    ("filter", "temperature_K", "temperature_k", 365.0, 1, "<=", 961.0),
     ("filter", "cell_length_mm", "length_m", 300.0, 1e-3),
     ("filter", "extinction", "extinction", 1.8e-6, 1),
     ("filter", "buffer_fwhm_MHz", "buffer_fwhm_hz", 0.0, 1e6),
     ("hot_cell", "enabled", "enabled", True, 1),
-    ("hot_cell", "temperature_K", "temperature_k", 420.0, 1),
+    ("hot_cell", "temperature_K", "temperature_k", 420.0, 1, "<=", 961.0),
     ("hot_cell", "length_mm", "length_m", 100.0, 1e-3),
     ("hot_cell", "buffer_fwhm_MHz", "buffer_fwhm_hz", 200.0, 1e6),
     ("opo", "cavity_decay1_MHz", "gamma1", 6.3, 1e6),
@@ -56,8 +69,8 @@ _KEYS = [
     ("opo", "fsr_MHz", "fsr_hz", 501.0, 1e6),
     ("opo", "envelope_fwhm_GHz", "envelope_fwhm_hz", 150.0, 1e9),
     ("opo", "pair_rate_hz", "pair_rate_hz", 1e4, 1),
-    ("detector", "bin_ns", "bin_s", 1.0, 1e-9),
-    ("detector", "offset_ns", "offset_s", 50.0, 1e-9),
+    ("detector", "bin_ns", "bin_s", 1.0, 1e-9, ">=", 1e-3),
+    ("detector", "offset_ns", "offset_s", 50.0, 1e-9, "within", 1e15),
     ("detector", "singles1_hz", "r1_hz", 1.5e4, 1),
     ("detector", "singles2_hz", "r2_hz", 1.2e4, 1),
     ("detector", "acquisition_s", "acquisition_s", 1.0, 1),
@@ -84,7 +97,8 @@ _KEYS = [
 ]
 
 _KINDS = {float: "a number", int: "an integer", complex: "a complex number", bool: "a boolean"}
-_BOUNDS = {">": operator.gt, ">=": operator.ge}
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le,
+           "within": lambda value, limit: abs(value) <= limit}
 
 
 def _read(parser: configparser.ConfigParser, section: str, key: str, default, scale):
@@ -123,7 +137,7 @@ def _read_keys(parser: configparser.ConfigParser) -> tuple[dict, dict]:
     for section, key, name, default, scale, *bound in _KEYS:
         value = _read(parser, section, key, default, scale)
         if bound and not _BOUNDS[bound[0]](value, bound[1] * scale):
-            _fail(section, key, f"must be {bound[0]} {bound[1]}")
+            _fail(section, key, f"must be {bound[0]} {'+-' * (bound[0] == 'within')}{bound[1]:g}")
         values[section][name] = value
         resolved[f"{section}.{key}"] = value if isinstance(value, str) else repr(value)
     # configparser lower-cases option names and copies [DEFAULT] into every

@@ -154,6 +154,23 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
         _one_error_line(capsys, "error: ", str(existing))
 
 
+@pytest.mark.parametrize("text, command, prefix", [
+    ("[filter]\nmagnetic_field_mT = 1e300\n", "spectrum", "config error: [filter] magnetic_field_mT: "),
+    ("[filter]\ntemperature_K = 1e300\n", "spectrum", "config error: [filter] temperature_K: "),
+    ("[detector]\nbin_ns = 1e-300\n", "simulate", "config error: [detector] bin_ns: "),
+    ("[detector]\noffset_ns = 1e300\n", "simulate", "config error: [detector] offset_ns: "),
+])
+def test_values_beyond_the_model_name_their_key(tmp_path, capsys, text, command, prefix):
+    # values beyond where the model or its arithmetic stops: the loader
+    # names the key before any output is written
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 2
+    _one_error_line(capsys, prefix)
+    assert not out.exists()
+
+
 def test_negative_hot_cell_window_exits_2_before_any_stream(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[detector]\noffset_ns = -50\n[montecarlo]\nduration_s = 0.05\n")

@@ -30,10 +30,15 @@ NUMBERS = {
 GARBAGE = ["abc", "", "auto", "off"]
 
 
+# one past a bound, by its operator
+PAST = {">": lambda limit: limit - 1, ">=": lambda limit: limit - 1,
+        "<=": lambda limit: limit + 1, "within": lambda limit: -(limit + 1)}
+
+
 def _values(row):
     """The drawn values of one ``_KEYS`` row, its bound and one past it included."""
     _section, _key, _field, default, _scale, *bound = row
-    edges = [repr(bound[1]), repr(bound[1] - 1)] if bound else []
+    edges = [repr(bound[1]), repr(PAST[bound[0]](bound[1]))] if bound else []
     return st.sampled_from(NUMBERS[type(default)] + edges + GARBAGE)
 
 

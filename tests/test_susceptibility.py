@@ -1,5 +1,6 @@
 """Voigt kernel accuracy, vapor thermodynamics, and susceptibility structure."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -417,8 +418,8 @@ def test_susceptibility_does_not_depend_on_the_order_of_the_points():
     order = rng.permutation(grid.size)
     assert complex_susceptibility(grid[order], +1, 4.5e-3, CELL).tobytes() == ref[order].tobytes()
     assert complex_susceptibility(grid[::-1], +1, 4.5e-3, CELL).tobytes() == ref[::-1].tobytes()
-    # numpy's in-place complex product of one-element arrays rounds
-    # differently from longer ones, in the kernel as well
+    # one point is no lattice: it takes the kernel's zones where the
+    # lattice reads its table, so its value may differ in the last bits
     for i in (0, 1234, 4999):
         one = complex_susceptibility(grid[i : i + 1], +1, 4.5e-3, CELL)
         assert one.shape == (1,) and one[0] == pytest.approx(ref[i], rel=1e-15)
@@ -486,6 +487,7 @@ def _per_component(freq, polarization, b_field_t, cell):
     with pytest.MonkeyPatch.context() as m:
         _all_near(m)
         m.setattr(susceptibility, "_table_reach", lambda a, spacing: None)
+        m.setattr(susceptibility, "_sublattice_ratio", lambda h: 1)
         return complex_susceptibility(freq, polarization, b_field_t, cell)
 
 
@@ -561,9 +563,12 @@ def test_lattice_table_is_one_kernel_call_per_isotope_per_filter(monkeypatch):
     monkeypatch.setattr(susceptibility, "complex_voigt",
                         lambda x, a: sizes.append(np.size(x)) or voigt(x, a))
     susceptibility._lattice_table.cache_clear()
-    # five blocks, two polarizations, two isotopes: one table each
+    # five blocks, two polarizations, two isotopes: one table each, on the
+    # sublattice of every 15th point, whose spacing lies in (0.006, 0.012]
+    # Doppler widths for the isotope of the largest step (Rb87) and within
+    # a factor sqrt(87 / 85) of that for the other
     fadof_transmission(cfg, make_frequency_grid(TABLE.reference_frequency_hz, 20e9, 250e3))
-    assert len(sizes) == 2 and min(sizes) > 2**15
+    assert len(sizes) == 2 and max(sizes) <= 2 * 14.0 / 0.006 * math.sqrt(87 / 85) + 1
     # unequal differences: no table; every near point of every component
     # goes through the kernel's zones once, in each isotope's ring
     tables = []
@@ -607,3 +612,83 @@ def test_lattice_transmission_memory_is_its_output_plus_a_few_blocks():
         tracemalloc.stop()
     assert susceptibility._lattice_table.cache_info().misses == 2
     assert peak < spec.value.nbytes + 20 * 16 * block, f"{peak} bytes traced"
+
+
+# ---- fine lattices: chi on the sublattice, interpolated, seams corrected
+
+
+def _seam_windows(freq, polarization, b_field_t, cell):
+    """chi, and the indices whose value the seam correction moves."""
+    chi = complex_susceptibility(freq, polarization, b_field_t, cell)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(susceptibility, "_correct_seams", lambda *args: None)
+        plain = complex_susceptibility(freq, polarization, b_field_t, cell)
+    return chi, np.flatnonzero(chi != plain), plain
+
+
+@pytest.mark.parametrize("step_hz, temperature_k, b_field_t, lo_ghz, hi_ghz, ratio", [
+    (1.9e6, 380.0, 0.0, -10.0, 10.0, 2),
+    (1e6, 365.0, 4.5e-3, 1.0, 3.5, 3),
+    (250e3, 365.0, 4.5e-3, 1.0, 3.5, 15),
+    (25e3, 380.0, 0.02, 1.5, 2.7, 162),
+])
+def test_fine_lattice_matches_the_per_component_kernel_in_its_seam_windows(
+    monkeypatch, step_hz, temperature_k, b_field_t, lo_ghz, hi_ghz, ratio
+):
+    # stretches of lattice across components' |z| = 14 seams, evaluated
+    # on every ratio-th point: the interpolated chi against the kernel at
+    # every point of every component; without the seam correction the
+    # stencils that straddle a seam miss by about 1e-11
+    cell = replace(CELL, temperature_k=temperature_k)
+    ref = TABLE.reference_frequency_hz
+    freq = ref + lo_ghz * 1e9 + step_hz * np.arange(round((hi_ghz - lo_ghz) * 1e9 / step_hz) + 1)
+    ratios = []
+    interpolate = susceptibility._interpolate
+    monkeypatch.setattr(susceptibility, "_interpolate", lambda *args: ratios.append(args[-1]) or interpolate(*args))
+    chi, seams, plain = _seam_windows(freq, -1, b_field_t, cell)
+    assert set(ratios) == {ratio}
+    kernel = _per_component(freq, -1, b_field_t, cell)
+    scale = np.abs(kernel).max()
+    assert seams.size > 100
+    assert np.abs(chi - kernel).max() <= 1e-14 * scale
+    assert np.abs(plain - kernel)[seams].max() > 1e-12 * scale
+
+
+def test_fine_lattice_values_do_not_depend_on_the_slice():
+    # the sublattice nodes are anchored at absolute lattice indices: any
+    # slice of two or more points, in a seam window or not, reads the same
+    # nodes with the same weights and the same corrections
+    freq = TABLE.reference_frequency_hz + 1e9 + 17.0 + 250e3 * np.arange(12_000)
+    whole, seams, _ = _seam_windows(freq, +1, 4.5e-3, CELL)
+    assert seams.size > 100
+    rng = np.random.default_rng(29)
+    starts = np.concatenate([seams[[0, 1, -2, -1]], seams[[0, -1]] - 1, rng.choice(seams, 20)])
+    for i in starts.tolist():
+        for n in (2, 3):
+            got = complex_susceptibility(freq[i : i + n], +1, 4.5e-3, CELL)
+            assert got.tobytes() == whole[i : i + n].tobytes(), (i, n)
+        # one point is no lattice and takes the kernel
+        assert abs(complex_susceptibility(freq[i], +1, 4.5e-3, CELL) - whole[i]) <= 1e-14 * np.abs(whole).max()
+    for lo, hi in ((0, 5000), (1234, 4567), (seams[0] - 7, seams[0] + 30), (5000, freq.size)):
+        assert complex_susceptibility(freq[lo:hi], +1, 4.5e-3, CELL).tobytes() == whole[lo:hi].tobytes()
+    assert complex_susceptibility(freq[::-1], +1, 4.5e-3, CELL).tobytes() == whole[::-1].tobytes()
+
+
+def test_a_lattice_of_one_table_spacing_keeps_its_bytes(monkeypatch):
+    # 2 MHz is 0.0060006 Rb87 Doppler widths at 367.0 K: every point is a
+    # sublattice node, and chi keeps the bytes the table alone gave it;
+    # at 367.1 K the step is below 0.006 and every second point is
+    # interpolated
+    grid = make_frequency_grid(TABLE.reference_frequency_hz, 10e9, 2e6)
+    interpolate = susceptibility._interpolate
+    ratios = {}
+    for temperature_k in (367.0, 367.1):
+        calls = ratios.setdefault(temperature_k, [])
+        monkeypatch.setattr(susceptibility, "_interpolate",
+                            lambda *args, calls=calls: calls.append(args[-1]) or interpolate(*args))
+        cell = replace(CELL, temperature_k=temperature_k)
+        chi = np.concatenate([complex_susceptibility(grid, q, 4.5e-3, cell) for q in (1, -1)])
+        if temperature_k == 367.0:
+            assert hashlib.sha256(chi.tobytes()).hexdigest() == (
+                "11623733fb772cda3a50ed8957b439c56aa142a3c0e8659b0f2214d1137d2406")
+    assert ratios[367.0] == [] and set(ratios[367.1]) == {2}
