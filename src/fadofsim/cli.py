@@ -27,6 +27,13 @@ from .spectrum import BoundaryPeakError, Spectrum, filter_metrics, make_frequenc
 from .vapor import fadof_transmission
 
 CHI_SQUARE_MIN_EXPECTED = 5.0
+# Bins on each side of the hot-cell purity histogram, offset_ns / bin_ns,
+# at most as many as one histogram merge chunk holds events (2**18): its
+# count arrays then stay within the chunk-sized working memory of
+# montecarlo.mc_histogram (each merge bincounts all 2 n + 1 bins), where
+# the window of the loader's largest offset, 1e15 bins a side at 1 ns,
+# could not be allocated at all.
+HOT_CELL_MAX_SIDE_BINS = 1 << 18
 
 
 def _write_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
@@ -242,8 +249,15 @@ def _purity_flags(cfg: ExperimentConfig, fadof: Spectrum, true_filtered: float,
 def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
     """Monte Carlo streams, their histograms, model cross-check, purity."""
     # the purity window and operating-point checks come before any stream is written
-    if cfg.hot_cell_enabled and cfg.detector.offset_s < 0:
+    window = cfg.detector.offset_s  # coincidence window around the offset peak
+    side_bins = round(window / cfg.detector.bin_s)
+    if cfg.hot_cell_enabled and window < 0:
         raise ConfigError("[detector] offset_ns: the hot-cell purity window cannot be negative")
+    if cfg.hot_cell_enabled and side_bins > HOT_CELL_MAX_SIDE_BINS:
+        raise ConfigError(
+            f"[detector] offset_ns: the hot-cell purity window spans {side_bins:.4g} bins of "
+            f"[detector] bin_ns each side, more than {HOT_CELL_MAX_SIDE_BINS}"
+        )
     fadof, comb = _filter_on_grid(cfg)
     det = replace(cfg.detector, acquisition_s=cfg.mc_duration_s)
     children = np.random.SeedSequence(seed).generate_state(4)
@@ -279,8 +293,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, seed: int) -> list[str]:
         "hot_cell_enabled": cfg.hot_cell_enabled,
     }
     if cfg.hot_cell_enabled:
-        window = det.offset_s  # coincidence window around the offset peak
-        n_side = max(correlations.HISTOGRAM_SIDE_BINS, int(round(window / det.bin_s)))
+        n_side = max(correlations.HISTOGRAM_SIDE_BINS, side_bins)
         runs = []  # (coincidences, accidentals subtracted) of each run
         for label, child, survival in (("filtered", children[2], 1.0),
                                        ("hotcell", children[3], 1.0 - resonant)):

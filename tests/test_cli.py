@@ -15,7 +15,7 @@ import pytest
 from scipy.special import chdtrc
 from scipy.stats import chi2
 
-from fadofsim.cli import chi_square_sf, main
+from fadofsim.cli import HOT_CELL_MAX_SIDE_BINS, chi_square_sf, main
 from fadofsim.config import load_config
 from fadofsim.cvnoise import squeezing_through_loss
 from fadofsim.montecarlo import coincidences_in_window, mc_histogram, read_stream
@@ -183,6 +183,23 @@ def test_negative_hot_cell_window_exits_2_before_any_stream(tmp_path, capsys):
     cfg.write_text(cfg.read_text() + "[hot_cell]\nenabled = off\n")
     assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_hot_cell_window_of_too_many_bins_exits_2_before_any_stream(tmp_path, capsys):
+    # offset_ns = 1e15 is 1e15 bins a side at 1 ns: an allocation failure that named no key
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[detector]\noffset_ns = 1e15\n[montecarlo]\nduration_s = 0.05\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 2
+    _one_error_line(capsys, "error: [detector] offset_ns: ", "bin_ns", str(HOT_CELL_MAX_SIDE_BINS))
+    assert not any(out.iterdir())
+    # one bin past the bound is refused, the bound itself histogrammed
+    for side_bins, statuses in ((HOT_CELL_MAX_SIDE_BINS + 1, (2,)), (HOT_CELL_MAX_SIDE_BINS, (0, 1))):
+        cfg.write_text(f"[detector]\noffset_ns = {side_bins}\n[montecarlo]\nduration_s = 0.05\n")
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) in statuses
+        capsys.readouterr()
+    hotcell = read_stream(out, "timestamps_hotcell")
+    assert hotcell.meta["offset_s"] == HOT_CELL_MAX_SIDE_BINS * 1e-9
 
 
 @pytest.mark.parametrize("amplitude", ["0", "0j", "1e-200", "1e200"])

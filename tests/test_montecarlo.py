@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from fadofsim import montecarlo
-from fadofsim.correlations import DetectorConfig, Histogram, detected_histogram
+from fadofsim.correlations import DetectorConfig, Histogram, detected_histogram, g2_multi_comb
 from fadofsim.montecarlo import (
     EventStream,
     coincidences_in_window,
@@ -312,6 +312,41 @@ def test_chunked_draws_give_the_unchunked_streams(mode):
             assert got.tobytes() == want.tobytes(), f"chunk of {chunk}"
 
 
+# Tooth weights: the default comb's 263, zeros at either end and inside,
+# one tooth, and teeth far lighter than a guide bucket is wide.
+_TOOTH_WEIGHTS = {
+    "default_comb": g2_multi_comb(OpoConfig(pair_rate_hz=1e4)).weights,
+    "leading_zeros": np.array([0.0, 0.0, 1.0, 2.0, 3.0]),
+    "interior_zeros": np.array([1.0, 0.0, 0.0, 2.0, 0.0, 3.0]),
+    "trailing_zeros": np.array([3.0, 2.0, 1.0, 0.0, 0.0]),
+    "one_tooth": np.array([2.5]),
+    "light_tails": np.concatenate([np.full(50, 1e-9), [1.0], np.full(50, 1e-9)]),
+}
+
+
+def _search_probes(cdf, nb):
+    """Draws in [0, 1) at every edge of a guide search: 0, 1 - 2**-53,
+    the bucket edges and the CDF values, each with its float neighbours."""
+    edges = np.concatenate([[0.0, 1.0 - 2.0**-53], np.arange(nb) / nb, cdf])
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@pytest.mark.parametrize("weights", sorted(_TOOTH_WEIGHTS))
+def test_guide_search_is_searchsorted_right(weights):
+    p = _TOOTH_WEIGHTS[weights] / _TOOTH_WEIGHTS[weights].sum()
+    cdf, guide = montecarlo._guide_table(p)
+    assert guide.size >= 2 * p.size and guide.size & (guide.size - 1) == 0
+    rng = np.random.default_rng(p.size)
+    u = np.concatenate([_search_probes(cdf, guide.size), rng.random(10_000)])
+    got = montecarlo._guide_search(cdf, guide, u)
+    np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right"))
+    # the CDF is Generator.choice's: the same draws pick the same teeth
+    chosen = np.random.default_rng(7).choice(p.size, size=10_000, p=p)
+    drawn = montecarlo._guide_search(cdf, guide, np.random.default_rng(7).random(10_000))
+    np.testing.assert_array_equal(drawn, chosen)
+
+
 def test_pair_separations_follow_two_sided_exponential():
     # background-free stream; each start's nearest stop is its partner
     opo = OpoConfig(pair_rate_hz=1e4)
@@ -437,6 +472,27 @@ def test_write_stream_bytes_around_the_chunk_length(tmp_path, n_events):
         expected = np.round(data / 1e-12).astype("<u8").tobytes()
         assert (tmp_path / sidecar["files"][ch]).read_bytes() == expected
         assert sidecar["counts"][ch] == data.size
+
+
+def _ticks_at_half():
+    """Times whose quotient by the 1 ps tick is exactly k + 1/2, even and odd k."""
+    times = [t for t in ((k + 0.5) * 1e-12 for k in range(1, 400)) if (t / 1e-12) % 1 == 0.5]
+    assert {int(t / 1e-12) % 2 for t in times} == {0, 1}
+    return times
+
+
+@pytest.mark.parametrize("longer", ["ch1", "ch2"])
+def test_write_stream_rounds_as_np_round_at_zeros_ties_and_the_last_tick(tmp_path, longer):
+    # zeros, half-tick ties (rounded to even) and the largest time below
+    # 300 s, written in chunks of 7 with either channel the longer one
+    special = np.array([0.0, 0.0, *_ticks_at_half(), np.nextafter(300.0, 0.0)])
+    short = np.array([0.0, 1.5e-12, np.nextafter(300.0, 0.0)])
+    ch1, ch2 = (special, short) if longer == "ch1" else (short, special)
+    stream = _stream(ch1, ch2, 300.0)
+    sidecar = _chunked(7, write_stream, stream, tmp_path)
+    for ch, data in (("ch1", ch1), ("ch2", ch2)):
+        expected = np.round(data / 1e-12).astype("<u8").tobytes()
+        assert (tmp_path / sidecar["files"][ch]).read_bytes() == expected
 
 
 def test_write_read_round_trip(tmp_path):
