@@ -46,9 +46,10 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Each child reads the config named below and prints one "stage seconds"
-# line per stage; with a path argument it also saves its output there: the
-# transmissions (one row per spectrum), or the JSON of the mc digests.
+# Each child gets the config named below as its first argument (the scan
+# reads the built-in one) and prints one "stage seconds" line per stage;
+# with a path argument it also saves its output there: the transmissions
+# (one row per spectrum), or the JSON of the mc digests.
 CONFIG = {"filter": "spectrum_export.cfg", "scan": "spectrum_export.cfg", "mc": "mc_stream.cfg"}
 CHILD = {
     "filter": """
