@@ -61,6 +61,11 @@ def _filter_on_grid(cfg: ExperimentConfig) -> tuple[Spectrum, ModeComb]:
 
 
 def _delta_comb_flags(cfg: ExperimentConfig) -> list[str]:
+    """The delta-comb model's validity flag; a comb too long to build is a config error."""
+    try:
+        correlations.g2_multi_comb(cfg.opo)
+    except ValueError as exc:
+        raise ConfigError(f"[opo] cavity_decay1_MHz, cavity_decay2_MHz and roundtrip_ns: {exc}") from exc
     if correlations.delta_comb_applies(cfg.opo):
         return []
     return [
@@ -141,6 +146,8 @@ def _g2_metric(what: str, measure, hist, dirty: list[str]):
 def cmd_g2(cfg: ExperimentConfig, out: Path, mode: str) -> list[str]:
     """Analytic detected-coincidence histograms, filter on and/or off."""
     hdr = _hash_header(cfg)
+    # the comb's flag, or its config error, comes before any file is written
+    comb_flags = [] if mode == "on" else _delta_comb_flags(cfg)
     payload: dict = {
         "expected_envelope_fwhm_ns": correlations.g2_single_fwhm(cfg.opo) * 1e9,
         "bin_ns": cfg.detector.bin_s * 1e9,
@@ -165,7 +172,7 @@ def cmd_g2(cfg: ExperimentConfig, out: Path, mode: str) -> list[str]:
         contrast_text = "n/a" if contrast is None else f"{contrast:.3g}"
         print(f"filter {label}: envelope FWHM {fwhm_text} ns, tooth modulation {contrast_text}")
     _write_json(out / "g2_metrics.json", cfg, payload)
-    return dirty + ([] if mode == "on" else _delta_comb_flags(cfg))
+    return dirty + comb_flags
 
 
 def chi_square_sf(stat: float, dof: int) -> float:

@@ -23,6 +23,12 @@ DELTA_COMB_MIN_MODES = 50
 MODULATION_BINS = 20
 # Comb teeth weighing less than this fraction of the central tooth are dropped.
 COMB_TOOTH_CUTOFF = 1e-6
+# Comb teeth on each side of the central one, at most.  The comb histogram
+# holds about three bins x teeth float matrices at once, 17 MB each at this
+# bound with the default 129 bins (51 MB traced), where decays of 1e-300 MHz,
+# which the loader accepts, would ask for 5.5e302 teeth a side.  The
+# defaults keep 131.
+COMB_MAX_SIDE_TEETH = 1 << 13
 # Default bins on each side of the channel-offset bin of a coincidence histogram.
 HISTOGRAM_SIDE_BINS = 64
 
@@ -107,8 +113,19 @@ def delta_comb_applies(cfg: OpoConfig) -> bool:
 
 def g2_multi_comb(cfg: OpoConfig) -> CombTeeth:
     """Teeth (n*tau, envelope(n*tau)) truncated where the envelope falls
-    below COMB_TOOTH_CUTOFF of the peak."""
-    n_cut = int(np.floor(np.log(1.0 / COMB_TOOTH_CUTOFF) / (cfg.roundtrip_s * cfg.gamma_sum)))
+    below COMB_TOOTH_CUTOFF of the peak.
+
+    Raises ValueError, before any array is built, where that keeps more
+    than COMB_MAX_SIDE_TEETH teeth on each side.
+    """
+    # the envelope falls by exp(-decay) per round trip
+    depth, decay = float(np.log(1.0 / COMB_TOOTH_CUTOFF)), cfg.roundtrip_s * cfg.gamma_sum
+    if not depth < (COMB_MAX_SIDE_TEETH + 1) * decay:
+        raise ValueError(
+            f"the comb envelope falls by exp(-{decay:.4g}) per round trip, so more than "
+            f"{COMB_MAX_SIDE_TEETH} teeth on each side stay above {COMB_TOOTH_CUTOFF:g} of the peak"
+        )
+    n_cut = int(np.floor(depth / decay))
     n = np.arange(-n_cut, n_cut + 1)
     delays = n * cfg.roundtrip_s
     return CombTeeth(delays_s=delays, weights=g2_single(delays, cfg))

@@ -63,31 +63,35 @@ with N an integer and 0 <= phase < D the same at every point, exactly
 within a factor of two of the reference, where every near point lies.
 
 The working spacing.  With h that of the isotope whose h is largest,
-r = max(1, floor(0.012 / h)), one value per input.  Where r = 1 (steps
-above about 2 MHz at 365 K, every default grid) the points themselves
-are evaluated, each isotope on table nodes h_t = h / q apart, q the
-least integer giving h_t <= 0.012.  Where r > 1 chi is evaluated only
-on the sublattice N = 0 (mod r), of spacing r h, with q = 1 on it.
-Either way the working spacing of the isotope of largest h lies in
-(0.006, 0.012], and the other isotope's within a factor sqrt(87 / 85)
-of it, so a table holds at most about 4,700 nodes, 75 kB.
+r = floor(0.012 / h), one value per input.  Where r = 0 (steps above about
+4.0 MHz at 365 K) the input takes no table: every near point takes the
+kernel's zones, as on an input that is no lattice or a single point.
+Where r = 1 (steps from about 2 to 4 MHz at 365 K, as the default 2 MHz
+grid) the points themselves are evaluated; where r > 1 chi is evaluated
+only on the sublattice N = 0 (mod r), of spacing r h.  Either way each
+isotope's table has the spacing h_t of that working lattice, which lies
+in (0.006, 0.012] for the isotope of largest h and within a factor
+sqrt(87 / 85) of that for the other, so a table holds at most about
+4,700 nodes, 75 kB.  No default grid has r = 0, and a table with nodes
+between the points of such a lattice saved time only near 4 MHz and lost
+it at 20 MHz (ROADMAP item 9).
 
-The table.  Per isotope the kernel is evaluated once, on the table
-nodes y = j h_t for every j with (j h_t)^2 + a^2 <= 14^2, by the
-kernel's own test.  The table depends on a and h_t alone.  Component
-k's point N then sits at the fraction theta_k past node m_k + q N, with
-m_k and theta_k fixed per component and found the same way in every
-slice of the lattice.  Where all eight taps m - 3 .. m + 4 are table
-nodes, the component's value is the sum of the eight taps with its
-Lagrange weights: eight strided slices of the table, no gather.  Every
-node lies inside |z| <= 14, so no stencil reaches across the four-term
-seam.  The rest of the near set, the ring within the stencil's reach of
+The table.  Per isotope the kernel is evaluated once, on the table nodes
+y = j h_t for every j with (j h_t)^2 + a^2 <= 14^2, by the kernel's own
+test.  The table depends on a and h_t alone.  Component k's point N then
+sits at the fraction theta_k past node m_k + N, with m_k and theta_k
+fixed per component and found the same way in every slice of the
+lattice.  Where all eight taps m - 3 .. m + 4 are table nodes, the
+component's value is the sum of the eight taps with its Lagrange
+weights: eight contiguous slices of the table, no gather.  Every node
+lies inside |z| <= 14, so no stencil reaches across the four-term seam.
+The rest of the near set, the ring within the stencil's reach of
 |z| = 14 or beyond it, takes the kernel's zones, batched over the
 isotope in calls of at most 2**15 points (``_ring_values``): one call on
-the default grids, and the whole near set on an input that is no
-lattice.  The stencil is within 1.3e-15 of the kernel and 1.9e-15 of
-``wofz`` (absolute, 400 random points for each of ten widths from 1e-6
-to 13 and spacings from 0.001 to 0.012); on the default 7 x 7 scan the
+the default grids, and the whole near set on an input with no table.
+The stencil is within 1.3e-15 of the kernel and 1.9e-15 of ``wofz``
+(absolute, 400 random points for each of ten widths from 1e-6 to 13 and
+spacings from 0.001 to 0.012); on the default 7 x 7 scan the
 transmissions moved by at most 2.7e-14.  Tables are kept for their
 (a, h_t) (``_lattice_table``), so the blocks of one grid, both
 polarizations and the scan points of one temperature read one.  The
@@ -462,15 +466,15 @@ def _add_groups(chi, x, a, groups, lattice):
 
     Each group is (offsets, weights, base, theta): the component offsets
     in Doppler units and their real weights (chi gains weight * i w).
-    ``lattice`` is the isotope's table as (spacing, reach, q), or None;
+    ``lattice`` is the isotope's table as (spacing, reach), or None;
     with a table, base and theta give each component's node and fraction,
-    point i lying theta past node base + q i.  A group's far field is
+    point i lying theta past node base + i.  A group's far field is
     ``_add_far_field``'s.  Its other points, the near set, are one slice
     of the ascending ``x``: each component takes those whose taps all lie
     in the table from the stencil and the rest, its ring, from
     ``_ring_values`` for the whole isotope.
     """
-    spacing, reach, q = lattice or (None, None, None)
+    spacing, reach = lattice or (None, None)
     todo = []
     pieces = []
     for offsets, weights, base, theta in groups:
@@ -485,8 +489,8 @@ def _add_groups(chi, x, a, groups, lattice):
             spans = []
             for b in base.tolist():
                 # the points whose taps all lie in -reach..reach
-                start = max(lo, -((reach + _FIRST_TAP + b) // q))
-                stop = min(hi, (reach - _LAST_TAP - b) // q + 1)
+                start = max(lo, -(reach + _FIRST_TAP + b))
+                stop = min(hi, reach - _LAST_TAP - b + 1)
                 spans.append((start, stop) if start < stop else (hi, hi))
             taps = _stencil_weights(theta) * weights[:, None]
         for (start, stop), offset in zip(spans, offsets):
@@ -509,9 +513,9 @@ def _add_groups(chi, x, a, groups, lattice):
             n = stop - start
             if not n:
                 continue
-            first = reach + int(base[k]) + q * start + _FIRST_TAP
+            first = reach + int(base[k]) + start + _FIRST_TAP
             for t in range(_TAPS.size):
-                nodes = table[first + t : first + t + q * (n - 1) + 1 : q]
+                nodes = table[first + t : first + t + n]
                 np.multiply(nodes, taps[k, t], out=acc[:n] if t == 0 else tmp[:n])
                 if t:
                     acc[:n] += tmp[:n]
@@ -520,16 +524,8 @@ def _add_groups(chi, x, a, groups, lattice):
 
 
 def _sublattice_ratio(h):
-    """r = max(1, floor(``_TABLE_SPACING`` / h)) for a lattice of h Doppler widths."""
-    return max(1, int(_TABLE_SPACING // h))
-
-
-@functools.lru_cache(maxsize=8)
-def _fraction_weights(r):
-    """``_stencil_weights`` at the fractions j / r, j = 0..r - 1, read-only."""
-    weights = _stencil_weights(np.arange(r) / r)
-    weights.flags.writeable = False
-    return weights
+    """r = floor(``_TABLE_SPACING`` / h) for a lattice of h Doppler widths; 0 means no table."""
+    return int(_TABLE_SPACING // h)
 
 
 def _interpolate(coarse, first, n, r):
@@ -541,22 +537,18 @@ def _interpolate(coarse, first, n, r):
     fraction j / r, its weighted taps added in order in real arithmetic.
     """
     rows = (first + n - 1) // r - first // r + 1
-    # every fraction, or each point's where there are fewer points
-    fractions = np.arange(r) if n >= r else (first + np.arange(n)) % r
-    weights = (_fraction_weights(r) if n >= r else _stencil_weights(fractions / r))[:, :, None, None]
+    weights = _stencil_weights(np.arange(r) / r)[:, :, None, None]
     nodes = coarse.view(float).reshape(coarse.shape[0], -1)
     # by fraction, then by row M: each product is one weight times a
     # contiguous run of nodes
-    acc = np.empty((fractions.size, rows, nodes.shape[1]))
+    acc = np.empty((r, rows, nodes.shape[1]))
     tmp = np.empty_like(acc)
     for t in range(_TAPS.size):
         np.multiply(weights[:, t], nodes[t : t + rows], out=tmp if t else acc)
         if t:
             acc += tmp
     del tmp
-    acc = acc.view(complex).reshape(fractions.size, rows, *coarse.shape[1:])
-    if n < r:
-        return acc[np.arange(n), (first + np.arange(n)) // r - first // r]
+    acc = acc.view(complex).reshape(r, rows, *coarse.shape[1:])
     fine = np.empty((rows, r, *coarse.shape[1:]), dtype=complex)
     fine.swapaxes(0, 1)[...] = acc
     return fine.reshape(rows * r, *coarse.shape[1:])[first % r : first % r + n]
@@ -608,9 +600,10 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
     is +1 or -1 for sigma+/sigma-.  The cell length does not enter.  The
     points are evaluated in ascending order and returned in the caller's.
     The components of one ground level (isotope, F) form a group, added
-    by ``_add_groups``; on a lattice (``_lattice_step``) each isotope's
-    near sets read its table where one fits, and a lattice finer than
-    the table spacing is evaluated on its sublattice and interpolated.
+    by ``_add_groups``; on a lattice (``_lattice_step``) no coarser than
+    the table spacing each isotope's near sets read its table where one
+    fits, and a finer lattice is evaluated on its sublattice and
+    interpolated.
     """
     if polarization not in (-1, 1):
         raise ValueError("polarization must be +1 or -1")
@@ -635,18 +628,19 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
 
     # the points evaluated, as offsets from the reference: all of them
     # (None), or a fine lattice's sublattice
-    at, lattice, r = None, None, 1
+    at, lattice, r = None, None, 0
     step = _lattice_step(freq)
     if step is not None:
+        # the heaviest isotope has the largest step in Doppler widths
+        mass = max(iso.mass_kg for iso in table.isotopes.values() if iso.abundance)
+        r = _sublattice_ratio(step * 2.0 * np.pi / (k_wave * np.sqrt(2.0 * BOLTZMANN * cell.temperature_k / mass)))
+    if r:
         # point i sits at phase + (i + first) step from the reference,
         # exactly: read at the point nearest the reference, whose offset
         # from it is exact
         nearest = int(np.clip(np.rint((ref - freq[0]) / step), 0, freq.size - 1))
         n_nearest, phase = _exact_divmod(float(freq[nearest] - ref), step)
         first = n_nearest - nearest
-        # the heaviest isotope has the largest step in Doppler widths
-        mass = max(iso.mass_kg for iso in table.isotopes.values() if iso.abundance)
-        r = _sublattice_ratio(step * 2.0 * np.pi / (k_wave * np.sqrt(2.0 * BOLTZMANN * cell.temperature_k / mass)))
         lattice = (step, phase, first)
         if r > 1:
             lattice = (r * step, phase, first // r + _FIRST_TAP)
@@ -677,11 +671,10 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
         table_nodes = None
         if lattice is not None:
             step, phase, shift = lattice
-            q = max(1, math.ceil(step * 2.0 * np.pi / ku / _TABLE_SPACING))
-            spacing = float(step / q * 2.0 * np.pi / ku)
+            spacing = float(step * 2.0 * np.pi / ku)
             reach = _table_reach(a, spacing)
             if reach is not None:
-                table_nodes = (spacing, reach, q)
+                table_nodes = (spacing, reach)
         levels: dict[float, tuple[list, list]] = {}
         for line in table.lines:
             if line.isotope == iso.name:
@@ -694,11 +687,11 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
             shifts = np.concatenate(shifts)
             base = theta = None
             if table_nodes is not None:
-                # component k at lattice point N lies nodes[k] + q N table
+                # component k at lattice point N lies nodes[k] + N table
                 # nodes from its line; point i is N = i + shift
-                nodes = (phase - shifts) / (step / q)
+                nodes = (phase - shifts) / step
                 base = np.floor(nodes)
-                base, theta = base.astype(np.int64) + q * shift, nodes - base
+                base, theta = base.astype(np.int64) + shift, nodes - base
             groups.append((2.0 * np.pi * shifts / ku, prefactor * np.concatenate(weights), base, theta))
         _add_groups(chi, x, a, groups, table_nodes)
         isotopes.append((a, ku, groups))

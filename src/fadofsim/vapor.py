@@ -32,18 +32,19 @@ the component loop comes to dominate.
 Every block of a lattice grid, one whose consecutive differences are
 bitwise equal in ascending order, is a lattice too:
 ``make_frequency_grid``'s grids and the mirror grid of ``cmd_spectrum``
-are.  On a lattice ``complex_susceptibility`` reads each isotope's
-kernel values from one table (see ``susceptibility``), which the blocks
-and both polarizations share, so the kernel runs once per isotope per
-filter evaluation beside its rings; a point gets the same value in any
-block.  A lattice finer than 0.006 Doppler widths (steps below about
-2 MHz at 365 K, such as the 0.25 MHz grid) is evaluated on its
-sublattice of every r-th point, anchored at absolute lattice indices,
-and interpolated, so that a block of it evaluates about 1/r of its
-points; each component's |z| = 14 seam is corrected point by point.  A
-grid with unequal differences or a single point takes the kernel's
-zones at every near point, batched per isotope, through the same
-routine.
+are.  On a lattice of steps up to 0.012 Doppler widths (about 4 MHz at
+365 K, every default grid) ``complex_susceptibility`` reads each
+isotope's kernel values from one table (see ``susceptibility``), which
+the blocks and both polarizations share, so the kernel runs once per
+isotope per filter evaluation beside its rings; a point gets the same
+value in any block.  A lattice finer than 0.006 Doppler widths (steps
+below about 2 MHz at 365 K, such as the 0.25 MHz grid) is evaluated on
+its sublattice of every r-th point, anchored at absolute lattice
+indices, and interpolated, so that a block of it evaluates about 1/r of
+its points; each component's |z| = 14 seam is corrected point by point.
+A coarser lattice, a grid with unequal differences or a single point
+takes the kernel's zones at every near point, batched per isotope,
+through the same routine.
 """
 
 from __future__ import annotations

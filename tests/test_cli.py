@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from scipy.special import chdtrc
 from scipy.stats import chi2
 
+from fadofsim import correlations
 from fadofsim.cli import HOT_CELL_MAX_SIDE_BINS, chi_square_sf, main
 from fadofsim.config import load_config
 from fadofsim.cvnoise import squeezing_through_loss
@@ -200,6 +202,39 @@ def test_hot_cell_window_of_too_many_bins_exits_2_before_any_stream(tmp_path, ca
         capsys.readouterr()
     hotcell = read_stream(out, "timestamps_hotcell")
     assert hotcell.meta["offset_s"] == HOT_CELL_MAX_SIDE_BINS * 1e-9
+
+
+def test_a_comb_too_long_to_build_exits_2_naming_its_keys(tmp_path, capsys, monkeypatch):
+    # decays of 1e-300 MHz keep ln(1e6) / (tau gamma_sum), about 5.5e302,
+    # teeth a side: the comb histogram's bins x teeth matrix failed with
+    # "Maximum allowed size exceeded", which named no key.  The bound is
+    # checked by arithmetic before any array of teeth is built.
+    delays = []
+    g2_single = correlations.g2_single
+    monkeypatch.setattr(correlations, "g2_single",
+                        lambda delay_s, cfg: delays.append(np.size(delay_s)) or g2_single(delay_s, cfg))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[opo]\ncavity_decay1_MHz = 1e-300\ncavity_decay2_MHz = 1e-300\n")
+    out = tmp_path / "o"
+    for command in (["g2", "--mode", "off"], ["g2", "--mode", "both"], ["simulate"]):
+        assert main(["--config", str(cfg), "--out", str(out), *command]) == 2
+        _one_error_line(capsys, "error: [opo] cavity_decay1_MHz", "cavity_decay2_MHz", "roundtrip_ns",
+                        str(correlations.COMB_MAX_SIDE_TEETH))
+        assert not any(out.iterdir())
+    assert not delays
+    # the bound itself is built, one tooth past it refused; the defaults keep 131
+    opo = load_config(None).opo
+    assert correlations.g2_multi_comb(opo).delays_s.size == 263
+    bound = correlations.COMB_MAX_SIDE_TEETH
+    at_bound, past = (
+        replace(opo, gamma1=gamma, gamma2=gamma)
+        for gamma in (0.5 * math.log(1.0 / correlations.COMB_TOOTH_CUTOFF) / (side * opo.roundtrip_s)
+                      for side in (bound + 0.5, bound + 1.5))
+    )
+    assert correlations.g2_multi_comb(at_bound).delays_s.size == 2 * bound + 1
+    with pytest.raises(ValueError, match=f"more than {bound} teeth on each side"):
+        correlations.g2_multi_comb(past)
+    assert delays == [263, 2 * bound + 1]
 
 
 @pytest.mark.parametrize("amplitude", ["0", "0j", "1e-200", "1e200"])

@@ -247,10 +247,10 @@ def test_per_mode_record_matches_its_golden_values():
     assert repr(resonant_degenerate_fraction(comb, eta)) == "np.float64(0.96901766594008)"
     assert repr(extinction_leakage_estimate(comb, eta, cfg.filter.extinction)) == "4.133315696046668e-10"
     scan = optimize_filter(FilterConfig(), OPO, [4.0e-3, 5.0e-3], [360.0, 370.0], 8e9, 4e6)
-    assert _sha256(scan.fom) == "534525c8b112121e475ab969b3b370d208566135ca4d3d5355a955d0eeaa4000"
-    assert _sha256(scan.eta0) == "161db1d8e3b814211fb22a80a4405c05dbd5fff16ff52125dd3d783234198b04"
+    assert _sha256(scan.fom) == "03b624dc7754e6bc70a944e6543c79ce201aab9efea4d62fe780414b942664f1"
+    assert _sha256(scan.eta0) == "15fb5b2b47625a2f7a1a16ec33141c10ea9290f3a0d64a21adee788c818f504f"
     assert _sha256(scan.sum_nondegenerate) == (
-        "2f2ff5a89e0d8f66776773b562e56a2ba094857ed62997ae616dd53c7d24fa18")
+        "f12a553ab278f3e7144028816cf10d716e3f42c76a18fdd12439e897f240a565")
 
 
 def test_optimize_single_point_matches_defaults():

@@ -486,8 +486,7 @@ def _per_component(freq, polarization, b_field_t, cell):
     """The susceptibility with every point of every component through the kernel: no table, no far field."""
     with pytest.MonkeyPatch.context() as m:
         _all_near(m)
-        m.setattr(susceptibility, "_table_reach", lambda a, spacing: None)
-        m.setattr(susceptibility, "_sublattice_ratio", lambda h: 1)
+        m.setattr(susceptibility, "_sublattice_ratio", lambda h: 0)
         return complex_susceptibility(freq, polarization, b_field_t, cell)
 
 
@@ -554,6 +553,34 @@ def test_lattice_values_do_not_depend_on_the_slice():
     whole = np.clip(t_pol + cfg.extinction * (1.0 - t_pol), 0.0, 1.0)
     assert len(vapor._grid_blocks(grid.size)) == 5
     assert fadof_transmission(cfg, grid).value.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("step_mhz, temperature_k, ratio", [(4.0, 360.0, 0), (4.0, 370.0, 1), (20.0, 365.0, 0)])
+def test_a_lattice_coarser_than_the_table_spacing_takes_the_kernel(monkeypatch, step_mhz, temperature_k, ratio):
+    # r = floor(0.012 / h), h the Rb87 step in Doppler widths: 4 MHz is
+    # 0.0121 at 360 K and 0.0119 at 370 K.  At r = 0 no table is built and
+    # every near point takes the kernel; at r = 1 the table has the
+    # lattice's own spacing.  Either way a slice keeps the whole lattice's
+    # bytes.
+    cell = replace(CELL, temperature_k=temperature_k)
+    freq = _grid(20.0, step_mhz) + 17.0
+    ratios, tables = [], []
+    sublattice_ratio = susceptibility._sublattice_ratio
+    lattice_table = susceptibility._lattice_table
+    monkeypatch.setattr(susceptibility, "_sublattice_ratio",
+                        lambda h: ratios.append(sublattice_ratio(h)) or ratios[-1])
+    monkeypatch.setattr(susceptibility, "_lattice_table",
+                        lambda *args: tables.append(args) or lattice_table(*args))
+    whole = complex_susceptibility(freq, +1, 4.5e-3, cell)
+    assert ratios == [ratio]
+    assert len(tables) == 2 * ratio
+    n = freq.size
+    for lo, hi in ((0, 2), (n // 4, n // 4 + 3), (n // 2 - 1, n // 2 + 1), (n // 3, 2 * n // 3), (n - 2, n)):
+        assert complex_susceptibility(freq[lo:hi], +1, 4.5e-3, cell).tobytes() == whole[lo:hi].tobytes()
+    assert complex_susceptibility(freq[::-1], +1, 4.5e-3, cell).tobytes() == whole[::-1].tobytes()
+    monkeypatch.undo()
+    kernel = _per_component(freq, +1, 4.5e-3, cell)
+    assert np.abs(whole - kernel).max() <= 1e-13 * np.abs(kernel).max()
 
 
 def test_lattice_table_is_one_kernel_call_per_isotope_per_filter(monkeypatch):

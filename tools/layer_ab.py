@@ -8,26 +8,30 @@ Layers:
     and its mirror about the source centre, as ``cli.cmd_spectrum`` computes
     them.
 ``scan``
-    The 49 ``fadof_transmission`` spectra of the built-in ``optimize`` scan
-    (7 fields x 7 temperatures, 20,001 points each), on one thread.
+    The ``fadof_transmission`` spectra of the config's ``optimize`` scan, on
+    one thread: by default the built-in scan (7 fields x 7 temperatures,
+    20,001 points each), since ``spectrum_export.cfg`` sets only
+    ``[spectrum]``.
 ``mc``
     One 300 s ``single`` and one ``comb`` stream of
     ``bench/configs/mc_stream.cfg`` at the first two seeds ``simulate``
     derives from the config seed, each generated, written and histogrammed
     as ``cli._mc_run`` does; the three stages of each mode are timed apart.
 
-Each round runs the layer once in each tree, every run a fresh ``python3``
-process with ``PYTHONPATH`` set to that tree's ``src``; which tree runs
-first alternates from round to round.  A run times the layer's stages with
-``time.perf_counter`` (imports and config loading excluded, Voigt tables
-cold as in a CLI command).  For each stage the script prints each tree's
-median and quartiles, the rounds that ``b`` won, and the median of the
-per-round ratios b / a.  The first round also keeps each tree's output,
-and the script prints the largest |T_b - T_a| of the transmissions, or
-whether the sha256 of every stream file and histogram is the same in both
-trees::
+Every child reads the layer's bench config named above, or the file given
+with ``--config``.  Each round runs the layer once in each tree, every run
+a fresh ``python3`` process with ``PYTHONPATH`` set to that tree's
+``src``; which tree runs first alternates from round to round.  A run
+times the layer's stages with ``time.perf_counter`` (imports and config
+loading excluded, Voigt tables cold as in a CLI command).  For each stage
+the script prints each tree's median and quartiles, the rounds that ``b``
+won, and the median of the per-round ratios b / a.  The first round also
+keeps each tree's output, and the script prints the largest |T_b - T_a| of
+the transmissions, or whether the sha256 of every stream file and
+histogram is the same in both trees::
 
     python3 tools/layer_ab.py --layer filter --a /path/to/parent --b . --rounds 10
+    python3 tools/layer_ab.py --layer scan --config coarse.cfg --a /path/to/parent --b .
 
 The trees are only read; the outputs go to a temporary directory.
 """
@@ -46,8 +50,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Each child gets the config named below as its first argument (the scan
-# reads the built-in one) and prints one "stage seconds" line per stage;
+# Each child gets a config path as its first argument, by default the layer's
+# bench config named below, and prints one "stage seconds" line per stage;
 # with a path argument it also saves its output there: the transmissions
 # (one row per spectrum), or the JSON of the mc digests.
 CONFIG = {"filter": "spectrum_export.cfg", "scan": "spectrum_export.cfg", "mc": "mc_stream.cfg"}
@@ -74,7 +78,7 @@ import numpy as np
 from fadofsim.config import load_config
 from fadofsim.spectrum import make_frequency_grid
 from fadofsim.vapor import fadof_transmission
-cfg = load_config(None)
+cfg = load_config(sys.argv[1])
 grid = make_frequency_grid(cfg.filter.table.reference_frequency_hz, cfg.optimize_half_span_hz, cfg.optimize_step_hz)
 cells = [replace(cfg.filter, b_field_t=b, temperature_k=t)
          for b in cfg.optimize_b_t.tolist() for t in cfg.optimize_temperatures_k.tolist()]
@@ -119,10 +123,10 @@ if len(sys.argv) > 2:
 }
 
 
-def run(tree: Path, layer: str, save: Path | None) -> dict[str, float]:
-    """Seconds of each stage of one run of the layer in the tree."""
+def run(tree: Path, layer: str, config: Path, save: Path | None) -> dict[str, float]:
+    """Seconds of each stage of one run of the layer in the tree on the config."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    argv = [sys.executable, "-c", CHILD[layer], str(ROOT / "bench" / "configs" / CONFIG[layer])]
+    argv = [sys.executable, "-c", CHILD[layer], str(config)]
     if save is not None:
         argv.append(str(save))
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
@@ -151,17 +155,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--a", type=Path, required=True, help="baseline source tree")
     parser.add_argument("--b", type=Path, required=True, help="changed source tree")
     parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--config", type=Path, help="config file for every child (default: the layer's bench config)")
     args = parser.parse_args(argv)
     trees = {"a": args.a.resolve(), "b": args.b.resolve()}
+    config = (args.config or ROOT / "bench" / "configs" / CONFIG[args.layer]).resolve()
     times: dict[str, list[dict[str, float]]] = {"a": [], "b": []}
     with tempfile.TemporaryDirectory() as tmp:
         suffix = ".json" if args.layer == "mc" else ".npy"  # np.save appends .npy to other names
         saved = {side: Path(tmp) / f"{side}{suffix}" for side in trees}
         for i in range(args.rounds):
             for side in ("a", "b") if i % 2 == 0 else ("b", "a"):
-                times[side].append(run(trees[side], args.layer, saved[side] if i == 0 else None))
+                times[side].append(run(trees[side], args.layer, config, saved[side] if i == 0 else None))
         check = output_check(args.layer, saved) if args.rounds else None
-    print(f"layer {args.layer}, {args.rounds} rounds; a {trees['a']}, b {trees['b']}")
+    print(f"layer {args.layer}, {args.rounds} rounds on {config}; a {trees['a']}, b {trees['b']}")
     for stage in times["a"][0] if args.rounds else ():
         a = np.array([stages[stage] for stages in times["a"]])
         b = np.array([stages[stage] for stages in times["b"]])
