@@ -21,113 +21,107 @@ by the benchmark reference were taken with it: the rational is within
 beyond the reference's 1e-9 tolerance, so that change waits for a re-take
 of the reference.  numpy rounds an in-place complex product on a
 one-element array differently from the same product inside a longer
-array, so a zone, or a group's far set below, that holds exactly one
-point is evaluated on two copies of it (``_points``): every point gets
-the same value bit for bit in any array that holds it.
+array, so a zone that holds exactly one point is evaluated on two copies
+of it (``_points``): every point gets the same value bit for bit in any
+array that holds it.
 
-The susceptibility groups the Zeeman components by their line's ground
-level (isotope, F).  Offsets are formed from the reference frequency,
-never as absolute frequencies.  A group's components lie within s
-Doppler widths of its centre, the midpoint of their offsets; at every
-point farther than 14 + s from that centre each component is in the
-four-term zone, and their weighted sum is one series
-sum_p A_p (z - centre)^(-p).  A_p re-expands every pole of the four-term
-series about the centre through the weighted offset moments.  The order
-P is the least with C(P, 6) rho^(P - 6) < 1e-17, rho = s / (s + 14): that
-bounds the first dropped term of the z^(-7) pole's expansion, and the
-dropped terms of the lower poles are smaller.  One component gives
-P = 7, the four-term series itself; a group that would need more than
-64 terms (s above about 8) takes no far field.  Against the direct sum of
-the kernel over 3,000 random groups of 1-12 components within 2 Doppler
-widths of each other, weights from 1e-3 to 1e3 and widths from 1e-6 to 1,
-the series is within 1.3e-15 relative at all 7.0 million far points; on
-the default 7 x 7 scan and the 160,001-point grid the transmissions
-moved by at most 4.1e-14.  Every other point of a group, its near set,
-takes each component's kernel value; a group with no near point, as in
-a block of the grid's far wings, makes no kernel call.  The points are
-evaluated in ascending order, sorted once when they are not already and
-returned in the caller's order, so that every near set is one slice and
-a permutation of any finite input permutes its values bit for bit.  One
-routine (``_add_groups``) adds every input's groups: first each group's
-far field, then the near sets.
+The susceptibility of one isotope is one sum over the Zeeman components
+of all its lines, chi(x) = sum_k c_k i w(x - delta_k + i a), with the
+offsets delta_k formed from the reference frequency, never as absolute
+frequencies.  It is evaluated in one of two ways, both on the points in
+ascending order (sorted once when they are not already, and returned in
+the caller's order, so that a permutation of any finite input permutes
+its values bit for bit):
+
+- The direct sum (``_add_direct``), on every input that is no lattice: a
+  single point, an empty array or points with unequal differences.  Every
+  point of every component goes through the kernel, at most 2**15 points
+  a call so that the working set stays bounded on any grid, and the
+  components' terms are added in order in real arithmetic.  The tests
+  take it as their oracle.
+- The correlation (``_add_lattice``), on a lattice.
 
 A lattice is an input of at least two points whose consecutive
 differences, in ascending order, are bitwise equal (``_lattice_step``),
 as every CLI grid is; two points are enough, so that every slice of a
-lattice of two or more points is one.  All components of an isotope
-share its Lorentzian width a, so on a lattice of step D Hz each
-component k needs w at the points x_i - delta_k + i a of one lattice of
-spacing h = 2 pi D / ku, shifted by the same fraction of h at every
-point.  A point's offset from the reference frequency is phase + N D,
-with N an integer and 0 <= phase < D the same at every point, exactly
-within a factor of two of the reference, where every near point lies.
+lattice of two or more points is one.  A point's offset from the
+reference frequency is phase + N D for a lattice of step D Hz, with N an
+integer and 0 <= phase < D the same at every point, exactly within a
+factor of two of the reference.
 
-The working spacing.  With h that of the isotope whose h is largest,
-r = floor(0.012 / h), one value per input.  Where r = 0 (steps above about
-4.0 MHz at 365 K) the input takes no table: every near point takes the
-kernel's zones, as on an input that is no lattice or a single point.
-Where r = 1 (steps from about 2 to 4 MHz at 365 K, as the default 2 MHz
-grid) the points themselves are evaluated; where r > 1 chi is evaluated
-only on the sublattice N = 0 (mod r), of spacing r h.  Either way each
-isotope's table has the spacing h_t of that working lattice, which lies
-in (0.006, 0.012] for the isotope of largest h and within a factor
-sqrt(87 / 85) of that for the other, so a table holds at most about
-4,700 nodes, 75 kB.  No default grid has r = 0, and a table with nodes
-between the points of such a lattice saved time only near 4 MHz and lost
-it at 20 MHz (ROADMAP item 9).
+The working lattice.  With h the step of the heaviest isotope in Doppler
+widths, r = floor(0.012 / h), one value per input.  Where r >= 1 the
+working lattice is every r-th point, N = 0 (mod r): the points
+themselves at r = 1 (steps from about 2 to 4 MHz at 365 K, as the default
+2 MHz grid), a sublattice at r > 1.  Where r = 0 (steps above about 4 MHz
+at 365 K) it has q = ceil(h / 0.012) nodes per step: node W = q N is
+point N, worked in integer indices with the same phase, and every q-th
+value is kept; no finer float grid is built.  Either way its spacing lies
+in (0.006, 0.012] Doppler widths for the heaviest isotope and within a
+factor sqrt(87 / 85) of that for the other.
 
-The table.  Per isotope the kernel is evaluated once, on the table nodes
-y = j h_t for every j with (j h_t)^2 + a^2 <= 14^2, by the kernel's own
-test.  The table depends on a and h_t alone.  Component k's point N then
-sits at the fraction theta_k past node m_k + N, with m_k and theta_k
-fixed per component and found the same way in every slice of the
-lattice.  Where all eight taps m - 3 .. m + 4 are table nodes, the
-component's value is the sum of the eight taps with its Lagrange
-weights: eight contiguous slices of the table, no gather.  Every node
-lies inside |z| <= 14, so no stencil reaches across the four-term seam.
-The rest of the near set, the ring within the stencil's reach of
-|z| = 14 or beyond it, takes the kernel's zones, batched over the
-isotope in calls of at most 2**15 points (``_ring_values``): one call on
-the default grids, and the whole near set on an input with no table.
-The stencil is within 1.3e-15 of the kernel and 1.9e-15 of ``wofz``
-(absolute, 400 random points for each of ten widths from 1e-6 to 13 and
-spacings from 0.001 to 0.012); on the default 7 x 7 scan the
-transmissions moved by at most 2.7e-14.  Tables are kept for their
-(a, h_t) (``_lattice_table``), so the blocks of one grid, both
-polarizations and the scan points of one temperature read one.  The
-kernel evaluates a zone only when it holds a point.
+The correlation.  All components of an isotope share its Lorentzian width
+a, so on the working lattice of spacing h_t each needs w at the nodes of
+one table, T[j] = i w(j h_t + i a) for every integer j, in both of the
+kernel's zones.  Component k at node W lies theta_k past table node
+W + b_k, and its value there is the 8-tap Lagrange stencil of the table
+nodes W + b_k - 3 .. W + b_k + 4.  So chi at node W is sum_j D[j] T[W + j],
+the table correlated with the line distribution D, which holds each
+component's eight tap weights times its strength c_k: the discrete
+integral transform of spectral synthesis (van den Bekerom & Pannier,
+JQSRT 261, 107476 (2021)).  It is taken by overlap-save on output
+segments of S = 3584 nodes anchored at absolute indices, W // S.  The
+table segment of output segment s starts at s S + lo, lo the lowest tap
+of D rounded down to a multiple of 256, and has the least power-of-two
+length n >= S + the span of D (8,192 on the default grids).  Its FFT is
+one kernel call and one FFT, kept for its (a, h_t, start, n) in a cache
+of 12 entries per thread (``_table_segment``).  On the default scan lo is
+the same for every field and both polarizations, so one entry serves all
+of them at one temperature, and the 12 entries hold that temperature's
+segments; a shared cache let the scan's two threads evict each other's
+segments, so that the number of kernel calls changed from run to run.  Per
+call D takes one FFT and each isotope one batched inverse FFT over its
+segments.  A node's value depends only on its segment, D and the table
+segment, so it is the same bit for bit in any slice or grid block of two
+or more points that holds it.  The FFT's rounding follows numpy's FFT
+backend, so a numpy upgrade can move a last printed digit.
 
-The sublattice.  Where r > 1 the sublattice's nodes run from
-M = floor(N_first / r) - 3 to floor(N_last / r) + 4, anchored at the
-absolute index N, and go through the table, ring and far field above.
-Point N = r M + j then takes chi from the nodes M - 3..M + 4 with the
+The seams.  chi is as smooth as w except at each component's seams,
+|z| = 14, where the kernel changes zone and jumps by 4.5e-9 relative; a
+stencil whose taps straddle one would move T by about 1e-8.  So both
+stages of the stencil are corrected there, through one routine
+(``_correct_seams``, one kernel call per isotope and stage): the points
+whose taps may straddle a seam gain c_k i (w at the point - the stencil of
+w at the taps), the seams' terms added point by point in a fixed order.
+On the working lattice these are, for each component and each of its two
+seams, the seven nodes whose table taps straddle it, found exactly from
+the kernel's own zone test at the table nodes.  Where r > 1, point
+N = r M + j then takes chi from the working nodes M - 3..M + 4 with the
 stencil's weights at the fraction j / r (``_interpolate``), in real
-arithmetic on float views, so numpy's one-element complex rounding
-cannot enter; at j = 0 that is the node's value itself.  chi is as
-smooth as w except at each component's seams, |z| = 14, where the kernel
-changes zone and jumps by 4.5e-9 relative; a stencil that straddles one
-would move T by about 1e-8.  So for every component and each of its
-two seams, the points of the nine sublattice rows about the seam, whose
-taps may straddle it, gain weight * i (w at the point - the stencil of w
-at the taps), the seams' corrections added in a fixed order
-(``_correct_seams``): about 9 r points and 16 nodes per seam, through
-one kernel call per isotope.  A point's nodes, weights and corrections
-depend on N alone, so its value is the same bit for bit in any slice or
-grid block of two or more points that holds it.  Against the kernel at
-every point of every component, chi is within 9.0e-15 of max |chi|
-(600 random lattices, 1.8 million points, r from 2 to 425, 300-450 K,
-0-50 mT, buffer widths to 500 MHz); without the seam correction it
-misses by up to 1.8e-9.  On the 160,001-point grid (r = 15) the filter
-and its mirror took 0.074 s against 0.178 s with every point read from
-the table (2 vCPU, medians of 12 alternations, ``tools/layer_ab.py``),
-and one filter evaluation on the 1,600,001-point grid (r = 159) sends
-0.20 million points through the kernel in place of 25.6 million.
+arithmetic on float views; at j = 0 that is the node's value itself.  The
+points of the nine sublattice rows about each seam, whose taps may
+straddle it, are corrected the same way (``_correct_interpolation``).
+A point's nodes, weights and corrections depend on N alone.
+
+Measured against the direct sum, chi on a lattice is within 9.5e-15 of
+max |chi| (600 random lattices, 0.89 million points, steps from 10 kHz to
+100 MHz, 300-450 K, 0-1 T, buffer widths to 500 MHz); without the
+corrections on the working lattice the default 7 x 7 scan's
+transmissions moved by up to 1.24e-8.  Against the grouped far-field
+series and ring of per-component kernel calls that came before, the
+transmissions moved by at most 9.9e-14 on the default 7 x 7 scan and
+3.4e-14 on the 160,001-point grid and its mirror (``tools/layer_ab.py``).
+By the same tool (medians of 10 rounds, 2 vCPU) the 49 scan spectra took
+0.76 s against 0.85 s before, 0.55 against 0.89 s on a 4.2 MHz grid
+(q = 2) and 0.37 against 0.23 s on a 20 MHz grid (q = 5), where the
+correlation works on five nodes per point.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -148,38 +142,27 @@ _SQRT_PI = np.sqrt(np.pi)
 # w(z) ~ (i / (sqrt(pi) z)) sum_n c_n z^(-2n) with c_n = (2n-1)!! / 2^n
 # (Abramowitz & Stegun 7.1.23)
 _SERIES_COEFFS = np.cumprod([1.0] + [(2 * n - 1) / 2.0 for n in range(1, _FAR_TERMS)])
-# A group's far field: the four-term series of each component k, about
-# its own offset delta_k from the group's centre, re-expanded in powers of
-# 1 / (z - centre).  The order P is the least with
-# C(P, m - 1) rho^(P - m + 1) < _FAR_TRUNCATION, the first dropped term of
-# the highest pole z^(-m), m = 7, with rho = s / (s + _ASYMPTOTIC_RADIUS)
-# and s the largest |delta_k|; _FAR_MARGIN keeps every far point beyond
-# the kernel's own radius after rounding.
-_MAX_FAR_ORDER = 64
-_FAR_TRUNCATION = 1e-17
-_FAR_MARGIN = 1e-9
-_FAR_POLE = 2 * _FAR_TERMS - 1
-_FAR_ORDERS = np.arange(_FAR_POLE, _MAX_FAR_ORDER + 1)
-_FAR_ORDER_BINOMIAL = np.array([math.comb(int(p), _FAR_POLE - 1) for p in _FAR_ORDERS], dtype=float)
-# C(q, 2n) for q < _MAX_FAR_ORDER and n < _FAR_TERMS: since
-# (z - delta)^(-m) = sum_j C(m - 1 + j, j) delta^j z^(-m - j), the far
-# series has A_(q+1) = sum_n c_n C(q, 2n) M_(q-2n) with the weighted
-# offset moments M_j = sum_k w_k delta_k^j
-_FAR_BINOMIALS = np.array(
-    [[math.comb(q, 2 * n) for n in range(_FAR_TERMS)] for q in range(_MAX_FAR_ORDER)], dtype=float
-)
 
-
-# The lattice table (see the module docstring): nodes at most
+# The working lattice (see the module docstring): nodes at most
 # _TABLE_SPACING Doppler widths apart, and the stencil's taps, the nodes
 # m + _FIRST_TAP..m + _LAST_TAP for a point at m + theta, 0 <= theta < 1.
-# The same stencil interpolates a fine lattice's sublattice.
 _TABLE_SPACING = 0.012
 _FIRST_TAP, _LAST_TAP = -3, 4
 _TAPS = np.arange(_FIRST_TAP, _LAST_TAP + 1)
 _TAP_DENOMINATORS = np.array([math.prod(float(t - s) for s in _TAPS if s != t) for t in _TAPS])
-# Most ring points evaluated in one kernel call (see _ring_values).
-_RING_CHUNK = 2**15
+# The overlap-save correlation: output segments of _SEGMENT working nodes,
+# anchored at multiples of _SEGMENT, and table segments that start a
+# multiple of _PAD nodes from them, so that one serves many fields.  With
+# S = 3584 the default 2 MHz grid's Rb87 distribution, about 3,850 nodes
+# plus the pad, fits a table segment of 8,192 nodes; at S = 4096 some
+# fields took 16,384, and the 49 scan spectra took 0.76 s against 0.60 s
+# (one process, medians of 4, 2 vCPU).
+_SEGMENT = 3584
+_PAD = 256
+# Most points in one kernel call of the direct sum.
+_CHUNK = 2**15
+# Each thread's cache of table segments (see _table_segment).
+_THREAD = threading.local()
 
 
 def _rational_coefficients(n_terms):
@@ -243,20 +226,14 @@ def _rational(x, a):
     return p
 
 
-def _reciprocal(x, a, d):
-    """1 / (x + i a) = (x - i a) d for d = 1 / (x^2 + a^2)."""
-    inv = np.empty(x.shape, dtype=complex)
-    np.multiply(x, d, out=inv.real)
-    np.multiply(d, -a, out=inv.imag)
-    return inv
-
-
 def _asymptotic_series(x, a, d):
     """The four-term A&S 7.1.23 series of w(x + i a).
 
-    ``d`` is 1 / (x^2 + a^2), so 1/z needs no complex division.
+    ``d`` is 1 / (x^2 + a^2), so 1/z = (x - i a) d needs no complex division.
     """
-    inv = _reciprocal(x, a, d)
+    inv = np.empty(x.shape, dtype=complex)
+    np.multiply(x, d, out=inv.real)
+    np.multiply(d, -a, out=inv.imag)
     s = _horner(inv * inv, _SERIES_COEFFS[:0:-1])
     s += _SERIES_COEFFS[0]
     s *= inv
@@ -317,55 +294,6 @@ def wavevector(table: AtomicLineTable) -> float:
     return 2.0 * np.pi * table.reference_frequency_hz / SPEED_OF_LIGHT
 
 
-def _far_coefficients(delta, weights):
-    """A_1..A_P of sum_k weights[k] w(z - delta[k]) ~ (i / sqrt(pi)) sum_p A_p z^(-p).
-
-    ``delta`` are the offsets from the group's centre.  One component at
-    delta = 0 gives P = 7 and the four-term series itself.  Returns None
-    where P would exceed ``_MAX_FAR_ORDER``.
-    """
-    spread = np.abs(delta).max()
-    ratio = spread / (spread + _ASYMPTOTIC_RADIUS)
-    fits = _FAR_ORDER_BINOMIAL * ratio ** (_FAR_ORDERS - _FAR_POLE + 1) < _FAR_TRUNCATION
-    if not fits.any():
-        return None
-    order = _FAR_ORDERS[fits.argmax()]
-    moments = (delta ** np.arange(order)[:, None] * weights).sum(axis=1)
-    coeffs = np.zeros(order, dtype=moments.dtype)
-    for n in range(_FAR_TERMS):
-        coeffs[2 * n :] += _SERIES_COEFFS[n] * _FAR_BINOMIALS[2 * n : order, n] * moments[: order - 2 * n]
-    return coeffs
-
-
-def _add_far_field(out, x, a, offsets, weights):
-    """Add one group's far field, sum_k weights[k] w(x - offsets[k] + i a), to ``out``.
-
-    ``x`` (one-dimensional) and ``offsets`` are in Doppler units.  Takes
-    the points farther than ``_ASYMPTOTIC_RADIUS + s`` (plus
-    ``_FAR_MARGIN``) from the group's centre, the midpoint of its
-    offsets, with s the largest offset from it, and returns their mask.
-    The sum there is one series in 1 / (z - centre), evaluated on all of
-    ``x`` at once: ``vapor.fadof_transmission`` hands over one grid block
-    at a time, and that block bounds the series' temporaries.
-    """
-    centre = 0.5 * (offsets.min() + offsets.max())
-    delta = offsets - centre
-    coeffs = _far_coefficients(delta, weights)
-    if coeffs is None:
-        return np.zeros(x.shape, dtype=bool)
-    radius = _ASYMPTOTIC_RADIUS + np.abs(delta).max() + _FAR_MARGIN
-    xc = x - centre
-    r2 = xc * xc
-    r2 += a * a
-    far = r2 > radius**2
-    # a lone far point is indexed twice; out[at] += s adds its value once
-    at = _points(far)
-    s = _horner(_reciprocal(xc[at], a, np.divide(1.0, r2[at])), coeffs[::-1])
-    s *= 1j / _SQRT_PI
-    out[at] += s
-    return far
-
-
 def _lattice_step(freq):
     """The common difference of one-dimensional ``freq``, or None.
 
@@ -389,37 +317,28 @@ def _exact_divmod(value, step):
     return n, rem / (vd * sd)
 
 
-def _table_reach(a, spacing):
-    """The largest J with every node j spacing, |j| <= J, in the kernel's radius.
-
-    The kernel's own test, y^2 + a^2 <= 14^2, decides.  None where the
-    table would hold too few nodes for one stencil.
-    """
-    room = _ASYMPTOTIC_RADIUS**2 - a * a
-    if room <= 0.0:
-        return None
-    reach = int(math.sqrt(room) / spacing) + 1
-    while reach >= 0:
-        y = reach * spacing
-        if y * y + a * a <= _ASYMPTOTIC_RADIUS**2:
-            break
-        reach -= 1
-    return reach if 2 * reach + 1 >= _TAPS.size else None
-
-
-@functools.lru_cache(maxsize=16)
-def _lattice_table(a, spacing, reach):
-    """i w(j spacing + i a) for j = -reach..reach, as a read-only (2 reach + 1, 2) float array.
-
-    One kernel call.  The table is a pure function of its arguments and
-    is kept for the next calls with the same ones: the blocks of one grid
-    and both polarizations read one table.
-    """
-    table = complex_voigt(np.arange(-reach, reach + 1) * spacing, a)
+def _table_fft(a, spacing, start, size):
+    """The FFT of i w(j spacing + i a) for j = start..start + size - 1, read-only; one kernel call."""
+    table = complex_voigt(np.arange(start, start + size) * spacing, a)
     table *= 1j
-    table = table.view(float).reshape(-1, 2)
+    table = np.fft.fft(table)
     table.flags.writeable = False
     return table
+
+
+def _table_segment(a, spacing, start, size):
+    """``_table_fft``, kept for the next calls with the same arguments in this thread.
+
+    Each thread keeps the last 12 segments it used in its own LRU cache:
+    the blocks of one grid and both polarizations, which one thread
+    evaluates in turn, read one, and no thread evicts another's, so the
+    number of kernel calls does not depend on how a scan's points fall to
+    its threads.
+    """
+    cache = getattr(_THREAD, "tables", None)
+    if cache is None:
+        cache = _THREAD.tables = functools.lru_cache(maxsize=12)(_table_fft)
+    return cache(a, spacing, start, size)
 
 
 def _stencil_weights(theta):
@@ -436,95 +355,102 @@ def _stencil_weights(theta):
     return left * right / _TAP_DENOMINATORS
 
 
-def _ring_values(x, a, pieces):
-    """i w(x[s:e] - offset + i a) for each piece (s, e, offset) in turn.
+def _add_direct(chi, x, a, offsets, weights):
+    """Add sum_k weights[k] i w(x - offsets[k] + i a) to ``chi``, point by point.
 
-    The kernel's zones run on consecutive pieces concatenated, at most
-    ``_RING_CHUNK`` points at a time (or one longer piece): one call for
-    a lattice's usual ring, and a bounded working set where the whole
-    near set is ring, on an input with no table or where a strong field
-    spreads a group's components over the whole grid.
+    ``x`` and ``offsets`` are in Doppler units.  The kernel runs on at
+    most ``_CHUNK`` points a call (all components of one point at least),
+    and the components' terms are added in order in real arithmetic.
     """
-    first = 0
-    while first < len(pieces):
-        last, size = first + 1, pieces[first][1] - pieces[first][0]
-        while last < len(pieces) and size + pieces[last][1] - pieces[last][0] <= _RING_CHUNK:
-            size += pieces[last][1] - pieces[last][0]
-            last += 1
-        values = _voigt_zones(np.concatenate([x[s:e] - offset for s, e, offset in pieces[first:last]]), a)
-        values *= 1j
-        values = values.view(float).reshape(-1, 2)
-        at = 0
-        for s, e, _ in pieces[first:last]:
-            yield values[at : at + e - s]
-            at += e - s
-        first = last
+    size = max(1, _CHUNK // offsets.size)
+    for s in range(0, x.size, size):
+        w = _voigt_zones((x[s : s + size] - offsets[:, None]).ravel(), a)
+        w = w.view(float).reshape(offsets.size, -1, 2)
+        total = w[0] * weights[0]
+        for k in range(1, offsets.size):
+            total += w[k] * weights[k]
+        part = chi[s : s + size]
+        part.real -= total[:, 1]
+        part.imag += total[:, 0]
 
 
-def _add_groups(chi, x, a, groups, lattice):
-    """Add one isotope's groups to ``chi`` on ascending ``x``.
+def _correct_seams(chi, index, x, nodes, weights, a, c):
+    """Add c i (w at the points - the stencil of w at their taps) to ``chi``.
 
-    Each group is (offsets, weights, base, theta): the component offsets
-    in Doppler units and their real weights (chi gains weight * i w).
-    ``lattice`` is the isotope's table as (spacing, reach), or None;
-    with a table, base and theta give each component's node and fraction,
-    point i lying theta past node base + i.  A group's far field is
-    ``_add_far_field``'s.  Its other points, the near set, are one slice
-    of the ascending ``x``: each component takes those whose taps all lie
-    in the table from the stencil and the rest, its ring, from
-    ``_ring_values`` for the whole isotope.
+    One column per component and seam: ``x`` (R r, C) holds the points,
+    row by row and within a row by fraction, ``nodes`` (R + 7, C) their
+    taps, the points of row p taking nodes p..p + 7 with ``weights``
+    (r, 8, C or 1), ``index`` (R r, C) their places in ``chi`` (-1 where
+    it holds none) and ``c`` (C,) the components' strengths.  One kernel
+    call; each point's terms are added in column order.
     """
-    spacing, reach = lattice or (None, None)
-    todo = []
-    pieces = []
-    for offsets, weights, base, theta in groups:
-        near = ~_add_far_field(chi, x, a, offsets, 1j * weights)
-        lo = int(near.argmax())
-        hi = lo + int(np.count_nonzero(near))
-        if hi == lo:
-            continue
-        spans = [(hi, hi)] * offsets.size
-        taps = None
-        if lattice is not None:
-            spans = []
-            for b in base.tolist():
-                # the points whose taps all lie in -reach..reach
-                start = max(lo, -(reach + _FIRST_TAP + b))
-                stop = min(hi, reach - _LAST_TAP - b + 1)
-                spans.append((start, stop) if start < stop else (hi, hi))
-            taps = _stencil_weights(theta) * weights[:, None]
-        for (start, stop), offset in zip(spans, offsets):
-            pieces += [(s, e, offset) for s, e in ((lo, start), (stop, hi)) if e > s]
-        todo.append((lo, hi, spans, weights, base, taps))
-    if not todo:
+    keep = (index >= 0).any(axis=0)
+    if not keep.any():
         return
-    ring = _ring_values(x, a, pieces)
-    table = None if lattice is None else _lattice_table(a, spacing, reach)
-    for lo, hi, spans, weights, base, taps in todo:
-        total = np.zeros(hi - lo, dtype=complex)
-        sums = total.view(float).reshape(-1, 2)
-        acc = np.empty_like(sums)
-        tmp = np.empty_like(sums)
-        for k, ((start, stop), weight) in enumerate(zip(spans, weights.tolist())):
-            for s, e in ((lo, start), (stop, hi)):
-                if e > s:
-                    np.multiply(next(ring), weight, out=tmp[: e - s])
-                    sums[s - lo : e - lo] += tmp[: e - s]
-            n = stop - start
-            if not n:
-                continue
-            first = reach + int(base[k]) + start + _FIRST_TAP
-            for t in range(_TAPS.size):
-                nodes = table[first + t : first + t + n]
-                np.multiply(nodes, taps[k, t], out=acc[:n] if t == 0 else tmp[:n])
-                if t:
-                    acc[:n] += tmp[:n]
-            sums[start - lo : stop - lo] += acc[:n]
-        chi[lo:hi] += total
+    weights = np.broadcast_to(weights, (weights.shape[0], _TAPS.size, c.size))[..., keep]
+    x, nodes, index, c = x[:, keep], nodes[:, keep], index[:, keep], c[keep]
+    w = _voigt_zones(np.concatenate([x.ravel(), nodes.ravel()]), a)
+    at, taps = w[: x.size].reshape(x.shape), w[x.size :].reshape(nodes.shape)
+    rows = nodes.shape[0] - _TAPS.size + 1
+    stencil = weights[:, 0] * taps[:rows, None]
+    for t in range(1, _TAPS.size):
+        stencil += weights[:, t] * taps[t : t + rows, None]
+    # a purely imaginary factor rounds each part once
+    term = (at - stencil.reshape(x.shape)) * (1j * c)
+    inside = index.T >= 0
+    np.add.at(chi, index.T[inside], term.T[inside])
+
+
+def _add_lattice(chi, nodes, work_step, phase, a, ku, shifts, weights):
+    """Add one isotope's sum_k weights[k] i w to ``chi`` at the working nodes ``nodes``.
+
+    Node W (ascending, absolute) lies at phase + W work_step Hz from the
+    reference, and component k at ``shifts[k]`` Hz with strength
+    ``weights[k]``.  chi is the table correlated with the line
+    distribution D, segment by segment (``_table_segment``), and then
+    corrected where a component's taps straddle its |z| = 14 seam.
+    """
+    spacing = float(work_step * 2.0 * np.pi / ku)
+    # component k at node W lies theta[k] past table node W + base[k]
+    pos = (phase - shifts) / work_step
+    base = np.floor(pos)
+    stencil = _stencil_weights(pos - base)
+    base = base.astype(np.int64)
+    taps = base[:, None] + _TAPS
+    lo = int(taps.min()) // _PAD * _PAD
+    size = 1 << (_SEGMENT + int(taps.max()) - lo - 1).bit_length()
+    line = np.zeros(size)
+    np.add.at(line, (taps - lo).ravel(), (stencil * weights[:, None]).ravel())
+    line = np.fft.fft(line).conj()
+    # the output segments that hold a node, each the correlation of its
+    # table segment with D
+    segment = nodes // _SEGMENT
+    starts = np.flatnonzero(np.diff(segment, prepend=segment[0] - 1))
+    values = np.empty((starts.size, size), dtype=complex)
+    for row, s in zip(values, segment[starts].tolist()):
+        np.multiply(_table_segment(a, spacing, s * _SEGMENT + lo, size), line, out=row)
+    np.fft.ifft(values, out=values)
+    chi += values[np.repeat(np.arange(starts.size), np.diff(starts, append=nodes.size)), nodes % _SEGMENT]
+    room = _ASYMPTOTIC_RADIUS**2 - a * a
+    if room <= 0.0:
+        return
+    # the last table node inside the kernel's radius, by its own test; the
+    # seams lie between nodes m and m + 1 for m = reach and -reach - 1, and
+    # node W's taps straddle one where W + base lies in m - 3..m + 3
+    reach = int(math.sqrt(room) / spacing) + 1
+    while (reach * spacing) * (reach * spacing) + a * a > _ASYMPTOTIC_RADIUS**2:
+        reach -= 1
+    m = np.repeat([reach, -reach - 1], shifts.size)
+    rows = m - np.tile(base, 2) + np.arange(-3, 4)[:, None]
+    index = np.searchsorted(nodes, rows)
+    index[nodes[np.minimum(index, nodes.size - 1)] != rows] = -1
+    x = (phase + rows * work_step) * (2.0 * np.pi) / ku - np.tile(2.0 * np.pi * shifts / ku, 2)
+    at = (m + np.arange(-6, 8)[:, None]) * spacing
+    _correct_seams(chi, index, x, at, np.tile(stencil.T, 2)[None], a, np.tile(weights, 2))
 
 
 def _sublattice_ratio(h):
-    """r = floor(``_TABLE_SPACING`` / h) for a lattice of h Doppler widths; 0 means no table."""
+    """r = floor(``_TABLE_SPACING`` / h) for a lattice of h Doppler widths; 0 means a finer working lattice."""
     return int(_TABLE_SPACING // h)
 
 
@@ -554,40 +480,30 @@ def _interpolate(coarse, first, n, r):
     return fine.reshape(rows * r, *coarse.shape[1:])[first % r : first % r + n]
 
 
-def _correct_seams(chi, first, r, lattice, a, ku, groups):
+def _correct_interpolation(chi, first, step, phase, r, a, ku, shifts, weights):
     """Correct ``_interpolate``'s chi where a component's stencil straddles its |z| = 14 seam.
 
-    Point i of ``chi`` is N = first + i, ``lattice`` is the sublattice's
-    (step, phase, node of its first point) and ``groups`` the isotope's
-    as ``_add_groups`` takes them.  For each component and each of its
-    two seams, the points of the nine rows about it, whose taps may
-    straddle it, gain weight * i (w at the point - the stencil of w at
-    the taps), added point by point in a fixed order of the seams.
+    Point i of ``chi`` is lattice point N = first + i, at phase + N step
+    Hz from the reference; the sublattice is N = 0 (mod r).  For each
+    component and each of its two seams the points of the nine sublattice
+    rows about it, whose taps may straddle it, are corrected
+    (``_correct_seams``).
     """
     room = _ASYMPTOTIC_RADIUS**2 - a * a
     if room <= 0.0:
         return
-    step, phase, _ = lattice
-    delta = np.concatenate([group[0] for group in groups])
-    weights = np.concatenate([group[1] for group in groups])
+    delta = np.tile(2.0 * np.pi * shifts / ku, 2)
     # the sublattice interval (m, m + 1) of each seam; the taps of rows
     # m - 3..m + 3 straddle it, and rounding moves m by at most one
-    seams = np.concatenate([delta - math.sqrt(room), delta + math.sqrt(room)]) * ku / (2.0 * np.pi)
-    seams = np.floor((seams - phase) / step).astype(np.int64)
-    k = np.flatnonzero((r * (seams + 5) > first) & (r * (seams - 4) < first + chi.size))
-    if not k.size:
-        return
-    # one column per seam: the points N of rows m - 4..m + 4, then the
-    # nodes N = r M of their taps, M = m - 7..m + 8, at phase + N step / r
-    # from the reference, exactly
-    points = r * (seams[k] - 4) + np.arange(9 * r)[:, None]
-    nodes = r * (seams[k] - 7 + np.arange(16)[:, None])
-    x = (phase + np.vstack([points, nodes]) * (step / r)) * (2.0 * np.pi) / ku - delta[k % delta.size]
-    w = _voigt_zones(x.ravel(), a).reshape(x.shape)
-    # a purely imaginary factor rounds each part once
-    w = (w[: 9 * r] - _interpolate(w[9 * r :], 0, 9 * r, r)) * (1j * weights[k % delta.size])
-    inside = ((points >= first) & (points < first + chi.size)).T
-    np.add.at(chi, (points - first).T[inside], w.T[inside])
+    seams = (delta + np.repeat([-math.sqrt(room), math.sqrt(room)], shifts.size)) * ku / (2.0 * np.pi)
+    m = np.floor((seams - phase) / (r * step)).astype(np.int64)
+    # the points N of rows m - 4..m + 4, then the nodes N = r M of their
+    # taps, M = m - 7..m + 8
+    points = r * (m - 4) + np.arange(9 * r)[:, None]
+    x = (phase + np.vstack([points, r * (m - 7 + np.arange(16)[:, None])]) * step) * (2.0 * np.pi) / ku - delta
+    index = np.where((points >= first) & (points < first + chi.size), points - first, -1)
+    weights_r = _stencil_weights(np.arange(r) / r)[:, :, None]
+    _correct_seams(chi, index, x[: 9 * r], x[9 * r :], weights_r, a, np.tile(weights, 2))
 
 
 def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: VaporCell) -> np.ndarray:
@@ -599,11 +515,10 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
     absolute optical frequency, finite at every point; ``polarization``
     is +1 or -1 for sigma+/sigma-.  The cell length does not enter.  The
     points are evaluated in ascending order and returned in the caller's.
-    The components of one ground level (isotope, F) form a group, added
-    by ``_add_groups``; on a lattice (``_lattice_step``) no coarser than
-    the table spacing each isotope's near sets read its table where one
-    fits, and a finer lattice is evaluated on its sublattice and
-    interpolated.
+    On a lattice (``_lattice_step``) each isotope's sum is its kernel
+    table correlated with its line distribution on the working lattice
+    (``_add_lattice``), interpolated where that lattice is a sublattice;
+    any other input takes the direct sum (``_add_direct``).
     """
     if polarization not in (-1, 1):
         raise ValueError("polarization must be +1 or -1")
@@ -626,26 +541,29 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
     # angular Lorentzian HWHM: natural plus collisional
     gamma_l = np.pi * (table.natural_fwhm_hz + cell.buffer_fwhm_hz)
 
-    # the points evaluated, as offsets from the reference: all of them
-    # (None), or a fine lattice's sublattice
-    at, lattice, r = None, None, 0
+    # the working nodes W, at phase + W work_step from the reference, that
+    # chi is taken at; None takes it at every point
+    nodes, r = None, 0
     step = _lattice_step(freq)
     if step is not None:
         # the heaviest isotope has the largest step in Doppler widths
         mass = max(iso.mass_kg for iso in table.isotopes.values() if iso.abundance)
-        r = _sublattice_ratio(step * 2.0 * np.pi / (k_wave * np.sqrt(2.0 * BOLTZMANN * cell.temperature_k / mass)))
-    if r:
+        h = step * 2.0 * np.pi / (k_wave * np.sqrt(2.0 * BOLTZMANN * cell.temperature_k / mass))
+        r = _sublattice_ratio(h)
         # point i sits at phase + (i + first) step from the reference,
         # exactly: read at the point nearest the reference, whose offset
         # from it is exact
         nearest = int(np.clip(np.rint((ref - freq[0]) / step), 0, freq.size - 1))
         n_nearest, phase = _exact_divmod(float(freq[nearest] - ref), step)
         first = n_nearest - nearest
-        lattice = (step, phase, first)
+        last = first + freq.size - 1
         if r > 1:
-            lattice = (r * step, phase, first // r + _FIRST_TAP)
-            at = phase + np.arange(lattice[2], (first + freq.size - 1) // r + _LAST_TAP + 1) * lattice[0]
-    chi = np.zeros(freq.size if at is None else at.size, dtype=complex)
+            nodes, work_step = np.arange(first // r + _FIRST_TAP, last // r + _LAST_TAP + 1), r * step
+        else:
+            # q working nodes per step where the step is coarser than the table's
+            q = 1 if r else math.ceil(h / _TABLE_SPACING)
+            nodes, work_step = q * np.arange(first, last + 1), step / q
+    chi = np.zeros(freq.size if nodes is None else nodes.size, dtype=complex)
     isotopes = []
     for iso in table.isotopes.values():
         if iso.abundance == 0.0:
@@ -664,41 +582,23 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
             * _SQRT_PI
             / (16.0 * np.pi**3 * u * 2.0 * (2.0 * iso.nuclear_spin + 1.0))
         )
-        # freq - reference is exact within a factor of two of the reference
-        x = freq - ref if at is None else at.copy()
-        x *= 2.0 * np.pi
-        x /= ku
-        table_nodes = None
-        if lattice is not None:
-            step, phase, shift = lattice
-            spacing = float(step * 2.0 * np.pi / ku)
-            reach = _table_reach(a, spacing)
-            if reach is not None:
-                table_nodes = (spacing, reach)
-        levels: dict[float, tuple[list, list]] = {}
-        for line in table.lines:
-            if line.isotope == iso.name:
-                parts = zeeman_components(line, b_field_t, polarization)
-                shifts, weights = levels.setdefault(line.fg, ([], []))
-                shifts.append(line.offset_hz + parts.offsets_hz)
-                weights.append(parts.weights)
-        groups = []
-        for shifts, weights in levels.values():
-            shifts = np.concatenate(shifts)
-            base = theta = None
-            if table_nodes is not None:
-                # component k at lattice point N lies nodes[k] + N table
-                # nodes from its line; point i is N = i + shift
-                nodes = (phase - shifts) / step
-                base = np.floor(nodes)
-                base, theta = base.astype(np.int64) + shift, nodes - base
-            groups.append((2.0 * np.pi * shifts / ku, prefactor * np.concatenate(weights), base, theta))
-        _add_groups(chi, x, a, groups, table_nodes)
-        isotopes.append((a, ku, groups))
+        lines = [line for line in table.lines if line.isotope == iso.name]
+        parts = [zeeman_components(line, b_field_t, polarization) for line in lines]
+        shifts = np.concatenate([line.offset_hz + part.offsets_hz for line, part in zip(lines, parts)])
+        weights = prefactor * np.concatenate([part.weights for part in parts])
+        if nodes is None:
+            # freq - reference is exact within a factor of two of the reference
+            x = freq - ref
+            x *= 2.0 * np.pi
+            x /= ku
+            _add_direct(chi, x, a, 2.0 * np.pi * shifts / ku, weights)
+        else:
+            _add_lattice(chi, nodes, work_step, phase, a, ku, shifts, weights)
+        isotopes.append((a, ku, shifts, weights))
     if r > 1:
         chi = _interpolate(chi, first, freq.size, r)
-        for a, ku, groups in isotopes:
-            _correct_seams(chi, first, r, lattice, a, ku, groups)
+        for a, ku, shifts, weights in isotopes:
+            _correct_interpolation(chi, first, step, phase, r, a, ku, shifts, weights)
     if order is not None:
         chi[order] = chi.copy()
     return chi.reshape(shape)

@@ -18,8 +18,8 @@ differ by at most one.  Every value is computed point by point, so the blocks
 change no rule, only which points share an array.  Splitting evenly
 keeps every block of a longer grid above half ``_GRID_BLOCK``, so no
 block holds a single point: a one-point block is no lattice, so it would
-take the kernel's zones in place of the table and move that point's
-value in the last bits.  (The kernel itself gives a lone point the value
+take the direct sum in place of the correlation below and move that
+point's value in the last bits.  (The kernel itself gives a lone point the value
 it gets in any array; see ``susceptibility``.)
 ``_GRID_BLOCK`` is 2**15 so that the 20,001-point spectra of
 ``optimize`` and ``simulate`` stay one block, computed on the same
@@ -32,19 +32,16 @@ the component loop comes to dominate.
 Every block of a lattice grid, one whose consecutive differences are
 bitwise equal in ascending order, is a lattice too:
 ``make_frequency_grid``'s grids and the mirror grid of ``cmd_spectrum``
-are.  On a lattice of steps up to 0.012 Doppler widths (about 4 MHz at
-365 K, every default grid) ``complex_susceptibility`` reads each
-isotope's kernel values from one table (see ``susceptibility``), which
-the blocks and both polarizations share, so the kernel runs once per
-isotope per filter evaluation beside its rings; a point gets the same
-value in any block.  A lattice finer than 0.006 Doppler widths (steps
-below about 2 MHz at 365 K, such as the 0.25 MHz grid) is evaluated on
-its sublattice of every r-th point, anchored at absolute lattice
-indices, and interpolated, so that a block of it evaluates about 1/r of
-its points; each component's |z| = 14 seam is corrected point by point.
-A coarser lattice, a grid with unequal differences or a single point
-takes the kernel's zones at every near point, batched per isotope,
-through the same routine.
+are.  On a lattice ``complex_susceptibility`` takes each isotope's sum
+as its kernel table correlated with its line distribution, on a working
+lattice of spacing between 0.006 and 0.012 Doppler widths: every r-th
+point of a lattice of steps below about 4 MHz at 365 K (every point of
+the default 2 MHz grid), interpolated to the others where r > 1, or q
+nodes per point of a coarser one (see ``susceptibility``).  The correlation runs on output segments anchored at
+absolute lattice indices, whose table FFTs the blocks and both
+polarizations share, so a point gets the same value in any block.  A grid
+with unequal differences or a single point takes the direct sum of the
+kernel over every component, batched per isotope.
 """
 
 from __future__ import annotations

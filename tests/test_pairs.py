@@ -243,14 +243,14 @@ def test_per_mode_record_matches_its_golden_values():
     spec, comb = _filter_on_grid(cfg)
     eta = pair_transmission_map(spec, comb, cfg.opo)
     assert eta.dtype == np.float64 and eta.size == 63
-    assert _sha256(eta) == "234a188d3391a6361c3408bb31857e5bbce2baf37d78e416780726a19bdb7676"
-    assert repr(resonant_degenerate_fraction(comb, eta)) == "np.float64(0.96901766594008)"
-    assert repr(extinction_leakage_estimate(comb, eta, cfg.filter.extinction)) == "4.133315696046668e-10"
+    assert _sha256(eta) == "9da5d67f250e0836ba87c8aad74eef340a0028fd3d7614d453605d2f0b5801aa"
+    assert repr(resonant_degenerate_fraction(comb, eta)) == "np.float64(0.9690176659400845)"
+    assert repr(extinction_leakage_estimate(comb, eta, cfg.filter.extinction)) == "4.133315696046593e-10"
     scan = optimize_filter(FilterConfig(), OPO, [4.0e-3, 5.0e-3], [360.0, 370.0], 8e9, 4e6)
-    assert _sha256(scan.fom) == "03b624dc7754e6bc70a944e6543c79ce201aab9efea4d62fe780414b942664f1"
-    assert _sha256(scan.eta0) == "15fb5b2b47625a2f7a1a16ec33141c10ea9290f3a0d64a21adee788c818f504f"
+    assert _sha256(scan.fom) == "d51edfa48b69fceaa8cbc70a80116c245d135d06d810a87c1fc4a82a76b533ae"
+    assert _sha256(scan.eta0) == "751bbd43e86310da25a602265e0fe9c0af192c9ce323158aa75b583912b171eb"
     assert _sha256(scan.sum_nondegenerate) == (
-        "f12a553ab278f3e7144028816cf10d716e3f42c76a18fdd12439e897f240a565")
+        "a02177d52fad8a0a707af21cf32fb1d03cec93b84d0278a4410a5fabd6970f5f")
 
 
 def test_optimize_single_point_matches_defaults():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import wofz
 
 from fadofsim import susceptibility, vapor
+from fadofsim.constants import BOLTZMANN
 from fadofsim.lines import AtomicLineTable
 from fadofsim.susceptibility import (
     complex_susceptibility,
@@ -307,100 +308,19 @@ def test_susceptibility_input_validation():
             complex_susceptibility(grid, +1, 4.5e-3, CELL)
 
 
-# ---- one far-field series per group of components
+# ---- the direct sum: every input that is no lattice
 
 
-def _kernel_sum(x, a, offsets, weights):
-    return sum(weight * complex_voigt(x - offset, a) for offset, weight in zip(offsets, weights))
+def _per_component(freq, polarization, b_field_t, cell):
+    """The susceptibility with every point of every component through the kernel: the direct sum, no table."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(susceptibility, "_lattice_step", lambda freq: None)
+        return complex_susceptibility(freq, polarization, b_field_t, cell)
 
 
-def _kernel_radius2(x, a):
-    # the kernel's own comparison for its four-term zone
-    r2 = x * x
-    r2 += a * a
-    return r2
-
-
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(
-    offsets=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12),
-    weights=st.lists(st.floats(1e-3, 1e3), min_size=12, max_size=12),
-    log_a=st.floats(-6.0, 0.0),
-    shift=st.floats(-40.0, 40.0),
-)
-@example(offsets=[0.0], weights=[1.0] * 12, log_a=-6.0, shift=0.0)
-@example(offsets=[-2.0, 2.0], weights=[1.0] * 12, log_a=0.0, shift=12.5)
-@example(offsets=[2.0] * 12, weights=[1e-3] + [1e3] * 11, log_a=-2.07, shift=-7.0)
-# the next float beyond 14 + s is inside the kernel's radius for a component
-@example(offsets=[0.155, 0.299], weights=[1.0] * 12, log_a=-5.77, shift=-0.76)
-def test_far_field_matches_the_kernel_sum(offsets, weights, log_a, shift):
-    # random groups at a random place: the far field handles only points
-    # in every component's four-term zone, and there matches the direct
-    # sum of the kernel
-    offsets = np.array(offsets) + shift
-    weights = np.array(weights[: offsets.size])
-    a = 10.0**log_a
-    centre = 0.5 * (offsets.min() + offsets.max())
-    radius = 14.0 + np.abs(offsets - centre).max()
-    edge = np.sqrt(radius**2 - a * a)
-    steps = np.array([0.0, 1e-12, 1e-9, 2e-9, 1e-6, 1e-3])
-    x = np.concatenate([
-        np.linspace(-120.0, 120.0, 2401) + shift,
-        centre + edge + steps,
-        centre - edge - steps,
-        [centre + np.nextafter(edge, np.inf)],
-    ])
-    out = np.zeros(x.shape, dtype=complex)
-    far = susceptibility._add_far_field(out, x, a, offsets, weights)
-    assert far.sum() > 2000 and not out[~far].any()
-    series = out[far]
-    for offset in offsets:
-        assert np.all(_kernel_radius2(x[far] - offset, a) > 14.0**2)
-    direct = _kernel_sum(x[far], a, offsets, weights)
-    assert np.max(np.abs(series - direct) / np.abs(direct)) <= 2e-15
-
-
-def test_far_coefficients_of_one_component_are_the_four_term_series():
-    coeffs = susceptibility._far_coefficients(np.zeros(1), np.array([2.5]))
-    assert np.array_equal(coeffs, 2.5 * np.array([1.0, 0.0, 0.5, 0.0, 0.75, 0.0, 1.875]))
-
-
-@pytest.mark.parametrize("spread", [1e-3, 0.66, 1.35, 2.0, 5.0, 8.0])
-def test_far_series_order_is_the_least_that_meets_the_truncation(spread):
-    rho = spread / (spread + 14.0)
-    order = 7
-    while math.comb(order, 6) * rho ** (order - 6) >= 1e-17:
-        order += 1
-    coeffs = susceptibility._far_coefficients(np.array([-spread, 0.3 * spread, spread]), np.ones(3))
-    assert coeffs.size == order
-
-
-def test_far_field_takes_no_point_beyond_the_largest_order():
-    # a group spread too wide for 64 terms: every point goes to the kernel
-    offsets = np.array([-10.0, 0.0, 10.0])
-    assert susceptibility._far_coefficients(offsets, np.ones(3)) is None
-    out = np.zeros(101, dtype=complex)
-    far = susceptibility._add_far_field(out, np.linspace(-200.0, 200.0, 101), 0.01, offsets, np.ones(3))
-    assert not far.any() and not out.any()
-
-
-def _all_near(monkeypatch):
-    def no_far_field(out, x, a, offsets, weights):
-        return np.zeros(x.shape, dtype=bool)
-
-    monkeypatch.setattr(susceptibility, "_add_far_field", no_far_field)
-
-
-def test_susceptibility_matches_the_kernel_at_every_point(monkeypatch):
-    # the far field changes the values only by rounding: against the same
-    # sum with every point sent through the kernel
-    grid = _grid(30.0, 7.0)
-    for b in (0.0, 4.5e-3, 0.05):
-        grouped = complex_susceptibility(grid, -1, b, CELL)
-        with monkeypatch.context() as m:
-            _all_near(m)
-            direct = complex_susceptibility(grid, -1, b, CELL)
-        assert np.max(np.abs(grouped - direct) / np.abs(direct)) <= 1e-14, b
+def test_empty_input_gives_an_empty_array():
+    for values in (complex_voigt(np.array([]), 0.5), complex_susceptibility(np.array([]), 1, 4.5e-3, CELL)):
+        assert values.shape == (0,) and values.dtype == complex
 
 
 def test_susceptibility_does_not_depend_on_the_order_of_the_points():
@@ -429,65 +349,20 @@ def test_susceptibility_does_not_depend_on_the_order_of_the_points():
 
 @pytest.mark.parametrize("a", (A_FADOF_CELL, A_HOT_CELL, 3.0))
 def test_far_field_of_a_lone_far_point_equals_its_value_in_a_longer_array(a):
-    # beside a point at the group's centre, each far point is the only
-    # point of the far set; it is evaluated as two copies and added once,
-    # so it gets the value it gets in a longer array bit for bit
-    offsets = np.array([-1.0, 0.2, 0.9])
-    weights = np.array([1.0, 2.0, 0.5])
+    # a point 20-200 Doppler widths from the line, alone, takes the direct
+    # sum on one point and gets the value it gets in a longer irregular
+    # array bit for bit; the buffer gas gives Rb87 the Lorentzian width a
+    u87 = np.sqrt(2.0 * BOLTZMANN * CELL.temperature_k / TABLE.isotopes["Rb87"].mass_kg)
+    buffer_hz = a * susceptibility.wavevector(TABLE) * u87 / np.pi - TABLE.natural_fwhm_hz
+    cell = replace(CELL, buffer_fwhm_hz=max(buffer_hz, 0.0))
     rng = np.random.default_rng(8)
-    far = rng.uniform(20.0, 200.0, 200) * rng.choice([-1.0, 1.0], 200)
-    whole = np.zeros(far.size, dtype=complex)
-    assert susceptibility._add_far_field(whole, far, a, offsets, weights).all()
+    far = TABLE.reference_frequency_hz + rng.uniform(7e9, 70e9, 200) * rng.choice([-1.0, 1.0], 200)
+    whole = complex_susceptibility(far, +1, 4.5e-3, cell)
     for i in range(far.size):
-        out = np.zeros(2, dtype=complex)
-        mask = susceptibility._add_far_field(out, np.array([0.0, far[i]]), a, offsets, weights)
-        assert mask.tolist() == [False, True] and out[0] == 0.0
-        assert out[1:].tobytes() == whole[i : i + 1].tobytes(), far[i]
+        assert complex_susceptibility(far[i : i + 1], +1, 4.5e-3, cell).tobytes() == whole[i : i + 1].tobytes()
 
 
-def test_susceptibility_on_the_outer_boundary_of_a_group(monkeypatch):
-    # points at and around 14 + s from each group's centre, alone and
-    # together, against the kernel sum
-    seen = []
-    add_far_field = susceptibility._add_far_field
-
-    def spy(out, x, a, offsets, weights):
-        seen.append((x, a, offsets))
-        return add_far_field(out, x, a, offsets, weights)
-
-    ref = TABLE.reference_frequency_hz
-    probe = np.array([ref + 1e9])
-    monkeypatch.setattr(susceptibility, "_add_far_field", spy)
-    complex_susceptibility(probe, +1, 4.5e-3, CELL)
-    monkeypatch.undo()
-    assert len(seen) == 4  # (Rb85, F=2), (Rb85, F=3), (Rb87, F=1), (Rb87, F=2)
-    points = []
-    for x, a, offsets in seen:
-        hz_per_unit = (probe[0] - ref) / x[0]
-        centre = 0.5 * (offsets.min() + offsets.max())
-        edge = np.sqrt((14.0 + np.abs(offsets - centre).max()) ** 2 - a * a)
-        for side in (-1.0, 1.0):
-            for step in (-1e-6, 0.0, 1e-9, 2e-9, 1e-6):
-                points.append(ref + (centre + side * (edge + step)) * hz_per_unit)
-    points = np.array(points)
-    together = complex_susceptibility(points, +1, 4.5e-3, CELL)
-    alone = np.array([complex_susceptibility(points[i : i + 1], +1, 4.5e-3, CELL)[0]
-                      for i in range(points.size)])
-    _all_near(monkeypatch)
-    direct = complex_susceptibility(points, +1, 4.5e-3, CELL)
-    for values in (together, alone):
-        assert np.max(np.abs(values - direct) / np.abs(direct)) <= 1e-14
-
-
-# ---- one kernel table per isotope on a frequency lattice
-
-
-def _per_component(freq, polarization, b_field_t, cell):
-    """The susceptibility with every point of every component through the kernel: no table, no far field."""
-    with pytest.MonkeyPatch.context() as m:
-        _all_near(m)
-        m.setattr(susceptibility, "_sublattice_ratio", lambda h: 0)
-        return complex_susceptibility(freq, polarization, b_field_t, cell)
+# ---- one correlation of a kernel table per isotope on a frequency lattice
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -496,7 +371,7 @@ def _per_component(freq, polarization, b_field_t, cell):
     origin=st.integers(-12_000_000_000, 8_000_000_000),
     n=st.integers(2, 3000),
     descending=st.booleans(),
-    b_field_t=st.floats(0.0, 0.05),
+    b_field_t=st.floats(0.0, 1.0),
     temperature_k=st.floats(300.0, 450.0),
     buffer_fwhm_hz=st.floats(0.0, 500e6),
     polarization=st.sampled_from([1, -1]),
@@ -508,11 +383,16 @@ def _per_component(freq, polarization, b_field_t, cell):
          b_field_t=0.05, temperature_k=450.0, buffer_fwhm_hz=500e6, polarization=-1, isotope="Rb87")
 @example(log_step=8.0, origin=-12_000_000_000, n=300, descending=False,
          b_field_t=0.0, temperature_k=300.0, buffer_fwhm_hz=0.0, polarization=1, isotope="Rb85")
+# strong fields spread each isotope's line distribution over the whole grid
+@example(log_step=math.log10(2.5e6), origin=-40_000_000_000, n=32_001, descending=False,
+         b_field_t=0.3, temperature_k=365.0, buffer_fwhm_hz=0.0, polarization=1, isotope=None)
+@example(log_step=math.log10(2e6), origin=-12_000_000_000, n=3000, descending=False,
+         b_field_t=1.0, temperature_k=365.0, buffer_fwhm_hz=0.0, polarization=-1, isotope=None)
 def test_lattice_table_matches_the_per_component_kernel(
     log_step, origin, n, descending, b_field_t, temperature_k, buffer_fwhm_hz, polarization, isotope
 ):
-    # integer-Hz lattices from 10 kHz to 100 MHz: the table path against
-    # the per-component kernel on the same points
+    # integer-Hz lattices from 10 kHz to 100 MHz and fields up to the
+    # loader's 1 T: the table path against the direct sum on the same points
     step = float(round(10.0**log_step))
     freq = TABLE.reference_frequency_hz + origin + step * np.arange(n)
     if descending:
@@ -521,20 +401,6 @@ def test_lattice_table_matches_the_per_component_kernel(
                      table=TABLE if isotope is None else _pure(isotope).table)
     table = complex_susceptibility(freq, polarization, b_field_t, cell)
     kernel = _per_component(freq, polarization, b_field_t, cell)
-    assert np.abs(table - kernel).max() <= 1e-13 * np.abs(kernel).max()
-
-
-def test_lattice_ring_is_evaluated_in_bounded_chunks(monkeypatch):
-    # at 0.3 T a group's components spread over the whole grid and it
-    # takes no far field: its ring runs through the kernel's zones in
-    # chunks of at most _RING_CHUNK points, against the per-component sum
-    freq = _grid(40.0, 2.5)
-    kernel = _per_component(freq, +1, 0.3, CELL)
-    sizes = []
-    zones = susceptibility._voigt_zones
-    monkeypatch.setattr(susceptibility, "_voigt_zones", lambda x, a: sizes.append(x.size) or zones(x, a))
-    table = complex_susceptibility(freq, +1, 0.3, CELL)
-    assert len(sizes) > 4 and max(sizes) <= susceptibility._RING_CHUNK
     assert np.abs(table - kernel).max() <= 1e-13 * np.abs(kernel).max()
 
 
@@ -558,22 +424,22 @@ def test_lattice_values_do_not_depend_on_the_slice():
 @pytest.mark.parametrize("step_mhz, temperature_k, ratio", [(4.0, 360.0, 0), (4.0, 370.0, 1), (20.0, 365.0, 0)])
 def test_a_lattice_coarser_than_the_table_spacing_takes_the_kernel(monkeypatch, step_mhz, temperature_k, ratio):
     # r = floor(0.012 / h), h the Rb87 step in Doppler widths: 4 MHz is
-    # 0.0121 at 360 K and 0.0119 at 370 K.  At r = 0 no table is built and
-    # every near point takes the kernel; at r = 1 the table has the
-    # lattice's own spacing.  Either way a slice keeps the whole lattice's
-    # bytes.
+    # 0.0121 at 360 K and 0.0119 at 370 K.  At r = 0 the working lattice
+    # has q = ceil(h / 0.012) nodes per step (2 at 4 MHz, 5 at 20 MHz) and
+    # every q-th node is kept; at r = 1 it is the lattice itself.  Either
+    # way a slice keeps the whole lattice's bytes.
     cell = replace(CELL, temperature_k=temperature_k)
     freq = _grid(20.0, step_mhz) + 17.0
-    ratios, tables = [], []
+    ratios, spacings = [], []
     sublattice_ratio = susceptibility._sublattice_ratio
-    lattice_table = susceptibility._lattice_table
+    table_segment = susceptibility._table_segment
     monkeypatch.setattr(susceptibility, "_sublattice_ratio",
                         lambda h: ratios.append(sublattice_ratio(h)) or ratios[-1])
-    monkeypatch.setattr(susceptibility, "_lattice_table",
-                        lambda *args: tables.append(args) or lattice_table(*args))
+    monkeypatch.setattr(susceptibility, "_table_segment",
+                        lambda a, spacing, *args: spacings.append(spacing) or table_segment(a, spacing, *args))
     whole = complex_susceptibility(freq, +1, 4.5e-3, cell)
     assert ratios == [ratio]
-    assert len(tables) == 2 * ratio
+    assert spacings and 0.006 * math.sqrt(85 / 87) < min(spacings) and max(spacings) <= 0.012
     n = freq.size
     for lo, hi in ((0, 2), (n // 4, n // 4 + 3), (n // 2 - 1, n // 2 + 1), (n // 3, 2 * n // 3), (n - 2, n)):
         assert complex_susceptibility(freq[lo:hi], +1, 4.5e-3, cell).tobytes() == whole[lo:hi].tobytes()
@@ -583,61 +449,56 @@ def test_a_lattice_coarser_than_the_table_spacing_takes_the_kernel(monkeypatch, 
     assert np.abs(whole - kernel).max() <= 1e-13 * np.abs(kernel).max()
 
 
-def test_lattice_table_is_one_kernel_call_per_isotope_per_filter(monkeypatch):
+def test_lattice_table_is_one_kernel_call_per_segment_per_filter(monkeypatch):
     cfg = FilterConfig(temperature_k=361.5)
     voigt = susceptibility.complex_voigt
     sizes = []
     monkeypatch.setattr(susceptibility, "complex_voigt",
                         lambda x, a: sizes.append(np.size(x)) or voigt(x, a))
-    susceptibility._lattice_table.cache_clear()
-    # five blocks, two polarizations, two isotopes: one table each, on the
-    # sublattice of every 15th point, whose spacing lies in (0.006, 0.012]
-    # Doppler widths for the isotope of the largest step (Rb87) and within
-    # a factor sqrt(87 / 85) of that for the other
+    susceptibility._THREAD.__dict__.clear()
+    # five blocks, two polarizations, two isotopes on the sublattice of
+    # every 15th point, nodes -5337..5337: the kernel runs once on each
+    # table segment, the 8,192 nodes of one output segment and its taps,
+    # of output segments -2..1 of each isotope, which every block and both
+    # polarizations read
     fadof_transmission(cfg, make_frequency_grid(TABLE.reference_frequency_hz, 20e9, 250e3))
-    assert len(sizes) == 2 and max(sizes) <= 2 * 14.0 / 0.006 * math.sqrt(87 / 85) + 1
-    # unequal differences: no table; every near point of every component
-    # goes through the kernel's zones once, in each isotope's ring
-    tables = []
-    lattice_table = susceptibility._lattice_table
-    monkeypatch.setattr(susceptibility, "_lattice_table",
-                        lambda *args: tables.append(args) or lattice_table(*args))
-    near = []
-    add_far_field = susceptibility._add_far_field
-
-    def spy(out, x, a, offsets, weights):
-        far = add_far_field(out, x, a, offsets, weights)
-        near.append(offsets.size * np.count_nonzero(~far))
-        return far
-
-    monkeypatch.setattr(susceptibility, "_add_far_field", spy)
-    rings = []
+    assert susceptibility._SEGMENT == 3584
+    assert len(sizes) == 2 * 4 and set(sizes) == {8192}
+    # unequal differences: no table; every point of every component goes
+    # through the kernel's zones once, in calls of at most _CHUNK points
+    terms = []
+    add_direct = susceptibility._add_direct
+    monkeypatch.setattr(susceptibility, "_add_direct",
+                        lambda chi, x, a, offsets, weights: terms.append(x.size * offsets.size)
+                        or add_direct(chi, x, a, offsets, weights))
+    calls = []
     zones = susceptibility._voigt_zones
-    monkeypatch.setattr(susceptibility, "_voigt_zones", lambda x, a: rings.append(x.size) or zones(x, a))
+    monkeypatch.setattr(susceptibility, "_voigt_zones", lambda x, a: calls.append(x.size) or zones(x, a))
     sizes.clear()
     freq = make_frequency_grid(TABLE.reference_frequency_hz, 20e9, 2e6)
     freq[7] += 1.0
     fadof_transmission(cfg, freq)
-    assert not tables and not sizes
-    assert sum(rings) == sum(near) and max(rings) <= susceptibility._RING_CHUNK
+    assert not sizes and len(terms) == 4
+    assert sum(calls) == sum(terms) and max(calls) <= susceptibility._CHUNK
 
 
 def test_lattice_transmission_memory_is_its_output_plus_a_few_blocks():
     # the bound of tests/test_vapor.py, on an integer-Hz lattice of eight
-    # blocks whose two tables are computed inside the traced call
+    # blocks whose table segments are all computed inside the traced call
     block = vapor._GRID_BLOCK
     cfg = FilterConfig()
     freq = make_frequency_grid(TABLE.reference_frequency_hz, (4 * block - 1) * 150e3, 150e3)
     assert freq.size == 8 * block - 1
     fadof_transmission(cfg, freq[:2])
-    susceptibility._lattice_table.cache_clear()
+    susceptibility._THREAD.__dict__.clear()
     tracemalloc.start()
     try:
         spec = fadof_transmission(cfg, freq)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert susceptibility._lattice_table.cache_info().misses == 2
+    cache = susceptibility._THREAD.tables.cache_info()
+    assert cache.misses == cache.currsize >= 2
     assert peak < spec.value.nbytes + 20 * 16 * block, f"{peak} bytes traced"
 
 
@@ -658,20 +519,25 @@ def _seam_windows(freq, polarization, b_field_t, cell):
     (1e6, 365.0, 4.5e-3, 1.0, 3.5, 3),
     (250e3, 365.0, 4.5e-3, 1.0, 3.5, 15),
     (25e3, 380.0, 0.02, 1.5, 2.7, 162),
+    (2e6, 365.0, 4.5e-3, -10.0, 10.0, 1),
+    (4.2e6, 365.0, 4.5e-3, -10.0, 10.0, 0),
 ])
 def test_fine_lattice_matches_the_per_component_kernel_in_its_seam_windows(
     monkeypatch, step_hz, temperature_k, b_field_t, lo_ghz, hi_ghz, ratio
 ):
     # stretches of lattice across components' |z| = 14 seams, evaluated
-    # on every ratio-th point: the interpolated chi against the kernel at
-    # every point of every component; without the seam correction the
-    # stencils that straddle a seam miss by about 1e-11
+    # on every ratio-th point (ratio > 1), on every point (1) or on q
+    # working nodes per point (0): chi against the kernel at every point
+    # of every component; without the seam corrections the stencils that
+    # straddle a seam, of the table or of the sublattice, miss by about
+    # 1e-11 or more
     cell = replace(CELL, temperature_k=temperature_k)
     ref = TABLE.reference_frequency_hz
     freq = ref + lo_ghz * 1e9 + step_hz * np.arange(round((hi_ghz - lo_ghz) * 1e9 / step_hz) + 1)
     ratios = []
-    interpolate = susceptibility._interpolate
-    monkeypatch.setattr(susceptibility, "_interpolate", lambda *args: ratios.append(args[-1]) or interpolate(*args))
+    sublattice_ratio = susceptibility._sublattice_ratio
+    monkeypatch.setattr(susceptibility, "_sublattice_ratio",
+                        lambda h: ratios.append(sublattice_ratio(h)) or ratios[-1])
     chi, seams, plain = _seam_windows(freq, -1, b_field_t, cell)
     assert set(ratios) == {ratio}
     kernel = _per_component(freq, -1, b_field_t, cell)
@@ -703,7 +569,7 @@ def test_fine_lattice_values_do_not_depend_on_the_slice():
 
 def test_a_lattice_of_one_table_spacing_keeps_its_bytes(monkeypatch):
     # 2 MHz is 0.0060006 Rb87 Doppler widths at 367.0 K: every point is a
-    # sublattice node, and chi keeps the bytes the table alone gave it;
+    # working node and takes no interpolation, and chi keeps its bytes;
     # at 367.1 K the step is below 0.006 and every second point is
     # interpolated
     grid = make_frequency_grid(TABLE.reference_frequency_hz, 10e9, 2e6)
@@ -717,5 +583,5 @@ def test_a_lattice_of_one_table_spacing_keeps_its_bytes(monkeypatch):
         chi = np.concatenate([complex_susceptibility(grid, q, 4.5e-3, cell) for q in (1, -1)])
         if temperature_k == 367.0:
             assert hashlib.sha256(chi.tobytes()).hexdigest() == (
-                "11623733fb772cda3a50ed8957b439c56aa142a3c0e8659b0f2214d1137d2406")
+                "e8f5b62e82f3a135119c4d69be11f70b46e378994084e1e29128eaab4f1524eb")
     assert ratios[367.0] == [] and set(ratios[367.1]) == {2}

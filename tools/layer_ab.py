@@ -17,9 +17,14 @@ Layers:
     ``bench/configs/mc_stream.cfg`` at the first two seeds ``simulate``
     derives from the config seed, each generated, written and histogrammed
     as ``cli._mc_run`` does; the three stages of each mode are timed apart.
+``startup``
+    ``import fadofsim.cli`` and ``load_config`` of the built-in config (or
+    of the file given with ``--config``), timed apart; the child also
+    reports its thread count from ``/proc/self/status`` where that file
+    exists.
 
-Every child reads the layer's bench config named above, or the file given
-with ``--config``.  Each round runs the layer once in each tree, every run
+Every other child reads the layer's bench config named above, or the file
+given with ``--config``.  Each round runs the layer once in each tree, every run
 a fresh ``python3`` process with ``PYTHONPATH`` set to that tree's
 ``src``; which tree runs first alternates from round to round.  A run
 times the layer's stages with ``time.perf_counter`` (imports and config
@@ -27,11 +32,12 @@ loading excluded, Voigt tables cold as in a CLI command).  For each stage
 the script prints each tree's median and quartiles, the rounds that ``b``
 won, and the median of the per-round ratios b / a.  The first round also
 keeps each tree's output, and the script prints the largest |T_b - T_a| of
-the transmissions, or whether the sha256 of every stream file and
-histogram is the same in both trees::
+the transmissions, whether the sha256 of every stream file and histogram
+is the same in both trees, or each tree's thread count after startup::
 
     python3 tools/layer_ab.py --layer filter --a /path/to/parent --b . --rounds 10
     python3 tools/layer_ab.py --layer scan --config coarse.cfg --a /path/to/parent --b .
+    python3 tools/layer_ab.py --layer startup --a /path/to/parent --b .
 
 The trees are only read; the outputs go to a temporary directory.
 """
@@ -51,10 +57,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 # Each child gets a config path as its first argument, by default the layer's
-# bench config named below, and prints one "stage seconds" line per stage;
-# with a path argument it also saves its output there: the transmissions
-# (one row per spectrum), or the JSON of the mc digests.
-CONFIG = {"filter": "spectrum_export.cfg", "scan": "spectrum_export.cfg", "mc": "mc_stream.cfg"}
+# bench config named below ("" for the built-in config), and prints one
+# "stage seconds" line per stage; with a path argument it also saves its
+# output there: the transmissions (one row per spectrum), the JSON of the mc
+# digests, or the JSON of its thread count (null where it cannot be read).
+CONFIG = {"filter": "spectrum_export.cfg", "scan": "spectrum_export.cfg", "mc": "mc_stream.cfg", "startup": None}
 CHILD = {
     "filter": """
 import sys, time
@@ -120,13 +127,31 @@ with tempfile.TemporaryDirectory() as out:
 if len(sys.argv) > 2:
     Path(sys.argv[2]).write_text(json.dumps(digests))
 """,
+    "startup": """
+import json, sys, time
+from pathlib import Path
+t0 = time.perf_counter()
+import fadofsim.cli
+from fadofsim.config import load_config
+t1 = time.perf_counter()
+load_config(sys.argv[1] or None)
+t2 = time.perf_counter()
+print("import", t1 - t0)
+print("load_config", t2 - t1)
+status = Path("/proc/self/status")
+threads = None
+if status.exists():
+    threads = next(int(line.split()[1]) for line in status.read_text().splitlines() if line.startswith("Threads:"))
+if len(sys.argv) > 2:
+    Path(sys.argv[2]).write_text(json.dumps(threads))
+""",
 }
 
 
-def run(tree: Path, layer: str, config: Path, save: Path | None) -> dict[str, float]:
+def run(tree: Path, layer: str, config: Path | None, save: Path | None) -> dict[str, float]:
     """Seconds of each stage of one run of the layer in the tree on the config."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    argv = [sys.executable, "-c", CHILD[layer], str(config)]
+    argv = [sys.executable, "-c", CHILD[layer], str(config or "")]
     if save is not None:
         argv.append(str(save))
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
@@ -140,8 +165,11 @@ def summary(label: str, seconds: np.ndarray) -> str:
 
 def output_check(layer: str, saved: dict[str, Path]) -> str:
     """How the two trees' outputs of the first round compare."""
-    if layer == "mc":
+    if layer in ("mc", "startup"):
         a, b = (json.loads(saved[side].read_text()) for side in ("a", "b"))
+    if layer == "startup":
+        return f"threads after startup: a {a}, b {b}" if a is not None else "thread count not available"
+    if layer == "mc":
         moved = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
         return f"sha256 of {len(a)} stream files and histograms: " + (
             f"moved {', '.join(moved)}" if moved else "all identical")
@@ -158,16 +186,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", type=Path, help="config file for every child (default: the layer's bench config)")
     args = parser.parse_args(argv)
     trees = {"a": args.a.resolve(), "b": args.b.resolve()}
-    config = (args.config or ROOT / "bench" / "configs" / CONFIG[args.layer]).resolve()
+    default = CONFIG[args.layer] and ROOT / "bench" / "configs" / CONFIG[args.layer]
+    config = args.config or default
+    config = config and config.resolve()
     times: dict[str, list[dict[str, float]]] = {"a": [], "b": []}
     with tempfile.TemporaryDirectory() as tmp:
-        suffix = ".json" if args.layer == "mc" else ".npy"  # np.save appends .npy to other names
+        suffix = ".npy" if args.layer in ("filter", "scan") else ".json"  # np.save appends .npy to other names
         saved = {side: Path(tmp) / f"{side}{suffix}" for side in trees}
         for i in range(args.rounds):
             for side in ("a", "b") if i % 2 == 0 else ("b", "a"):
                 times[side].append(run(trees[side], args.layer, config, saved[side] if i == 0 else None))
         check = output_check(args.layer, saved) if args.rounds else None
-    print(f"layer {args.layer}, {args.rounds} rounds on {config}; a {trees['a']}, b {trees['b']}")
+    print(f"layer {args.layer}, {args.rounds} rounds on {config or 'the built-in config'}; a {trees['a']}, b {trees['b']}")
     for stage in times["a"][0] if args.rounds else ():
         a = np.array([stages[stage] for stages in times["a"]])
         b = np.array([stages[stage] for stages in times["b"]])
