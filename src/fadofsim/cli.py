@@ -13,9 +13,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+if "numpy" not in sys.modules:
+    # numpy's OpenBLAS starts a spinning worker thread at import, and no
+    # command gains from it; a value set in the environment still wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -416,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
     parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads for grid sweeps")
+                        help="worker threads of optimize, one temperature per task; other commands ignore it")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("spectrum", help="filter and source spectra plus metrics")
     g2 = sub.add_parser("g2", help="analytic coincidence histograms")

@@ -15,7 +15,6 @@ degenerate-pair transmission against total non-degenerate pair leakage:
 from __future__ import annotations
 
 import contextvars
-import itertools
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -199,9 +198,13 @@ def optimize_filter(
     points that failed for each reason that occurred.  Ties resolve to the
     first point in scan order (B outer, temperature inner).  The frequency
     grid, reference +- ``grid_half_span_hz`` in steps of ``grid_step_hz``,
-    comes from the caller.  The points run on a pool of ``threads`` worker
-    threads, each in a copy of the caller's context under one
-    floating-point policy.
+    comes from the caller.  Each temperature is one task on a pool of
+    ``threads`` worker threads, in a copy of the caller's context under one
+    floating-point policy, and evaluates its fields in order, so that its
+    thread builds each of that temperature's susceptibility table segments
+    once (``susceptibility._table_segment``) however the tasks fall to the
+    threads.  Any other exception propagates from the first temperature,
+    in the order given, whose task raised one.
     """
     b_values_t = np.asarray(b_values_t, dtype=float)
     temperatures_k = np.asarray(temperatures_k, dtype=float)
@@ -232,12 +235,16 @@ def optimize_filter(
             return invalid, "overflowed or met an invalid operation"
         return (peak - base.table.reference_frequency_hz, eta[comb.n_max], s_nd, f), None
 
-    points = itertools.product(b_values_t.tolist(), temperatures_k.tolist())
+    def evaluate_temperature(temperature):
+        return [evaluate((b, temperature)) for b in b_values_t.tolist()]
+
     # numpy's error state is a context variable; one context cannot be
-    # entered by two threads at once, so each point runs in its own copy
+    # entered by two threads at once, so each temperature runs in its own copy
     with np.errstate(over="raise", invalid="raise"), ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, evaluate, point) for point in points]
-        results = [future.result() for future in futures]
+        futures = [pool.submit(contextvars.copy_context().run, evaluate_temperature, t)
+                   for t in temperatures_k.tolist()]
+        columns = [future.result() for future in futures]
+    results = [result for row in zip(*columns) for result in row]
     shape = (b_values_t.size, temperatures_k.size, 4)
     values = np.array([row for row, _ in results]).reshape(shape)
     peak_off, eta0, nondeg, fom = np.moveaxis(values, -1, 0)

@@ -78,8 +78,11 @@ one kernel call and one FFT, kept for its (a, h_t, start, n) in a cache
 of 12 entries per thread (``_table_segment``).  On the default scan lo is
 the same for every field and both polarizations, so one entry serves all
 of them at one temperature, and the 12 entries hold that temperature's
-segments; a shared cache let the scan's two threads evict each other's
-segments, so that the number of kernel calls changed from run to run.  Per
+segments.  ``pairs.optimize_filter`` evaluates each temperature's fields
+in one task on one thread, so the default 7 x 7 scan builds each of its
+72 segments once, at any thread count; a shared cache let the scan's two
+threads evict each other's segments, so that the number of kernel calls
+changed from run to run.  Per
 call D takes one FFT and each isotope one batched inverse FFT over its
 segments.  A node's value depends only on its segment, D and the table
 segment, so it is the same bit for bit in any slice or grid block of two
@@ -330,10 +333,10 @@ def _table_segment(a, spacing, start, size):
     """``_table_fft``, kept for the next calls with the same arguments in this thread.
 
     Each thread keeps the last 12 segments it used in its own LRU cache:
-    the blocks of one grid and both polarizations, which one thread
-    evaluates in turn, read one, and no thread evicts another's, so the
-    number of kernel calls does not depend on how a scan's points fall to
-    its threads.
+    the blocks of one grid, both polarizations and, in ``optimize``'s scan,
+    every field of one temperature, which one thread evaluates in turn,
+    read one, and no thread evicts another's, so the number of kernel calls
+    does not depend on how a scan's temperatures fall to its threads.
     """
     cache = getattr(_THREAD, "tables", None)
     if cache is None:

@@ -551,6 +551,26 @@ def test_cli_import_and_config_load_leave_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc/self/status")
+def test_cli_import_pins_blas_to_one_thread():
+    # numpy's OpenBLAS would otherwise start a worker thread at import
+    code = ("import os, fadofsim.cli; print(os.environ['OPENBLAS_NUM_THREADS']); "
+            "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('Threads:')))")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["1", "1"]
+
+
+def test_cli_import_keeps_the_users_blas_thread_setting():
+    code = "import os, fadofsim.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "2"
+
+
 def test_every_tracer_target_resolves_after_importing_the_cli():
     # bench/tracer.py wraps these names for `bench/run.py --trace 1`; the
     # file is only read here, in a fresh interpreter that imports the CLI

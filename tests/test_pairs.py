@@ -10,7 +10,7 @@ from _oracles import modes_off_grid
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fadofsim import pairs
+from fadofsim import pairs, susceptibility
 from fadofsim.cli import _filter_on_grid
 from fadofsim.config import load_config
 from fadofsim.opo import MODE_WINDOW_LINEWIDTHS, ModeComb, OpoConfig, mode_comb, modes_within_grid
@@ -281,6 +281,27 @@ def test_optimize_threads_bitwise_equal():
     assert np.array_equal(serial.fom, parallel.fom, equal_nan=True)
     assert np.array_equal(serial.eta0, parallel.eta0, equal_nan=True)
     assert serial.best_fom == parallel.best_fom
+
+
+def test_optimize_builds_each_table_segment_once_at_any_thread_count(monkeypatch):
+    # one task per temperature: its thread builds that temperature's table
+    # segments once for both fields and polarizations (r = 1 at 350 and
+    # 365 K, r = 2 at 380 K on the 2 MHz grid), so the kernel's calls and
+    # nodes do not depend on how the tasks fall to the threads
+    voigt, table_fft = susceptibility.complex_voigt, susceptibility._table_fft
+    counts = {}
+    for threads in (1, 2, 3):
+        sizes, keys = [], []
+        monkeypatch.setattr(susceptibility, "complex_voigt",
+                            lambda x, a: sizes.append(np.size(x)) or voigt(x, a))
+        monkeypatch.setattr(susceptibility, "_table_fft",
+                            lambda *key: keys.append(key) or table_fft(*key))
+        susceptibility._THREAD.__dict__.clear()
+        optimize_filter(FilterConfig(), OPO, [4.0e-3, 5.0e-3], [350.0, 365.0, 380.0], 8e9, 2e6,
+                        threads=threads)
+        assert keys and len(set(keys)) == len(keys)
+        counts[threads] = (len(sizes), sum(sizes))
+    assert counts[1] == counts[2] == counts[3]
 
 
 def test_optimize_flags_flat_spectrum_points():

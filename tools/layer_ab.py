@@ -9,9 +9,10 @@ Layers:
     them.
 ``scan``
     The ``fadof_transmission`` spectra of the config's ``optimize`` scan, on
-    one thread: by default the built-in scan (7 fields x 7 temperatures,
-    20,001 points each), since ``spectrum_export.cfg`` sets only
-    ``[spectrum]``.
+    one thread and in the command's order, temperature outer and field
+    inner (one ``optimize`` task per temperature): by default the built-in
+    scan (7 fields x 7 temperatures, 20,001 points each), since
+    ``spectrum_export.cfg`` sets only ``[spectrum]``.
 ``mc``
     One 300 s ``single`` and one ``comb`` stream of
     ``bench/configs/mc_stream.cfg`` at the first two seeds ``simulate``
@@ -88,7 +89,7 @@ from fadofsim.vapor import fadof_transmission
 cfg = load_config(sys.argv[1])
 grid = make_frequency_grid(cfg.filter.table.reference_frequency_hz, cfg.optimize_half_span_hz, cfg.optimize_step_hz)
 cells = [replace(cfg.filter, b_field_t=b, temperature_k=t)
-         for b in cfg.optimize_b_t.tolist() for t in cfg.optimize_temperatures_k.tolist()]
+         for t in cfg.optimize_temperatures_k.tolist() for b in cfg.optimize_b_t.tolist()]
 t0 = time.perf_counter()
 values = [fadof_transmission(cell, grid).value for cell in cells]
 print("scan", time.perf_counter() - t0)
