@@ -196,7 +196,7 @@ def optimize_filter(
     peak, or whose peak lies beyond that bound, are flagged invalid (NaN)
     and excluded from the maximum; ``meta["invalid_reasons"]`` counts the
     points that failed for each reason that occurred.  Ties resolve to the
-    first point in scan order (B outer, temperature inner).  The frequency
+    first point in index order (B outer, temperature inner).  The frequency
     grid, reference +- ``grid_half_span_hz`` in steps of ``grid_step_hz``,
     comes from the caller.  Each temperature is one task on a pool of
     ``threads`` worker threads, in a copy of the caller's context under one
@@ -216,8 +216,8 @@ def optimize_filter(
     )
     invalid = (np.nan,) * 4
 
-    def evaluate(point):
-        cfg = replace(base, b_field_t=point[0], temperature_k=point[1])
+    def evaluate(b_field_t, temperature_k):
+        cfg = replace(base, b_field_t=b_field_t, temperature_k=temperature_k)
         try:
             spec = fadof_transmission(cfg, grid)
             peak = filter_metrics(spec).peak_frequency_hz
@@ -236,7 +236,7 @@ def optimize_filter(
         return (peak - base.table.reference_frequency_hz, eta[comb.n_max], s_nd, f), None
 
     def evaluate_temperature(temperature):
-        return [evaluate((b, temperature)) for b in b_values_t.tolist()]
+        return [evaluate(b, temperature) for b in b_values_t.tolist()]
 
     # numpy's error state is a context variable; one context cannot be
     # entered by two threads at once, so each temperature runs in its own copy

@@ -82,11 +82,10 @@ segments.  ``pairs.optimize_filter`` evaluates each temperature's fields
 in one task on one thread, so the default 7 x 7 scan builds each of its
 72 segments once, at any thread count; a shared cache let the scan's two
 threads evict each other's segments, so that the number of kernel calls
-changed from run to run.  Per
-call D takes one FFT and each isotope one batched inverse FFT over its
-segments.  A node's value depends only on its segment, D and the table
-segment, so it is the same bit for bit in any slice or grid block of two
-or more points that holds it.  The FFT's rounding follows numpy's FFT
+changed from run to run.  Per call D takes one FFT and each isotope one
+batched inverse FFT over its segments.  A node's value depends only on
+its segment, D and the table segment, so it is the same bit for bit in
+any slice or grid block of two or more points that holds it.  The FFT's rounding follows numpy's FFT
 backend, so a numpy upgrade can move a last printed digit.
 
 The seams.  chi is as smooth as w except at each component's seams,
