@@ -182,20 +182,21 @@ def _sigma_weights(fg: float, fe: float, q: int) -> tuple[np.ndarray, np.ndarray
     return m, w
 
 
-def zeeman_components(line: LineComponent, b_field_t: float, q: int) -> ZeemanComponents:
+def zeeman_components(line: LineComponent, b_field_t, q: int) -> ZeemanComponents:
     """Split one hyperfine line into its sigma+ (q=+1) or sigma- (q=-1) pieces.
 
     Weak-field linear Zeeman shifts: each ground sublevel m couples to
     m+q, shifted by mu_B*B*(gF'*(m+q) - gF*m)/h.  Weights sum to the
     parent line strength, so at B=0 both polarizations reproduce the
-    unsplit line exactly.
+    unsplit line exactly.  ``b_field_t`` is one field or an array of
+    them; the offsets then hold one row per field, and the weights, which
+    do not depend on the field, are shared.
     """
     if q not in (-1, 1):
         raise ValueError("polarization index q must be +1 or -1")
     m, w = _sigma_weights(line.fg, line.fe, q)
     keep = w > 0
     m, w = m[keep], w[keep]
-    shifts = (BOHR_MAGNETON * b_field_t / PLANCK) * (
-        line.gf_excited * (m + q) - line.gf_ground * m
-    )
+    shifts = np.multiply.outer(BOHR_MAGNETON * np.asarray(b_field_t, dtype=float) / PLANCK,
+                               line.gf_excited * (m + q) - line.gf_ground * m)
     return ZeemanComponents(offsets_hz=shifts, weights=line.strength * w / w.sum())

@@ -39,7 +39,7 @@ its values bit for bit):
   a call so that the working set stays bounded on any grid, and the
   components' terms are added in order in real arithmetic.  The tests
   take it as their oracle.
-- The correlation (``_add_lattice``), on a lattice.
+- The correlation (``_add_correlation``), on a lattice.
 
 A lattice is an input of at least two points whose consecutive
 differences, in ascending order, are bitwise equal (``_lattice_step``),
@@ -82,17 +82,19 @@ segments.  ``pairs.optimize_filter`` evaluates each temperature's fields
 in one task on one thread, so the default 7 x 7 scan builds each of its
 72 segments once, at any thread count; a shared cache let the scan's two
 threads evict each other's segments, so that the number of kernel calls
-changed from run to run.  Per call D takes one FFT and each isotope one
-batched inverse FFT over its segments.  A node's value depends only on
-its segment, D and the table segment, so it is the same bit for bit in
-any slice or grid block of two or more points that holds it.  The FFT's rounding follows numpy's FFT
-backend, so a numpy upgrade can move a last printed digit.
+changed from run to run.  Per grid block D takes one FFT and each
+isotope one batched inverse FFT over its segments, whose nodes are one
+strided slice of each row (``_add_correlation``).  A node's value
+depends only on its segment, D and the table segment, so it is the same
+bit for bit in any slice or grid block of two or more points that holds
+it.  The FFT's rounding follows numpy's FFT backend, so a numpy upgrade
+can move a last printed digit.
 
 The seams.  chi is as smooth as w except at each component's seams,
 |z| = 14, where the kernel changes zone and jumps by 4.5e-9 relative; a
 stencil whose taps straddle one would move T by about 1e-8.  So both
 stages of the stencil are corrected there, through one routine
-(``_correct_seams``, one kernel call per isotope and stage): the points
+(``_seam_terms``, one kernel call per isotope and stage): the points
 whose taps may straddle a seam gain c_k i (w at the point - the stencil of
 w at the taps), the seams' terms added point by point in a fixed order.
 On the working lattice these are, for each component and each of its two
@@ -102,8 +104,22 @@ N = r M + j then takes chi from the working nodes M - 3..M + 4 with the
 stencil's weights at the fraction j / r (``_interpolate``), in real
 arithmetic on float views; at j = 0 that is the node's value itself.  The
 points of the nine sublattice rows about each seam, whose taps may
-straddle it, are corrected the same way (``_correct_interpolation``).
-A point's nodes, weights and corrections depend on N alone.
+straddle it, are corrected the same way.  A point's nodes, weights and
+corrections depend on N alone, and ``_correct_seams`` adds each point's
+terms in column order, component by component.
+
+The line side and the point side (``LineSide``).  What does not depend
+on the points is prepared once per grid for every (field, polarization)
+named, each field one row of the same arrays: the working lattice, the
+Zeeman components, and on a lattice D and the seam terms of both stages,
+one kernel call per isotope and stage.  The point side, ``LineSide.chi``,
+is one field on one range of the sorted grid: D's FFT, the products with
+the table segments, the inverse FFT, the seam terms and the
+interpolation, so its working set does not grow with the number of
+fields.  Every line-side value is computed elementwise (the kernel gives
+a point the same value in any array), so a field's row holds the bytes
+that field gets alone, and ``complex_susceptibility`` is the one-field
+case.
 
 Measured against the direct sum, chi on a lattice is within 9.5e-15 of
 max |chi| (600 random lattices, 0.89 million points, steps from 10 kHz to
@@ -344,16 +360,16 @@ def _table_segment(a, spacing, start, size):
 
 
 def _stencil_weights(theta):
-    """Lagrange weights (K, 8) of the nodes ``_TAPS`` at the points ``theta`` (K,).
+    """Lagrange weights (..., 8) of the nodes ``_TAPS`` at the points ``theta`` (...).
 
     The weight of tap t is the product of (theta - s) over the other taps
     s, the products left and right of t, over its denominator; at
     theta = 0 the weights are exactly 0 and 1.
     """
-    diff = theta[:, None] - _TAPS
-    ones = np.ones((theta.size, 1))
-    left = np.cumprod(np.hstack([ones, diff[:, :-1]]), axis=1)
-    right = np.cumprod(np.hstack([ones, diff[:, :0:-1]]), axis=1)[:, ::-1]
+    diff = theta[..., None] - _TAPS
+    ones = np.ones((*theta.shape, 1))
+    left = np.cumprod(np.concatenate([ones, diff[..., :-1]], axis=-1), axis=-1)
+    right = np.cumprod(np.concatenate([ones, diff[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
     return left * right / _TAP_DENOMINATORS
 
 
@@ -374,81 +390,6 @@ def _add_direct(chi, x, a, offsets, weights):
         part = chi[s : s + size]
         part.real -= total[:, 1]
         part.imag += total[:, 0]
-
-
-def _correct_seams(chi, index, x, nodes, weights, a, c):
-    """Add c i (w at the points - the stencil of w at their taps) to ``chi``.
-
-    One column per component and seam: ``x`` (R r, C) holds the points,
-    row by row and within a row by fraction, ``nodes`` (R + 7, C) their
-    taps, the points of row p taking nodes p..p + 7 with ``weights``
-    (r, 8, C or 1), ``index`` (R r, C) their places in ``chi`` (-1 where
-    it holds none) and ``c`` (C,) the components' strengths.  One kernel
-    call; each point's terms are added in column order.
-    """
-    keep = (index >= 0).any(axis=0)
-    if not keep.any():
-        return
-    weights = np.broadcast_to(weights, (weights.shape[0], _TAPS.size, c.size))[..., keep]
-    x, nodes, index, c = x[:, keep], nodes[:, keep], index[:, keep], c[keep]
-    w = _voigt_zones(np.concatenate([x.ravel(), nodes.ravel()]), a)
-    at, taps = w[: x.size].reshape(x.shape), w[x.size :].reshape(nodes.shape)
-    rows = nodes.shape[0] - _TAPS.size + 1
-    stencil = weights[:, 0] * taps[:rows, None]
-    for t in range(1, _TAPS.size):
-        stencil += weights[:, t] * taps[t : t + rows, None]
-    # a purely imaginary factor rounds each part once
-    term = (at - stencil.reshape(x.shape)) * (1j * c)
-    inside = index.T >= 0
-    np.add.at(chi, index.T[inside], term.T[inside])
-
-
-def _add_lattice(chi, nodes, work_step, phase, a, ku, shifts, weights):
-    """Add one isotope's sum_k weights[k] i w to ``chi`` at the working nodes ``nodes``.
-
-    Node W (ascending, absolute) lies at phase + W work_step Hz from the
-    reference, and component k at ``shifts[k]`` Hz with strength
-    ``weights[k]``.  chi is the table correlated with the line
-    distribution D, segment by segment (``_table_segment``), and then
-    corrected where a component's taps straddle its |z| = 14 seam.
-    """
-    spacing = float(work_step * 2.0 * np.pi / ku)
-    # component k at node W lies theta[k] past table node W + base[k]
-    pos = (phase - shifts) / work_step
-    base = np.floor(pos)
-    stencil = _stencil_weights(pos - base)
-    base = base.astype(np.int64)
-    taps = base[:, None] + _TAPS
-    lo = int(taps.min()) // _PAD * _PAD
-    size = 1 << (_SEGMENT + int(taps.max()) - lo - 1).bit_length()
-    line = np.zeros(size)
-    np.add.at(line, (taps - lo).ravel(), (stencil * weights[:, None]).ravel())
-    line = np.fft.fft(line).conj()
-    # the output segments that hold a node, each the correlation of its
-    # table segment with D
-    segment = nodes // _SEGMENT
-    starts = np.flatnonzero(np.diff(segment, prepend=segment[0] - 1))
-    values = np.empty((starts.size, size), dtype=complex)
-    for row, s in zip(values, segment[starts].tolist()):
-        np.multiply(_table_segment(a, spacing, s * _SEGMENT + lo, size), line, out=row)
-    np.fft.ifft(values, out=values)
-    chi += values[np.repeat(np.arange(starts.size), np.diff(starts, append=nodes.size)), nodes % _SEGMENT]
-    room = _ASYMPTOTIC_RADIUS**2 - a * a
-    if room <= 0.0:
-        return
-    # the last table node inside the kernel's radius, by its own test; the
-    # seams lie between nodes m and m + 1 for m = reach and -reach - 1, and
-    # node W's taps straddle one where W + base lies in m - 3..m + 3
-    reach = int(math.sqrt(room) / spacing) + 1
-    while (reach * spacing) * (reach * spacing) + a * a > _ASYMPTOTIC_RADIUS**2:
-        reach -= 1
-    m = np.repeat([reach, -reach - 1], shifts.size)
-    rows = m - np.tile(base, 2) + np.arange(-3, 4)[:, None]
-    index = np.searchsorted(nodes, rows)
-    index[nodes[np.minimum(index, nodes.size - 1)] != rows] = -1
-    x = (phase + rows * work_step) * (2.0 * np.pi) / ku - np.tile(2.0 * np.pi * shifts / ku, 2)
-    at = (m + np.arange(-6, 8)[:, None]) * spacing
-    _correct_seams(chi, index, x, at, np.tile(stencil.T, 2)[None], a, np.tile(weights, 2))
 
 
 def _sublattice_ratio(h):
@@ -482,30 +423,247 @@ def _interpolate(coarse, first, n, r):
     return fine.reshape(rows * r, *coarse.shape[1:])[first % r : first % r + n]
 
 
-def _correct_interpolation(chi, first, step, phase, r, a, ku, shifts, weights):
-    """Correct ``_interpolate``'s chi where a component's stencil straddles its |z| = 14 seam.
+def _seam_terms(x, nodes, weights, a, c, out):
+    """c i (w at the points - the stencil of w at their taps), one column per component and seam.
 
-    Point i of ``chi`` is lattice point N = first + i, at phase + N step
-    Hz from the reference; the sublattice is N = 0 (mod r).  For each
-    component and each of its two seams the points of the nine sublattice
-    rows about it, whose taps may straddle it, are corrected
-    (``_correct_seams``).
+    ``x`` (..., R r, C) holds the points, row by row and within a row by
+    fraction, ``nodes`` (..., R + 7, C) their taps, the points of row p
+    taking nodes p..p + 7 with ``weights`` (..., r, 8, C or 1), and ``c``
+    (..., 1, C) the components' strengths; the leading axes, one per
+    field, broadcast.  One kernel call; every term depends on its own
+    point, taps, weights and strength alone.
     """
+    w = _voigt_zones(np.concatenate([x.ravel(), nodes.ravel()]), a)
+    at, taps = w[: x.size].reshape(x.shape), w[x.size :].reshape(nodes.shape)
+    rows = nodes.shape[-2] - _TAPS.size + 1
+    stencil = weights[..., 0, :] * taps[..., :rows, None, :]
+    for t in range(1, _TAPS.size):
+        stencil += weights[..., t, :] * taps[..., t : t + rows, None, :]
+    # a purely imaginary factor rounds each part once
+    return np.multiply(at - stencil.reshape(x.shape), 1j * c, out=out)
+
+
+def _correct_seams(chi, index, terms):
+    """Add the seam ``terms`` to ``chi`` at ``index`` (-1 where it holds no point), column by column."""
+    inside = index.T >= 0
+    np.add.at(chi, index.T[inside], terms.T[inside])
+
+
+def _lattice_side(lattice, a, ku, shifts, weights):
+    """One isotope's line side on ``lattice`` for every field: components at ``shifts`` Hz (F, K), strengths ``weights``.
+
+    Per field: the start offset and length of its table segments, D as
+    its taps and their weights, and the seam terms of both stages with
+    the first working node and lattice point of their rows, for every
+    component and both its seams.  Every field is one row of the same
+    arrays, and each stage's seam terms take one kernel call.
+    """
+    step, phase, _, r, _, work_step = lattice
+    spacing = float(work_step * 2.0 * np.pi / ku)
+    # component k at node W lies theta[k] past table node W + base[k]
+    pos = (phase - shifts) / work_step
+    base = np.floor(pos)
+    stencil = _stencil_weights(pos - base)
+    base = base.astype(np.int64)
+    taps = base[..., None] + _TAPS
+    tap_weights = stencil * weights[..., None]
+    # one column per component and seam: the components for one seam, then
+    # for the other; none where the Lorentzian width reaches past the
+    # kernel's radius, so that no component has a seam
     room = _ASYMPTOTIC_RADIUS**2 - a * a
-    if room <= 0.0:
-        return
-    delta = np.tile(2.0 * np.pi * shifts / ku, 2)
-    # the sublattice interval (m, m + 1) of each seam; the taps of rows
-    # m - 3..m + 3 straddle it, and rounding moves m by at most one
-    seams = (delta + np.repeat([-math.sqrt(room), math.sqrt(room)], shifts.size)) * ku / (2.0 * np.pi)
-    m = np.floor((seams - phase) / (r * step)).astype(np.int64)
-    # the points N of rows m - 4..m + 4, then the nodes N = r M of their
-    # taps, M = m - 7..m + 8
-    points = r * (m - 4) + np.arange(9 * r)[:, None]
-    x = (phase + np.vstack([points, r * (m - 7 + np.arange(16)[:, None])]) * step) * (2.0 * np.pi) / ku - delta
-    index = np.where((points >= first) & (points < first + chi.size), points - first, -1)
-    weights_r = _stencil_weights(np.arange(r) / r)[:, :, None]
-    _correct_seams(chi, index, x[: 9 * r], x[9 * r :], weights_r, a, np.tile(weights, 2))
+    cols = np.tile(np.arange(shifts.shape[1]), 2)[: None if room > 0.0 else 0]
+    head = np.arange(cols.size) < shifts.shape[1]
+    reach = 0
+    if room > 0.0:
+        # the last table node inside the kernel's radius, by its own test; the
+        # seams lie between nodes m and m + 1 for m = reach and -reach - 1, and
+        # node W's taps straddle one where W + base lies in m - 3..m + 3
+        reach = int(math.sqrt(room) / spacing) + 1
+        while (reach * spacing) * (reach * spacing) + a * a > _ASYMPTOTIC_RADIUS**2:
+            reach -= 1
+    # the results first, below the temporaries in the heap
+    m = np.where(head, reach, -reach - 1)
+    low = m - base[:, cols] - 3
+    terms = np.empty((shifts.shape[0], 7, cols.size), dtype=complex)
+    fine_terms = np.empty((shifts.shape[0], 9 * r if r > 1 else 0, cols.size), dtype=complex)
+    lo = taps.min(axis=(1, 2)) // _PAD * _PAD
+    sizes = [1 << (_SEGMENT + int(top) - int(bottom) - 1).bit_length() for top, bottom in zip(taps.max(axis=(1, 2)), lo)]
+    taps -= lo[:, None, None]
+    delta, c = (2.0 * np.pi * shifts / ku)[:, None, cols], weights[:, None, cols]
+    x = (phase + (low[:, None] + np.arange(7)[:, None]) * work_step) * (2.0 * np.pi) / ku - delta
+    at = (m + np.arange(-6, 8)[:, None]) * spacing
+    _seam_terms(x, at, stencil[:, cols].swapaxes(1, 2)[:, None, None], a, c, terms)
+    fine_low = low
+    if r > 1:
+        # the sublattice interval (m, m + 1) of each seam; the taps of rows
+        # m - 3..m + 3 straddle it, and rounding moves m by at most one, so
+        # the points N of rows m - 4..m + 4 are corrected, from the nodes
+        # N = r M of their taps, M = m - 7..m + 8
+        radius = math.sqrt(max(room, 0.0))
+        seams = (delta + np.where(head, -radius, radius)) * ku / (2.0 * np.pi)
+        m = np.floor((seams - phase) / (r * step)).astype(np.int64)
+        points = r * (m - 4) + np.arange(9 * r)[:, None]
+        x = (phase + np.concatenate([points, r * (m - 7 + np.arange(16)[:, None])], axis=1) * step) * (2.0 * np.pi) / ku - delta
+        fine_low = r * (m[:, 0] - 4)
+        _seam_terms(x[:, : 9 * r], x[:, 9 * r :], _stencil_weights(np.arange(r) / r)[:, :, None], a, c, fine_terms)
+    return [(a, spacing, int(lo[f]), sizes[f], taps[f].ravel(), tap_weights[f].ravel(), low[f], terms[f], fine_low[f],
+             fine_terms[f]) for f in range(shifts.shape[0])]
+
+
+def _add_correlation(chi, first, stride, a, spacing, start, size, taps, tap_weights):
+    """Add the table correlated with D to ``chi``, whose point i is working node first + stride i.
+
+    D of ``size`` nodes holds ``tap_weights`` at ``taps``, and the table
+    segments start ``start`` nodes past their output segments
+    (``_table_segment``); each output segment that holds a node is the
+    correlation of its table segment with D, and its nodes are one
+    strided slice of it.
+    """
+    last = first + stride * (chi.size - 1)
+    # the first point of each output segment that holds one
+    starts = sorted({0, *(-(-(s * _SEGMENT - first) // stride) for s in range(first // _SEGMENT + 1, last // _SEGMENT + 1))})
+    line = np.zeros(size)
+    np.add.at(line, taps, tap_weights)
+    line = np.fft.fft(line)
+    np.conjugate(line, out=line)
+    values = np.empty((len(starts), size), dtype=complex)
+    for row, i in zip(values, starts):
+        np.multiply(_table_segment(a, spacing, (first + stride * i) // _SEGMENT * _SEGMENT + start, size), line, out=row)
+    np.fft.ifft(values, out=values)
+    for row, i, j in zip(values, starts, starts[1:] + [chi.size]):
+        chi[i:j] += row[(first + stride * i) % _SEGMENT :: stride][: j - i]
+
+
+class LineSide:
+    """The line side of chi on one grid, for each (field, polarization) of ``fields``.
+
+    ``freq_hz`` is absolute optical frequency, finite at every point, in
+    any order; ``freq`` holds its points in ascending order, and
+    ``unsorted`` puts values at them back in the caller's order.  Whether
+    the grid is a lattice, and its working lattice, are decided once for
+    the whole grid.  Per field and isotope the side holds the Zeeman
+    components, and on a lattice D and the seam terms of both stages
+    (``_lattice_side``); ``chi`` is the point side, one field on one range
+    of ``freq`` at a time (see the module docstring).
+    """
+
+    def __init__(self, freq_hz, cell: VaporCell, fields):
+        self.grid = np.asarray(freq_hz, dtype=float)
+        freq = self.grid.reshape(-1)
+        if not np.isfinite(freq).all():
+            raise ValueError("frequencies must be finite")
+        self.order = None
+        if (freq[1:] < freq[:-1]).any():
+            self.order = np.argsort(freq, kind="stable")
+            freq = freq[self.order]
+        self.freq, self.cell, self.fields = freq, cell, fields
+        table = cell.table
+        ref = table.reference_frequency_hz
+        n_total = vapor_density(cell.temperature_k)
+
+        lam = SPEED_OF_LIGHT / ref
+        k_wave = wavevector(table)
+        gamma_natural = 2.0 * np.pi * table.natural_fwhm_hz
+        # angular Lorentzian HWHM: natural plus collisional
+        gamma_l = np.pi * (table.natural_fwhm_hz + cell.buffer_fwhm_hz)
+
+        # (step, phase, first, r, q, work_step): point i of ``freq`` sits at
+        # phase + (i + first) step from the reference and working node W at
+        # phase + W work_step; None takes chi at every point
+        self.lattice = None
+        step = _lattice_step(freq)
+        if step is not None:
+            # the heaviest isotope has the largest step in Doppler widths
+            mass = max(iso.mass_kg for iso in table.isotopes.values() if iso.abundance)
+            h = step * 2.0 * np.pi / (k_wave * np.sqrt(2.0 * BOLTZMANN * cell.temperature_k / mass))
+            r = _sublattice_ratio(h)
+            # read at the point nearest the reference, whose offset from it
+            # is exact
+            nearest = int(np.clip(np.rint((ref - freq[0]) / step), 0, freq.size - 1))
+            n_nearest, phase = _exact_divmod(float(freq[nearest] - ref), step)
+            # q working nodes per step where the step is coarser than the table's
+            q = 1 if r else math.ceil(h / _TABLE_SPACING)
+            self.lattice = (step, phase, n_nearest - nearest, r, q, r * step if r > 1 else step / q)
+        b_values = np.array([b for b, _ in fields], dtype=float)
+        plus = np.array([q == 1 for _, q in fields])[:, None]
+        self.isotopes = [[] for _ in fields]
+        for iso in table.isotopes.values():
+            if iso.abundance == 0.0:
+                continue
+            n_iso = iso.abundance * n_total
+            u = np.sqrt(2.0 * BOLTZMANN * cell.temperature_k / iso.mass_kg)
+            ku = k_wave * u
+            a = float(gamma_l / ku)
+            # strength * N * d^2 * sqrt(pi) / (2*(2I+1) * hbar * eps0 * k * u),
+            # with the D1 reduced dipole moment d^2 = 9*eps0*hbar*Gamma*lam^3/(8*pi^2)
+            prefactor = (
+                9.0
+                * gamma_natural
+                * lam**4
+                * n_iso
+                * _SQRT_PI
+                / (16.0 * np.pi**3 * u * 2.0 * (2.0 * iso.nuclear_spin + 1.0))
+            )
+            lines = [line for line in table.lines if line.isotope == iso.name]
+            # each field's components, both polarizations at every field
+            # (their weights do not depend on the field, and sigma- has as
+            # many components as sigma+), one row per field
+            both = []
+            for polarization in (1, -1):
+                parts = [zeeman_components(line, b_values, polarization) for line in lines]
+                both.append((np.concatenate([line.offset_hz + part.offsets_hz for line, part in zip(lines, parts)], axis=1),
+                             prefactor * np.concatenate([part.weights for part in parts])))
+            shifts, weights = (np.where(plus, *pair) for pair in zip(*both))
+            if self.lattice is None:
+                sides = [(a, ku, 2.0 * np.pi * row / ku, w) for row, w in zip(shifts, weights)]
+            else:
+                sides = _lattice_side(self.lattice, a, ku, shifts, weights)
+            for side, part in zip(self.isotopes, sides):
+                side.append(part)
+
+    def chi(self, field: int, block: slice = slice(None)) -> np.ndarray:
+        """chi of the ``field``-th (field, polarization) at the points ``freq[block]``, a range of them.
+
+        On a lattice each isotope's table is correlated with its D on the
+        block's working nodes, output segment by output segment, and the
+        seam terms of the nodes, and then of the points, that the block
+        holds are added; otherwise each isotope's direct sum.
+        """
+        lo, hi, _ = block.indices(self.freq.size)
+        if self.lattice is None:
+            chi = np.zeros(hi - lo, dtype=complex)
+            for a, ku, offsets, weights in self.isotopes[field]:
+                # freq - reference is exact within a factor of two of the reference
+                x = self.freq[lo:hi] - self.cell.table.reference_frequency_hz
+                x *= 2.0 * np.pi
+                x /= ku
+                _add_direct(chi, x, a, offsets, weights)
+            return chi
+        _, _, first, r, q, _ = self.lattice
+        first += lo
+        last = first + hi - lo - 1
+        # chi[i] at working node w0 + stride i
+        if r > 1:
+            w0, count, stride = first // r + _FIRST_TAP, last // r - first // r + _LAST_TAP - _FIRST_TAP + 1, 1
+        else:
+            w0, count, stride = q * first, hi - lo, q
+        chi = np.zeros(count, dtype=complex)
+        for a, spacing, start, size, taps, tap_weights, low, terms, _, _ in self.isotopes[field]:
+            _add_correlation(chi, w0, stride, a, spacing, start, size, taps, tap_weights)
+            index, off = np.divmod(low + np.arange(7)[:, None] - w0, stride)
+            _correct_seams(chi, np.where((off == 0) & (index >= 0) & (index < count), index, -1), terms)
+        if r > 1:
+            chi = _interpolate(chi, first, hi - lo, r)
+            for *_, low, terms in self.isotopes[field]:
+                points = low + np.arange(terms.shape[0])[:, None]
+                _correct_seams(chi, np.where((points >= first) & (points <= last), points - first, -1), terms)
+        return chi
+
+    def unsorted(self, values: np.ndarray) -> np.ndarray:
+        """``values`` at the points of ``freq``, put in the caller's order in place."""
+        if self.order is not None:
+            values[self.order] = values.copy()
+        return values
 
 
 def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: VaporCell) -> np.ndarray:
@@ -518,89 +676,11 @@ def complex_susceptibility(freq_hz, polarization: int, b_field_t: float, cell: V
     is +1 or -1 for sigma+/sigma-.  The cell length does not enter.  The
     points are evaluated in ascending order and returned in the caller's.
     On a lattice (``_lattice_step``) each isotope's sum is its kernel
-    table correlated with its line distribution on the working lattice
-    (``_add_lattice``), interpolated where that lattice is a sublattice;
-    any other input takes the direct sum (``_add_direct``).
+    table correlated with its line distribution on the working lattice,
+    interpolated where that lattice is a sublattice; any other input takes
+    the direct sum (``_add_direct``).  The one-field case of ``LineSide``.
     """
     if polarization not in (-1, 1):
         raise ValueError("polarization must be +1 or -1")
-    freq = np.asarray(freq_hz, dtype=float)
-    shape = freq.shape
-    freq = freq.ravel()
-    if not np.isfinite(freq).all():
-        raise ValueError("frequencies must be finite")
-    order = None
-    if (freq[1:] < freq[:-1]).any():
-        order = np.argsort(freq, kind="stable")
-        freq = freq[order]
-    table = cell.table
-    ref = table.reference_frequency_hz
-    n_total = vapor_density(cell.temperature_k)
-
-    lam = SPEED_OF_LIGHT / ref
-    k_wave = wavevector(table)
-    gamma_natural = 2.0 * np.pi * table.natural_fwhm_hz
-    # angular Lorentzian HWHM: natural plus collisional
-    gamma_l = np.pi * (table.natural_fwhm_hz + cell.buffer_fwhm_hz)
-
-    # the working nodes W, at phase + W work_step from the reference, that
-    # chi is taken at; None takes it at every point
-    nodes, r = None, 0
-    step = _lattice_step(freq)
-    if step is not None:
-        # the heaviest isotope has the largest step in Doppler widths
-        mass = max(iso.mass_kg for iso in table.isotopes.values() if iso.abundance)
-        h = step * 2.0 * np.pi / (k_wave * np.sqrt(2.0 * BOLTZMANN * cell.temperature_k / mass))
-        r = _sublattice_ratio(h)
-        # point i sits at phase + (i + first) step from the reference,
-        # exactly: read at the point nearest the reference, whose offset
-        # from it is exact
-        nearest = int(np.clip(np.rint((ref - freq[0]) / step), 0, freq.size - 1))
-        n_nearest, phase = _exact_divmod(float(freq[nearest] - ref), step)
-        first = n_nearest - nearest
-        last = first + freq.size - 1
-        if r > 1:
-            nodes, work_step = np.arange(first // r + _FIRST_TAP, last // r + _LAST_TAP + 1), r * step
-        else:
-            # q working nodes per step where the step is coarser than the table's
-            q = 1 if r else math.ceil(h / _TABLE_SPACING)
-            nodes, work_step = q * np.arange(first, last + 1), step / q
-    chi = np.zeros(freq.size if nodes is None else nodes.size, dtype=complex)
-    isotopes = []
-    for iso in table.isotopes.values():
-        if iso.abundance == 0.0:
-            continue
-        n_iso = iso.abundance * n_total
-        u = np.sqrt(2.0 * BOLTZMANN * cell.temperature_k / iso.mass_kg)
-        ku = k_wave * u
-        a = float(gamma_l / ku)
-        # strength * N * d^2 * sqrt(pi) / (2*(2I+1) * hbar * eps0 * k * u),
-        # with the D1 reduced dipole moment d^2 = 9*eps0*hbar*Gamma*lam^3/(8*pi^2)
-        prefactor = (
-            9.0
-            * gamma_natural
-            * lam**4
-            * n_iso
-            * _SQRT_PI
-            / (16.0 * np.pi**3 * u * 2.0 * (2.0 * iso.nuclear_spin + 1.0))
-        )
-        lines = [line for line in table.lines if line.isotope == iso.name]
-        parts = [zeeman_components(line, b_field_t, polarization) for line in lines]
-        shifts = np.concatenate([line.offset_hz + part.offsets_hz for line, part in zip(lines, parts)])
-        weights = prefactor * np.concatenate([part.weights for part in parts])
-        if nodes is None:
-            # freq - reference is exact within a factor of two of the reference
-            x = freq - ref
-            x *= 2.0 * np.pi
-            x /= ku
-            _add_direct(chi, x, a, 2.0 * np.pi * shifts / ku, weights)
-        else:
-            _add_lattice(chi, nodes, work_step, phase, a, ku, shifts, weights)
-        isotopes.append((a, ku, shifts, weights))
-    if r > 1:
-        chi = _interpolate(chi, first, freq.size, r)
-        for a, ku, shifts, weights in isotopes:
-            _correct_interpolation(chi, first, step, phase, r, a, ku, shifts, weights)
-    if order is not None:
-        chi[order] = chi.copy()
-    return chi.reshape(shape)
+    side = LineSide(freq_hz, cell, [(b_field_t, polarization)])
+    return side.unsorted(side.chi(0)).reshape(side.grid.shape)

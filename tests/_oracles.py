@@ -188,3 +188,25 @@ def excess_noise_with_cross_term(model) -> float:
     a, da = model.mean_field, model.field_noise
     beat = a * dt + t * da + dt * da
     return model.attenuation_amplitude**2 * 2.0 * float(np.real(np.conj(t * a) * beat))
+
+
+def pair_map_by_mode(freq, vals, frequencies_hz, mode_fwhm_hz: float, window_linewidths: float):
+    """Mode-averaged transmission of every mode, one ``np.trapezoid`` pair per mode.
+
+    The per-mode loop ``pairs.pair_transmission_map`` ran before it took
+    the modes with equally long windows as the rows of one array: each
+    mode's unit-area Lorentzian over its +-window on the grid, with the
+    transmission integrated by the trapezoid rule and renormalized.
+    """
+    hwhm = 0.5 * mode_fwhm_hz
+    half_window = window_linewidths * mode_fwhm_hz
+    etas = np.empty(len(frequencies_hz))
+    for j, f0 in enumerate(frequencies_hz):
+        sl = slice(
+            np.searchsorted(freq, f0 - half_window),
+            np.searchsorted(freq, f0 + half_window, side="right"),
+        )
+        f = freq[sl]
+        lor = hwhm / np.pi / ((f - f0) ** 2 + hwhm**2)
+        etas[j] = np.trapezoid(lor * vals[sl], f) / np.trapezoid(lor, f)
+    return etas

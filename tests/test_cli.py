@@ -732,3 +732,21 @@ def test_console_script_installed(tmp_path):
     assert proc.returncode == 0
     assert "envelope FWHM" in proc.stdout
     assert (tmp_path / "out" / "g2_metrics.json").exists()
+
+
+# sha256 of the default scan's artifacts, taken from the code before the
+# scan prepared each temperature's line side once for all its fields
+# (numpy 2.4.6); a numpy upgrade may move a last printed digit
+OPTIMIZE_DIGESTS = {
+    "fom_surface.csv": "23914c267445083d969090c8fbfe6a5f18365607ecb19be429624e7d43ff1d47",
+    "optimize_result.json": "6fd6061fbf34df394e75dd1f53f2bbfaf495b5bbbfccdbebc0152db8fe3c5a0e",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_default_scan_artifacts_keep_their_bytes(tmp_path, threads):
+    import hashlib
+
+    assert main(["--out", str(tmp_path), "--threads", str(threads), "optimize"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in OPTIMIZE_DIGESTS}
+    assert digests == OPTIMIZE_DIGESTS, f"numpy {np.__version__}"

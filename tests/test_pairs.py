@@ -6,11 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from _oracles import modes_off_grid
+from _oracles import modes_off_grid, pair_map_by_mode
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fadofsim import pairs, susceptibility
+from fadofsim import pairs, susceptibility, vapor
 from fadofsim.cli import _filter_on_grid
 from fadofsim.config import load_config
 from fadofsim.opo import MODE_WINDOW_LINEWIDTHS, ModeComb, OpoConfig, mode_comb, modes_within_grid
@@ -253,6 +253,56 @@ def test_per_mode_record_matches_its_golden_values():
         "a02177d52fad8a0a707af21cf32fb1d03cec93b84d0278a4410a5fabd6970f5f")
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(step_hz=st.floats(0.5e6, 5e6), offset_hz=st.floats(-2e9, 2e9), seed=st.integers(0, 2**32 - 1))
+def test_pair_map_equals_the_per_mode_oracle_bit_for_bit(step_hz, offset_hz, seed):
+    # uniform grids whose steps make the mode windows differ in length: the
+    # rows of one window length give each mode the per-mode trapezoid's bytes
+    freq = make_frequency_grid(REF_HZ, 8e9, step_hz)
+    vals = np.random.default_rng(seed).uniform(0.0, 1.0, freq.size)
+    comb = mode_comb(replace(OPO, degenerate_frequency_hz=REF_HZ + offset_hz),
+                     max_modes=modes_within_grid(OPO, freq, REF_HZ + 2e9))
+    eta = pair_transmission_map(Spectrum(freq, vals), comb, OPO)
+    oracle = pair_map_by_mode(freq, vals, comb.frequencies_hz, OPO.mode_fwhm_hz, MODE_WINDOW_LINEWIDTHS)
+    assert eta.tobytes() == oracle.tobytes()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    fields=st.lists(st.sampled_from([0.0, -2e-3, 4.5e-3, 4.5e-3, 1e-3, 0.02, 1.0]), min_size=1, max_size=5),
+    temperature_k=st.sampled_from([300.0, 367.0, 380.0]),
+    step_hz=st.sampled_from([1e6, 2e6, 5e6]),
+    points=st.sampled_from([2, 3001, vapor._GRID_BLOCK + 7]),
+)
+@example(fields=[4.5e-3, 0.0, 1.0], temperature_k=380.0, step_hz=2e6, points=vapor._GRID_BLOCK + 7)
+@example(fields=[-2e-3, 4.5e-3], temperature_k=367.0, step_hz=2e6, points=3001)
+@example(fields=[0.02, 0.0], temperature_k=300.0, step_hz=5e6, points=3001)
+def test_a_temperatures_line_side_gives_each_field_its_own_bytes(fields, temperature_k, step_hz, points):
+    # r = 1 at 2 MHz and 367 K, 2 at 2 MHz and 380 K and at 1 MHz, 0 at
+    # 5 MHz; grids of one block and of two
+    cell = replace(FilterConfig(), temperature_k=temperature_k)
+    freq = REF_HZ - 3e9 + step_hz * np.arange(points)
+    side = vapor.filter_line_side(cell, freq, fields)
+    for b in fields:
+        got = vapor.fadof_transmission(replace(cell, b_field_t=b), freq, side).value
+        alone = vapor.fadof_transmission(replace(cell, b_field_t=b), freq).value
+        assert got.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_overflowing_field_leaves_the_others_values(threads):
+    # a temperature whose batch overflows is prepared again field by field:
+    # the 1e300 T point alone is invalid, once, and every other point keeps
+    # the values of a scan without it
+    kwargs = dict(grid_half_span_hz=8e9, grid_step_hz=4e6, threads=threads)
+    clean = optimize_filter(FilterConfig(), OPO, [4.0e-3, 5.0e-3], [360.0, 370.0], **kwargs)
+    mixed = optimize_filter(FilterConfig(), OPO, [4.0e-3, 1e300, 5.0e-3], [360.0, 370.0], **kwargs)
+    assert dict(mixed.meta["invalid_reasons"]) == {"overflowed or met an invalid operation": 2}
+    assert np.isnan(mixed.fom[1]).all()
+    for name in ("fom", "eta0", "sum_nondegenerate", "peak_offset_hz"):
+        assert getattr(mixed, name)[[0, 2]].tobytes() == getattr(clean, name).tobytes()
+
+
 def test_optimize_single_point_matches_defaults():
     res = optimize_filter(
         FilterConfig(),
@@ -326,8 +376,8 @@ def test_optimize_overflow_in_any_stage_makes_the_point_invalid(monkeypatch, sta
     # invalid, with either pool size, and no warning escapes
     fadof_transmission = pairs.fadof_transmission
 
-    def tagged(cfg, grid):
-        spec = fadof_transmission(cfg, grid)
+    def tagged(cfg, grid, *line_side):
+        spec = fadof_transmission(cfg, grid, *line_side)
         spec.overflows = cfg.b_field_t == 5.0e-3
         return spec
 

@@ -1,7 +1,8 @@
 """Print the sha256 of every artifact of every fadofsim command.
 
 Runs ``spectrum``, ``g2`` (``--mode on``, ``off`` and ``both``),
-``simulate``, ``optimize`` and ``noise`` on the built-in config and on each
+``simulate``, ``optimize`` (with one thread and with ``--threads 2``) and
+``noise`` on the built-in config and on each
 ``bench/configs/*.cfg``, every run as a fresh process on the ``src`` tree
 of this checkout with its own temporary output directory.  Prints one line
 per artifact::
@@ -37,6 +38,7 @@ COMMANDS = {
     "g2-both": ["g2", "--mode", "both"],
     "simulate": ["simulate"],
     "optimize": ["optimize"],
+    "optimize-threads2": ["--threads", "2", "optimize"],
     "noise": ["noise"],
 }
 

@@ -13,6 +13,16 @@ Layers:
     inner (one ``optimize`` task per temperature): by default the built-in
     scan (7 fields x 7 temperatures, 20,001 points each), since
     ``spectrum_export.cfg`` sets only ``[spectrum]``.
+``optimize``
+    ``pairs.optimize_filter`` on the config's ``optimize`` scan (by default
+    the built-in 7 x 7 scan), on one thread, as ``cli.cmd_optimize`` calls
+    it.  The output check says whether ``fom``, ``eta0`` and
+    ``sum_nondegenerate`` are identical bit for bit in both trees.
+``csv``
+    ``Spectrum.to_csv`` of the ``spectrum`` command's filter on the
+    ``spectrum_export.cfg`` grid (160,001 rows) into a temporary file, the
+    transmission computed before the clock starts.  The output check
+    compares the files' sha256.
 ``mc``
     One 300 s ``single`` and one ``comb`` stream of
     ``bench/configs/mc_stream.cfg`` at the first two seeds ``simulate``
@@ -39,6 +49,8 @@ is the same in both trees, or each tree's thread count after startup::
     python3 tools/layer_ab.py --layer filter --a /path/to/parent --b . --rounds 10
     python3 tools/layer_ab.py --layer scan --config coarse.cfg --a /path/to/parent --b .
     python3 tools/layer_ab.py --layer startup --a /path/to/parent --b .
+    python3 tools/layer_ab.py --layer optimize --a /path/to/parent --b .
+    python3 tools/layer_ab.py --layer csv --a /path/to/parent --b .
 
 The trees are only read; the outputs go to a temporary directory.
 """
@@ -62,7 +74,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # "stage seconds" line per stage; with a path argument it also saves its
 # output there: the transmissions (one row per spectrum), the JSON of the mc
 # digests, or the JSON of its thread count (null where it cannot be read).
-CONFIG = {"filter": "spectrum_export.cfg", "scan": "spectrum_export.cfg", "mc": "mc_stream.cfg", "startup": None}
+CONFIG = {"filter": "spectrum_export.cfg", "scan": "spectrum_export.cfg", "optimize": "spectrum_export.cfg",
+          "csv": "spectrum_export.cfg", "mc": "mc_stream.cfg", "startup": None}
 CHILD = {
     "filter": """
 import sys, time
@@ -95,6 +108,36 @@ values = [fadof_transmission(cell, grid).value for cell in cells]
 print("scan", time.perf_counter() - t0)
 if len(sys.argv) > 2:
     np.save(sys.argv[2], np.array(values))
+""",
+    "optimize": """
+import sys, time
+import numpy as np
+from fadofsim.config import load_config
+from fadofsim.pairs import optimize_filter
+cfg = load_config(sys.argv[1])
+t0 = time.perf_counter()
+r = optimize_filter(cfg.filter, cfg.opo, cfg.optimize_b_t, cfg.optimize_temperatures_k,
+                    grid_half_span_hz=cfg.optimize_half_span_hz, grid_step_hz=cfg.optimize_step_hz, threads=1)
+print("optimize", time.perf_counter() - t0)
+if len(sys.argv) > 2:
+    np.save(sys.argv[2], np.array([r.fom, r.eta0, r.sum_nondegenerate]))
+""",
+    "csv": """
+import hashlib, json, sys, tempfile, time
+from pathlib import Path
+from fadofsim.config import load_config
+from fadofsim.spectrum import make_frequency_grid
+from fadofsim.vapor import fadof_transmission
+cfg = load_config(sys.argv[1])
+grid = make_frequency_grid(cfg.filter.table.reference_frequency_hz, cfg.grid_half_span_hz, cfg.grid_step_hz)
+spec = fadof_transmission(cfg.filter, grid)
+with tempfile.TemporaryDirectory() as out:
+    path = Path(out) / "fadof_spectrum.csv"
+    t0 = time.perf_counter()
+    spec.to_csv(path, header_lines=("layer_ab csv",))
+    print("csv", time.perf_counter() - t0)
+    if len(sys.argv) > 2:
+        Path(sys.argv[2]).write_text(json.dumps({path.name: hashlib.sha256(path.read_bytes()).hexdigest()}))
 """,
     "mc": """
 import hashlib, json, sys, tempfile, time
@@ -166,8 +209,14 @@ def summary(label: str, seconds: np.ndarray) -> str:
 
 def output_check(layer: str, saved: dict[str, Path]) -> str:
     """How the two trees' outputs of the first round compare."""
-    if layer in ("mc", "startup"):
+    if layer in ("mc", "startup", "csv"):
         a, b = (json.loads(saved[side].read_text()) for side in ("a", "b"))
+    if layer == "csv":
+        return "sha256 of the CSV: " + ("identical" if a == b else "moved")
+    if layer == "optimize":
+        a, b = (np.load(saved[side]) for side in ("a", "b"))
+        return "fom, eta0 and sum_nondegenerate: " + (
+            "identical" if a.tobytes() == b.tobytes() else f"moved, largest |b - a| {np.nanmax(np.abs(b - a)):.3g}")
     if layer == "startup":
         return f"threads after startup: a {a}, b {b}" if a is not None else "thread count not available"
     if layer == "mc":
@@ -192,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     config = config and config.resolve()
     times: dict[str, list[dict[str, float]]] = {"a": [], "b": []}
     with tempfile.TemporaryDirectory() as tmp:
-        suffix = ".npy" if args.layer in ("filter", "scan") else ".json"  # np.save appends .npy to other names
+        suffix = ".npy" if args.layer in ("filter", "scan", "optimize") else ".json"  # np.save appends .npy to other names
         saved = {side: Path(tmp) / f"{side}{suffix}" for side in trees}
         for i in range(args.rounds):
             for side in ("a", "b") if i % 2 == 0 else ("b", "a"):
