@@ -41,10 +41,18 @@ ranged from 146.6 to 169.4 MB over the seeds, against 111.9-113.7 MB
 with one buffer per channel.  Growing an array in place is no way out:
 ``ndarray.resize`` copies.  The writer likewise converts each chunk into
 one float64 and one u64 buffer of ``_CHUNK_EVENTS`` that both channels
-reuse: with three fresh 2 MB temporaries per chunk, a fresh process's
-first 300 s stream took 29,933 minor page faults to write, 0.097 s of
-system time beside 0.040 s of user time, against 993 faults with the
-buffers (numpy 2.4, glibc, 2 vCPU).
+reuse: with three fresh 2 MB temporaries per 2**18-event chunk, a fresh
+process's first 300 s stream took 29,933 minor page faults to write,
+0.097 s of system time beside 0.040 s of user time, against 993 faults
+with the buffers (numpy 2.4, glibc, 2 vCPU), and 225 with buffers of
+2**16 events.  The histogram merge reuses its working arrays in the same
+way (``mc_histogram``).  With about ten fresh arrays of some 470k entries
+per 2**18-start chunk, the first 300 s ``single`` stream of a process
+took 50,200 minor page faults to histogram and a whole 300 s
+``simulate`` 65k; with the arrays reused and chunks of 2**16 starts the
+histogram takes about 950, in 0.09 s against 0.16 s, and ``simulate``
+11k, and the merge holds 4.2 MB beside the stream instead of 11.7 MB
+(tracemalloc).
 """
 
 from __future__ import annotations
@@ -66,8 +74,17 @@ TIMESTAMP_UNIT_S = 1e-12
 # drawn separation signs: their working memory is a few arrays of this
 # length, not of the stream's.  The guide-table search allocates about
 # four arrays of its draws, so the comb separations are found an eighth
-# of a chunk at a time.
-_CHUNK_EVENTS = 1 << 18
+# of a chunk at a time.  The merge's six reused arrays hold one chunk's
+# starts and stops, about 0.9 MB per int64 array at 2**16 on the default
+# rates, so its working set stays near a 2 MB L2 cache.  Peak RSS of
+# ``simulate`` on the 300 s ``mc_stream`` benchmark, the merge arrays
+# reused, read 119.3, 110.5, 107.5 and 107.4 MB at merge chunks of 2**18,
+# 2**17, 2**16 and 2**15 (114.2 MB with fresh arrays at 2**18; 6
+# interleaved runs each, 2 vCPU).  At 2**16 rather than 2**18 the writer
+# took 0.027 against 0.030 s for one 300 s stream (9/10 runs faster; 225
+# minor page faults against 993) and ``simulate`` 1.00 against 1.11 s
+# (9/10), its four times as many ``write`` calls notwithstanding.
+_CHUNK_EVENTS = 1 << 16
 
 
 @dataclass
@@ -240,7 +257,10 @@ def mc_histogram(stream: EventStream, det: DetectorConfig,
     merge of the whole stream, and memory is a few arrays of one chunk
     (plus the stops of one window) whatever the stream's length.  The
     chunk edges are found by bisection on the clock bin, which is
-    monotone in time.
+    monotone in time.  The merge's working arrays are allocated once per
+    call, for 2 ``_CHUNK_EVENTS`` entries, and reused by every chunk; a
+    chunk with more entries (the stops of its last window) replaces them
+    with arrays of its own length, which the later chunks reuse.
     """
     tb = det.bin_s
     k = det.offset_bin
@@ -256,6 +276,8 @@ def mc_histogram(stream: EventStream, det: DetectorConfig,
         return bisect.bisect_left(t, b, lo, key=clock)
 
     counts = np.zeros(w + 1, dtype=np.int64)
+    words = flags = None
+    capacity = min(_CHUNK_EVENTS, t1.size) + min(_CHUNK_EVENTS, t2.size)
     i = lo = 0
     while i < t1.size:
         lo = first(t2, clock(t1[i]) + shift, lo)  # the first start's window opens
@@ -264,7 +286,12 @@ def mc_histogram(stream: EventStream, det: DetectorConfig,
             # starts whose window opens after the stop _CHUNK_EVENTS on wait
             j = min(j, first(t1, clock(t2[lo + _CHUNK_EVENTS]) - shift + 1, i + 1))
         hi = first(t2, clock(t1[j - 1]) + shift + w + 1, lo)  # the last one's closes
-        counts += _merged_counts(t1[i:j], t2[lo:hi], tb, shift, w)
+        size = (j - i) + (hi - lo)
+        if words is None or size > capacity:
+            words = flags = None  # the old arrays go before the new ones come
+            capacity = max(capacity, size)
+            words, flags = np.empty((3, capacity), dtype=np.int64), np.empty((3, capacity), dtype=bool)
+        counts += _merged_counts(t1[i:j], t2[lo:hi], tb, shift, w, words, flags)
         i = j
     return Histogram(
         bin_index=np.arange(k - n_side_bins, k + n_side_bins + 1),
@@ -274,7 +301,8 @@ def mc_histogram(stream: EventStream, det: DetectorConfig,
     )
 
 
-def _merged_counts(t1: np.ndarray, t2: np.ndarray, tb: float, shift: int, w: int) -> np.ndarray:
+def _merged_counts(t1: np.ndarray, t2: np.ndarray, tb: float, shift: int, w: int,
+                   words: np.ndarray, flags: np.ndarray) -> np.ndarray:
     """Coincidence counts at bin differences 0..w of starts t1 and stops t2.
 
     One merge of the two channels.  Channel-1 bins are shifted by
@@ -289,29 +317,52 @@ def _merged_counts(t1: np.ndarray, t2: np.ndarray, tb: float, shift: int, w: int
     d > 1 places on needs every entry in between inside the window too,
     so the loop over d = 2, 3, ... walks a candidate set that shrinks
     each step: time is linear in the events plus the coincidences beyond
-    the nearest entry, memory a few int64 arrays of the merged length.
-    The keys are int64, so the stream must span fewer than 2**62 clock
-    bins (duration / bin_s < 2**62, offset included).
+    the nearest entry.  The keys are int64, so the stream must span fewer
+    than 2**62 clock bins (duration / bin_s < 2**62, offset included).
+
+    Every array of the merged length is a row of ``words`` (three int64
+    rows) or ``flags`` (three bool rows), each at least t1.size + t2.size
+    long, written through ``out=``: the keys, the clock bins as floats
+    and then the selected gaps, the gaps; the stops, the starts whose
+    next entry is in the window, and a mask.  The values are those of
+    the same operations on fresh arrays.  Only the loop's candidates,
+    the starts with two or more entries in their window, are allocated
+    afresh.
     """
     reach = 2 * w + 1  # key difference of a start and a stop w bins later
     n1 = t1.size
-    keys = np.empty(n1 + t2.size, dtype=np.int64)
-    keys[:n1] = np.floor(t1 / tb)
-    keys[n1:] = np.floor(t2 / tb)
+    n = n1 + t2.size
+    keys, spare = words[0, :n], words[1, :n]
+    gap = words[2, : n - 1]  # n > 0: a chunk holds at least one start
+    is_stop, near, mask = flags[0, :n], flags[1, : gap.size], flags[2, : gap.size]
+    bins = spare.view(np.float64)
+    np.divide(t1, tb, out=bins[:n1])
+    np.divide(t2, tb, out=bins[n1:])
+    np.floor(bins, out=bins)
+    keys[:] = bins
     keys[:n1] += shift
     keys *= 2
     keys[n1:] += 1
     keys.sort(kind="stable")
-    is_stop = (keys & 1).astype(bool)
-    gap = np.diff(keys)
-    near = (gap <= reach) & ~is_stop[:-1]  # starts whose next entry is in the window
+    np.bitwise_and(keys, 1, out=is_stop, casting="unsafe")
+    np.subtract(keys[1:], keys[:-1], out=gap)
+    np.less_equal(gap, reach, out=near)
+    np.logical_not(is_stop[:-1], out=mask)
+    near &= mask  # starts whose next entry is in the window
+    np.logical_and(near, is_stop[1:], out=mask)
     # np.compress: boolean indexing is about 3x slower on this dense mask
-    counts = np.bincount(np.compress(near & is_stop[1:], gap) >> 1, minlength=w + 1)
+    nearest = spare[: np.count_nonzero(mask)]
+    np.compress(mask, gap, out=nearest)
+    nearest >>= 1
+    counts = np.bincount(nearest, minlength=w + 1)
     # starts whose entry two places on may still be in the window
-    cand = np.flatnonzero(near[:-1] & (gap[1:] <= reach))
+    two = mask[:-1]
+    np.less_equal(gap[1:], reach, out=two)
+    two &= near[:-1]
+    cand = np.flatnonzero(two)
     d = 2
     while cand.size:
-        cand = cand[cand + d < keys.size]
+        cand = cand[cand + d < n]
         span = keys[cand + d] - keys[cand]
         inside = span <= reach
         cand, span = cand[inside], span[inside]

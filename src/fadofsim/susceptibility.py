@@ -537,14 +537,15 @@ def _add_correlation(chi, first, stride, a, spacing, start, size, taps, tap_weig
 class LineSide:
     """The line side of chi on one grid, for each (field, polarization) of ``fields``.
 
-    ``freq_hz`` is absolute optical frequency, finite at every point, in
-    any order; ``freq`` holds its points in ascending order, and
-    ``unsorted`` puts values at them back in the caller's order.  Whether
-    the grid is a lattice, and its working lattice, are decided once for
-    the whole grid.  Per field and isotope the side holds the Zeeman
-    components, and on a lattice D and the seam terms of both stages
-    (``_lattice_side``); ``chi`` is the point side, one field on one range
-    of ``freq`` at a time (see the module docstring).
+    Every field must be finite.  ``freq_hz`` is absolute optical
+    frequency, finite at every point, in any order; ``freq`` holds its
+    points in ascending order, and ``unsorted`` puts values at them back
+    in the caller's order.  Whether the grid is a lattice, and its working
+    lattice, are decided once for the whole grid.  Per field and isotope
+    the side holds the Zeeman components, and on a lattice D and the seam
+    terms of both stages (``_lattice_side``); ``chi`` is the point side,
+    one field on one range of ``freq`` at a time (see the module
+    docstring).
     """
 
     def __init__(self, freq_hz, cell: VaporCell, fields):
@@ -552,6 +553,8 @@ class LineSide:
         freq = self.grid.reshape(-1)
         if not np.isfinite(freq).all():
             raise ValueError("frequencies must be finite")
+        if not all(math.isfinite(b) for b, _ in fields):
+            raise ValueError("magnetic fields must be finite")
         self.order = None
         if (freq[1:] < freq[:-1]).any():
             self.order = np.argsort(freq, kind="stable")

@@ -188,6 +188,44 @@ def test_mc_histogram_matches_loop_oracle_on_dense_streams():
             assert h.counts.tolist() == expected, f"chunk of {chunk}"
 
 
+@pytest.mark.parametrize("chunk", [2, 4, 7])
+def test_merge_buffers_grow_mid_call_for_a_dense_burst(chunk, monkeypatch):
+    # a sparse stretch merges in the buffers allocated for the first chunk;
+    # bursts of 40 and then 80 stops within one start's window need more
+    # entries than a chunk's capacity, so the buffers grow, twice, and the
+    # later chunks reuse the grown ones
+    bin_s = 1e-9
+    rng = np.random.default_rng(chunk)
+    sparse = np.arange(0.0, 3000.0, 100.0)
+    t1 = np.concatenate([sparse, [3000.0, 4000.0], 5000.0 + sparse])
+    t2 = np.sort(np.concatenate([
+        sparse + 1.25,
+        3000.0 + rng.integers(-12, 13, 40) / 4,
+        4000.0 + rng.integers(-12, 13, 80) / 4,
+        5000.0 + sparse + 2.5,
+    ]))
+    t1, t2 = t1 * 1e-9, t2 * 1e-9
+    det = DetectorConfig(bin_s=bin_s, offset_s=0.0, r1_hz=0.0, r2_hz=0.0)
+    buffers = []
+    merge = montecarlo._merged_counts
+
+    def spy(t1, t2, tb, shift, w, words, flags):
+        assert words.shape[1] == flags.shape[1] >= t1.size + t2.size
+        buffers.append(words)
+        return merge(t1, t2, tb, shift, w, words, flags)
+
+    monkeypatch.setattr(montecarlo, "_merged_counts", spy)
+    h = _chunked(chunk, mc_histogram, _stream(t1, t2, 6e-6), det, n_side_bins=3)
+    expected = coincidences_by_loop(t1.tolist(), t2.tolist(), bin_s, 0, 3)
+    assert h.counts.tolist() == expected
+    assert sum(expected) >= 40 + 80
+    sizes = [words.shape[1] for words in buffers]
+    # the float times put a few of a burst's stops outside its window
+    assert sizes == sorted(sizes) and sizes.count(2 * chunk) > 2 and sizes[-1] > 64
+    # one allocation per size: reused until a chunk needs more
+    assert len({id(words) for words in buffers}) == len(set(sizes)) == 3
+
+
 @pytest.mark.parametrize("n_stops", [8, 64, 512])
 def test_mc_histogram_memory_is_bounded_by_the_chunk(n_stops):
     # 64 chunks of starts against 8, 64 or 512 chunks of stops: either

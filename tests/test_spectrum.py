@@ -1,14 +1,20 @@
 """Spectrum container validation, grid construction, and metric extraction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from _oracles import csv_rows_by_percent
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fadofsim.spectrum import (
     _CSV_CHUNK_ROWS,
     BoundaryPeakError,
+    _median,
     Spectrum,
     filter_metrics,
     make_frequency_grid,
@@ -112,6 +118,40 @@ def test_filter_metrics_needs_out_of_band_region():
     s = _triangle(width_hz=1e9, half_span_hz=2e9)
     with pytest.raises(BoundaryPeakError, match="out-of-band"):
         filter_metrics(s)
+
+
+# few distinct values, so that ties are common; NaN, signed zeros and
+# values whose sum overflows among them
+_MEDIAN_VALUES = st.sampled_from([0.0, -0.0, 1e-300, 0.25, 0.5, 0.7, 1.0, 1e308, -1e308, np.nan])
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(values=st.lists(_MEDIAN_VALUES | st.floats(-1e3, 1e3), min_size=1, max_size=40))
+@example(values=[0.3])
+@example(values=[np.nan])
+@example(values=[0.5, 0.25])
+@example(values=[0.7, 0.7, 0.7])
+@example(values=[0.25, 0.7, 0.7, 1.0])
+@example(values=[0.5, np.nan, 0.25])
+@example(values=[-0.0, -0.0])
+@example(values=[1e308, 1e308])
+def test_median_is_np_median_bit_for_bit(values):
+    a = np.array(values)
+    with np.errstate(over="ignore"):
+        expected = np.float64(np.median(a)).tobytes()
+        got = np.float64(_median(a.copy())).tobytes()
+    assert got == expected, f"{_median(a)!r} against {np.median(a)!r}"
+
+
+def test_filter_metrics_leaves_numpy_ma_unimported():
+    # np.median would import numpy.ma (about 18 ms and 0.5 MB) on its first call
+    code = ("import sys, numpy as np; from fadofsim.spectrum import Spectrum, filter_metrics; "
+            "f = np.linspace(-5e9, 5e9, 101); "
+            "filter_metrics(Spectrum(frequency_hz=f, value=np.maximum(1.0 - np.abs(f) / 3e8, 0.01))); "
+            "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_filter_metrics_first_peak_wins_on_tie():

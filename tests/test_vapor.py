@@ -1,6 +1,7 @@
 """Faraday filter and blocking-cell transmission physics."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,6 +165,21 @@ def test_config_validation():
         FilterConfig(extinction=1.0)
     with pytest.raises(ValueError, match="extinction"):
         FilterConfig(extinction=-1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_field_is_named_where_the_line_side_is_prepared(bad):
+    # before, a NaN field's side was prepared and its lookup in the side's
+    # fields raised "nan is not in list"
+    grid = make_frequency_grid(REF_HZ, 2e9, 10e6)
+    cfg = FilterConfig()
+    for fields in ([bad], [4.5e-3, bad]):
+        with pytest.raises(ValueError, match="magnetic fields must be finite"):
+            vapor.filter_line_side(cfg, grid, fields)
+    with pytest.raises(ValueError, match="magnetic fields must be finite"):
+        fadof_transmission(replace(cfg, b_field_t=bad), grid)
+    with pytest.raises(ValueError, match="magnetic fields must be finite"):
+        susceptibility.complex_susceptibility(grid, +1, bad, cfg)
 
 
 def _whole_grid_transmission(cfg, freq):

@@ -27,7 +27,11 @@ Layers:
     One 300 s ``single`` and one ``comb`` stream of
     ``bench/configs/mc_stream.cfg`` at the first two seeds ``simulate``
     derives from the config seed, each generated, written and histogrammed
-    as ``cli._mc_run`` does; the three stages of each mode are timed apart.
+    as ``cli._mc_run`` does; the three stages of each mode are timed apart,
+    and each stage's minor page faults (``<stage>.minor_faults``, the
+    child's ``getrusage`` delta) and the child's peak RSS at the end
+    (``peak_rss_mb``, which includes the interpreter and numpy) are
+    compared as well.
 ``startup``
     ``import fadofsim.cli`` and ``load_config`` of the built-in config (or
     of the file given with ``--config``), timed apart; the child also
@@ -40,8 +44,8 @@ a fresh ``python3`` process with ``PYTHONPATH`` set to that tree's
 ``src``; which tree runs first alternates from round to round.  A run
 times the layer's stages with ``time.perf_counter`` (imports and config
 loading excluded, Voigt tables cold as in a CLI command).  For each stage
-the script prints each tree's median and quartiles, the rounds that ``b``
-won, and the median of the per-round ratios b / a.  The first round also
+the script prints each tree's median and quartiles, the rounds in which
+``b`` read lower, and the median of the per-round ratios b / a.  The first round also
 keeps each tree's output, and the script prints the largest |T_b - T_a| of
 the transmissions, whether the sha256 of every stream file and histogram
 is the same in both trees, or each tree's thread count after startup::
@@ -51,6 +55,7 @@ is the same in both trees, or each tree's thread count after startup::
     python3 tools/layer_ab.py --layer startup --a /path/to/parent --b .
     python3 tools/layer_ab.py --layer optimize --a /path/to/parent --b .
     python3 tools/layer_ab.py --layer csv --a /path/to/parent --b .
+    python3 tools/layer_ab.py --layer mc --a /path/to/parent --b .
 
 The trees are only read; the outputs go to a temporary directory.
 """
@@ -71,7 +76,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Each child gets a config path as its first argument, by default the layer's
 # bench config named below ("" for the built-in config), and prints one
-# "stage seconds" line per stage; with a path argument it also saves its
+# "stage seconds" line per stage (the mc child also "stage.minor_faults
+# count" lines and one "peak_rss_mb MB" line); with a path argument it also saves its
 # output there: the transmissions (one row per spectrum), the JSON of the mc
 # digests, or the JSON of its thread count (null where it cannot be read).
 CONFIG = {"filter": "spectrum_export.cfg", "scan": "spectrum_export.cfg", "optimize": "spectrum_export.cfg",
@@ -140,7 +146,7 @@ with tempfile.TemporaryDirectory() as out:
         Path(sys.argv[2]).write_text(json.dumps({path.name: hashlib.sha256(path.read_bytes()).hexdigest()}))
 """,
     "mc": """
-import hashlib, json, sys, tempfile, time
+import hashlib, json, resource, sys, tempfile, time
 from dataclasses import replace
 from pathlib import Path
 import numpy as np
@@ -150,24 +156,29 @@ cfg = load_config(sys.argv[1])
 det = replace(cfg.detector, acquisition_s=cfg.mc_duration_s)
 seeds = np.random.SeedSequence(cfg.seed).generate_state(2)
 digests = {}
+
+def mark():
+    return time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
 with tempfile.TemporaryDirectory() as out:
     for mode, seed in zip(("single", "comb"), seeds):
-        t0 = time.perf_counter()
+        m0 = mark()
         stream = montecarlo.generate_pair_events(cfg.opo, det, mode, int(seed))
-        t1 = time.perf_counter()
+        m1 = mark()
         montecarlo.write_stream(stream, out, prefix=mode)
-        t2 = time.perf_counter()
+        m2 = mark()
         hist = montecarlo.mc_histogram(stream, det)
-        t3 = time.perf_counter()
+        m3 = mark()
         del stream
-        print(f"{mode}.generate", t1 - t0)
-        print(f"{mode}.write", t2 - t1)
-        print(f"{mode}.histogram", t3 - t2)
+        for stage, (a, b) in zip(("generate", "write", "histogram"), ((m0, m1), (m1, m2), (m2, m3))):
+            print(f"{mode}.{stage}", b[0] - a[0])
+            print(f"{mode}.{stage}.minor_faults", b[1] - a[1])
         for path in sorted(Path(out).glob(f"{mode}_*")):
             if len(sys.argv) > 2:
                 digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
             path.unlink()
         digests[f"{mode} histogram"] = hashlib.sha256(hist.counts.tobytes()).hexdigest()
+print("peak_rss_mb", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 if len(sys.argv) > 2:
     Path(sys.argv[2]).write_text(json.dumps(digests))
 """,
@@ -202,9 +213,15 @@ def run(tree: Path, layer: str, config: Path | None, save: Path | None) -> dict[
     return {stage: float(seconds) for stage, seconds in map(str.split, proc.stdout.splitlines())}
 
 
-def summary(label: str, seconds: np.ndarray) -> str:
-    q1, median, q3 = np.percentile(seconds, [25, 50, 75])
-    return f"  {label}: median {median:.4f} s, quartiles {q1:.4f} / {q3:.4f} s"
+def unit(stage: str) -> str:
+    """The unit of a stage's numbers: a fault count, megabytes or seconds."""
+    return "faults" if stage.endswith(".minor_faults") else "MB" if stage.endswith("_mb") else "s"
+
+
+def summary(label: str, values: np.ndarray, unit: str) -> str:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    digits = 0 if unit == "faults" else 2 if unit == "MB" else 4
+    return f"  {label}: median {median:.{digits}f} {unit}, quartiles {q1:.{digits}f} / {q3:.{digits}f} {unit}"
 
 
 def output_check(layer: str, saved: dict[str, Path]) -> str:
@@ -252,9 +269,9 @@ def main(argv: list[str] | None = None) -> int:
         a = np.array([stages[stage] for stages in times["a"]])
         b = np.array([stages[stage] for stages in times["b"]])
         print(stage)
-        print(summary("a", a))
-        print(summary("b", b))
-        print(f"  b faster in {int((b < a).sum())}/{args.rounds} rounds, median ratio b/a {np.median(b / a):.3f}")
+        print(summary("a", a, unit(stage)))
+        print(summary("b", b, unit(stage)))
+        print(f"  b lower in {int((b < a).sum())}/{args.rounds} rounds, median ratio b/a {np.median(b / a):.3f}")
     if check:
         print(check)
     return 0
